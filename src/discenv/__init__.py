@@ -5,7 +5,6 @@ from .discs import (
     DiscLoop,
     cesaro_mean,
     diagonal_disc,
-    disc_from_samples,
     outer_function,
     select_theta0,
     winding_number,
@@ -52,7 +51,7 @@ from .oracles import (
 
 __all__ = [
     "AnalyticDisc", "DiscLoop", "cesaro_mean", "diagonal_disc",
-    "disc_from_samples", "outer_function", "select_theta0", "winding_number",
+    "outer_function", "select_theta0", "winding_number",
     "DomainSpec", "Obstacle", "ball", "counterexample_pair",
     "planar_annulus_pair", "shell_disc", "shell_pair",
     "EnvelopeRequest", "EnvelopeResult", "minimize_envelope",

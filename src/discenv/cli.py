@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import config as cfgmod
-from .cesaro_demo import cesaro_convergence
+from .discs import cesaro_convergence
 from .envelope import EnvelopeRequest, minimize_envelope
 from .errors import ConfigurationError, DiscenvError
 from .expressions import compile_expression
@@ -80,21 +80,17 @@ def _write_outputs(outdir, cfg, rows, passed, extras=None):
                   _results_csv_text(rows))
 
 
-def _oracle_value(cfg, point, w, x_spec, phi, hartogs):
-    oracle = cfg.get("oracle")
-    if oracle is None:
-        return None, None
-    kind = oracle["kind"]
-    if kind == "closed_form":
+def _oracle_value(cfg, point, x_spec, phi, hartogs):
+    """Closed-form or Kiselman oracle value at one point; the grid oracle
+    is solved once per run by ``_grid_oracle`` instead."""
+    oracle = cfg["oracle"]
+    if oracle["kind"] == "closed_form":
         fn = compile_expression(oracle["expr"], x_spec.n)
-        return float(fn(point[None, :])[0]), None
-    if kind == "kiselman":
-        if hartogs is None:
-            raise ConfigurationError(
-                "config.oracle: kiselman oracle needs a hartogs pair")
-        return float(kiselman_psi(hartogs, phi, point[:-1])), None
-    # grid oracle: planar; solve once and interpolate (cached per run)
-    return None, "grid"
+        return float(fn(point[None, :])[0])
+    if hartogs is None:
+        raise ConfigurationError(
+            "config.oracle: kiselman oracle needs a hartogs pair")
+    return float(kiselman_psi(hartogs, phi, point[:-1]))
 
 
 def _grid_oracle(cfg, points, w, x_spec, phi):
@@ -142,8 +138,7 @@ def run_envelope(cfg, outdir, compare=False, quiet=False):
                 oracle_val = float(
                     grid_field.interpolate(np.asarray([complex(point[0])]))[0])
             else:
-                oracle_val, _ = _oracle_value(cfg, point, w, x_spec, phi,
-                                              hartogs)
+                oracle_val = _oracle_value(cfg, point, x_spec, phi, hartogs)
         gap = None if oracle_val is None else res.value - oracle_val
         any_infeasible |= not res.feasible
         rows.append({
@@ -191,7 +186,7 @@ def run_oracle(cfg, outdir, quiet=False):
             rows.append(_oracle_row(point, float(v)))
     else:
         for point in points:
-            v, _ = _oracle_value(cfg, point, w, x_spec, phi, hartogs)
+            v = _oracle_value(cfg, point, x_spec, phi, hartogs)
             rows.append(_oracle_row(point, v))
             if not quiet:
                 print(f"{_point_label(point)}: oracle={v}")
@@ -314,9 +309,6 @@ def main(argv=None):
         if args.command == "cesaro":
             return run_cesaro(cfg, args.out, quiet=args.quiet)
         raise ConfigurationError(f"unknown command {args.command}")
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DiscenvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,21 @@ def roots_of_unity(m):
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
+def taylor_eval(coeffs, z):
+    """The power series sum_j coeffs[j] * z**j by Horner's rule.
+
+    ``coeffs`` has shape (K,) or (K, n) and z any shape; the result has
+    shape z.shape + coeffs.shape[1:].
+    """
+    coeffs = np.asarray(coeffs)
+    z = np.asarray(z, dtype=complex)
+    zz = z[(...,) + (None,) * (coeffs.ndim - 1)]
+    out = np.zeros(z.shape + coeffs.shape[1:], dtype=complex)
+    for c in coeffs[::-1]:
+        out = out * zz + c
+    return out
+
+
 class AnalyticDisc:
     """Boundary samples of a map from the closed unit disc into C^n.
 
@@ -80,12 +95,7 @@ class AnalyticDisc:
         Uses the nonnegative-frequency (Taylor) coefficients only, so the
         result is meaningful when the disc is valid.
         """
-        z = np.asarray(z, dtype=complex)
-        k = self.M // 2
-        out = np.zeros(z.shape + (self.n,), dtype=complex)
-        for j in range(k - 1, -1, -1):
-            out = out * z[..., None] + self.coeffs[j]
-        return out
+        return taylor_eval(self.coeffs[:self.M // 2], z)
 
     def component(self, i):
         """Boundary samples of component i as a flat array."""
@@ -106,15 +116,6 @@ class AnalyticDisc:
         freqs = np.fft.fftfreq(m, 1.0 / m)
         damped = self.coeffs * (s ** np.abs(freqs))[:, None]
         return AnalyticDisc(np.fft.ifft(damped * m, axis=0))
-
-
-def disc_from_samples(samples):
-    """Build an AnalyticDisc from boundary samples.
-
-    High negative-frequency residuals are not rejected here; callers
-    check ``holomorphy_residual`` against their own tolerance.
-    """
-    return AnalyticDisc(samples)
 
 
 def constant_disc(point, m=64):
@@ -184,12 +185,7 @@ def outer_function(samples):
 def outer_interior(samples, z):
     """The outer function of ``samples`` evaluated at interior points z."""
     a = _analytic_log_coeffs(samples)
-    z = np.asarray(z, dtype=complex)
-    m = a.size
-    acc = np.zeros(z.shape, dtype=complex)
-    for j in range(m // 2, -1, -1):
-        acc = acc * z + a[j]
-    return np.exp(acc)
+    return np.exp(taylor_eval(a[:a.size // 2 + 1], z))
 
 
 class DiscLoop:
@@ -266,19 +262,13 @@ def random_smooth_loop(m=64, m_w=2048, n=1, seed=0, amplitude=0.02,
     wv = roots_of_unity(m_w)
 
     def rand_poly(scale):
-        deg = z_band
-        c = scale * (rng.standard_normal((deg + 1, n))
-                     + 1j * rng.standard_normal((deg + 1, n)))
-        vals = np.zeros((m, n), dtype=complex)
-        for j in range(deg, -1, -1):
-            vals = vals * zeta[:, None] + c[j]
-        return vals
+        c = scale * (rng.standard_normal((z_band + 1, n))
+                     + 1j * rng.standard_normal((z_band + 1, n)))
+        return taylor_eval(c, zeta)
 
     h_coeffs = 0.3 * (rng.standard_normal((z_band + 1, n))
                       + 1j * rng.standard_normal((z_band + 1, n)))
-    h_vals = np.zeros((m_w, n), dtype=complex)
-    for j in range(z_band, -1, -1):
-        h_vals = h_vals * wv[:, None] + h_coeffs[j]
+    h_vals = taylor_eval(h_coeffs, wv)
     h = AnalyticDisc(h_vals)
 
     samples = np.tile(h_vals[:, None, :], (1, m, 1))
@@ -287,6 +277,22 @@ def random_smooth_loop(m=64, m_w=2048, n=1, seed=0, amplitude=0.02,
             ck = rand_poly(amplitude * 0.5 ** k)
             samples += ck[None, :, :] * (wv ** (sign * k))[:, None, None]
     return DiscLoop(samples), h
+
+
+def cesaro_convergence(m=64, m_w=2048, j_values=(8, 16, 32, 64, 128, 256),
+                       seed=0, amplitude=0.02):
+    """Sup distance between the smoothed loop and the original for each j.
+
+    Returns a list of (j, sup_error) pairs; for a smooth loop the errors
+    decrease as j grows.
+    """
+    loop, h = random_smooth_loop(m=m, m_w=m_w, seed=seed, amplitude=amplitude)
+    out = []
+    for j in j_values:
+        smoothed = cesaro_mean(loop, h, j)
+        err = float(np.max(np.abs(smoothed.samples - loop.samples)))
+        out.append((int(j), err))
+    return out
 
 
 def _torus_coeffs(G, tau=TAU_HOL):
@@ -324,11 +330,7 @@ def diagonal_disc(G, theta0, tau=TAU_HOL):
             f = p + q
             if f < m:
                 gcoeff[f] += cp[p, q]
-    zeta = roots_of_unity(m)
-    samples = np.zeros((m, n), dtype=complex)
-    for f in range(m - 1, -1, -1):
-        samples = samples * zeta[:, None] + gcoeff[f]
-    return AnalyticDisc(samples)
+    return AnalyticDisc(taylor_eval(gcoeff, roots_of_unity(m)))
 
 
 def select_theta0(G, objective, tau=TAU_HOL):

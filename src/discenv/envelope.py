@@ -32,6 +32,9 @@ def interior_probe_points(radii=INTERIOR_RADII, angles=INTERIOR_ANGLES):
     return (rr[:, None] * zeta[None, :]).ravel()
 
 
+_PROBES = interior_probe_points()
+
+
 @dataclass
 class EnvelopeRequest:
     pair: tuple                # (W, X) DomainSpecs
@@ -67,31 +70,28 @@ class EnvelopeResult:
     disc: object = None
 
 
-def _violation(req, disc):
-    """Max constraint violation: boundary outside W or interior outside X.
+def _margins(boundary_domain, x_spec, disc):
+    """Signed margins of the boundary nodes in ``boundary_domain`` and of
+    the interior probes in X (positive means strictly inside)."""
+    return (boundary_domain.margin(disc.samples),
+            x_spec.margin(disc.evaluate(_PROBES)))
+
+
+def _violation(bm, im):
+    """Max constraint violation of the boundary and interior margins.
 
     Returns (violation, strict) where strict certifies that every boundary
-    node is strictly inside W and every interior probe strictly inside X.
+    node and every interior probe lies strictly inside its domain.
     """
-    w, x_spec = req.pair
-    bm = w.margin(disc.samples)
-    probes = disc.evaluate(interior_probe_points())
-    im = x_spec.margin(probes)
     violation = float(max(np.max(np.maximum(0.0, -bm)),
                           np.max(np.maximum(0.0, -im))))
     strict = bool(np.min(bm) > 0 and np.min(im) > 0)
     return violation, strict
 
 
-def _penalty(req, disc):
-    w, x_spec = req.pair
-    mu = req.feas_margin
-    bm = w.margin(disc.samples)
-    probes = disc.evaluate(interior_probe_points())
-    im = x_spec.margin(probes)
-    return req.penalty_weight * (
-        float(np.sum(np.maximum(0.0, mu - bm) ** 2))
-        + float(np.sum(np.maximum(0.0, mu - im) ** 2)))
+def _hinge(margins, mu):
+    """Squared hinge penalty on margins that fall below the slack mu."""
+    return float(np.sum(np.maximum(0.0, mu - margins) ** 2))
 
 
 class _Tracker:
@@ -179,30 +179,27 @@ def minimize_envelope(req):
     disc (penalties removed); it is an upper bound for the true envelope,
     which in turn dominates the largest plurisubharmonic subextension.
     """
+    w, x_spec = req.pair
+    mu = req.feas_margin
 
     def objective_fn(disc):
         value = poisson_functional(disc, req.phi)
-        violation, strict = _violation(req, disc)
-        return value + _penalty(req, disc), value, violation, strict
+        bm, im = _margins(w, x_spec, disc)
+        violation, strict = _violation(bm, im)
+        pen = req.penalty_weight * (_hinge(bm, mu) + _hinge(im, mu))
+        return value + pen, value, violation, strict
 
     best, fallback = _search(req, objective_fn)
-    if best is not None:
-        value, f_idx, s_idx, params, tr = best
-        disc = req.families[f_idx].build(params, req.grid.M)
-        return EnvelopeResult(
-            value=float(poisson_functional(disc, req.phi)),
-            best_params=params, family=req.families[f_idx].name,
-            start_index=s_idx, max_violation=_violation(req, disc)[0],
-            feasible=True, trace=tr.trace, disc=disc)
-    if fallback is None:
+    if best is None and fallback is None:
         raise ConfigurationError("no family produced any disc")
-    key, f_idx, s_idx, params, tr = fallback
+    _, f_idx, s_idx, params, tr = best if best is not None else fallback
     disc = req.families[f_idx].build(params, req.grid.M)
     return EnvelopeResult(
         value=float(poisson_functional(disc, req.phi)),
         best_params=params, family=req.families[f_idx].name,
-        start_index=s_idx, max_violation=_violation(req, disc)[0],
-        feasible=False, trace=tr.trace, disc=disc)
+        start_index=s_idx,
+        max_violation=_violation(*_margins(w, x_spec, disc))[0],
+        feasible=best is not None, trace=tr.trace, disc=disc)
 
 
 def partial_envelope(req, eps):
@@ -224,19 +221,13 @@ def partial_envelope(req, eps):
 
     def objective_fn(disc):
         mass, integral = partial_boundary_stats(disc, req.phi, w)
-        bm = x_spec.margin(disc.samples)
-        probes = disc.evaluate(interior_probe_points())
-        im = x_spec.margin(probes)
+        bm, im = _margins(x_spec, x_spec, disc)
         pen = req.penalty_weight * (
-            max(0.0, need - mass) ** 2
-            + float(np.sum(np.maximum(0.0, mu - bm) ** 2))
-            + float(np.sum(np.maximum(0.0, mu - im) ** 2)))
-        violation = float(max(
-            np.max(np.maximum(0.0, -bm)),
-            np.max(np.maximum(0.0, -im)),
-            0.0 if mass > 1.0 - eps else (1.0 - eps) - mass + 1e-12))
-        strict = bool(np.min(bm) > 0 and np.min(im) > 0
-                      and mass > 1.0 - eps)
+            max(0.0, need - mass) ** 2 + _hinge(bm, mu) + _hinge(im, mu))
+        violation, strict = _violation(bm, im)
+        if mass <= 1.0 - eps:
+            violation = max(violation, (1.0 - eps) - mass + 1e-12)
+            strict = False
         return integral + pen, integral, violation, strict
 
     best, fallback = _search(req, objective_fn)
@@ -255,6 +246,7 @@ def sample_feasible_values(req, n_samples, m=None):
     searched family only, not a bound over all discs.
     """
     m = m or req.grid.M
+    w, x_spec = req.pair
     values = []
     for f_idx, family in enumerate(req.families):
         rng = np.random.default_rng([req.seed, 7919, f_idx])
@@ -265,7 +257,7 @@ def sample_feasible_values(req, n_samples, m=None):
             disc = family.build(params, m)
             if disc is None:
                 continue
-            if _violation(req, disc)[1]:
+            if _violation(*_margins(w, x_spec, disc))[1]:
                 values.append(poisson_functional(disc, req.phi))
             if family.n_params == 0:
                 break

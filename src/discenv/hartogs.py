@@ -18,6 +18,7 @@ from .discs import (
     _analytic_log_coeffs,
     outer_function,
     roots_of_unity,
+    taylor_eval,
     winding_number,
 )
 from .domains import DomainSpec
@@ -101,16 +102,10 @@ def hartogs_homotopy(f, t):
         raise DegenerateInputError("last component vanishes on the circle")
     m = f.M
     zeta = roots_of_unity(m)
-    a = _analytic_log_coeffs(fn)
-
-    def log_outer(z):
-        acc = np.zeros(z.shape, dtype=complex)
-        for j in range(m // 2, -1, -1):
-            acc = acc * z + a[j]
-        return acc
+    a = _analytic_log_coeffs(fn)[:m // 2 + 1]
 
     base = f.evaluate(t * zeta)[:, :-1]
-    ratio = np.exp(log_outer(t * zeta) - log_outer(zeta))
+    ratio = np.exp(taylor_eval(a, t * zeta) - taylor_eval(a, zeta))
     samples = np.concatenate([base, (fn * ratio)[:, None]], axis=1)
     return AnalyticDisc(samples)
 

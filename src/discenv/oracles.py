@@ -9,6 +9,7 @@ below a capped obstacle, and a sampled sub-mean-value check of
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +147,7 @@ class GridField:
         return out
 
     def to_csv(self, path):
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         xs, ys = self.points()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -11,10 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from discenv.cesaro_demo import cesaro_convergence
 from discenv.discs import (
     AnalyticDisc,
     DiscLoop,
+    cesaro_convergence,
     cesaro_mean,
     outer_function,
     outer_interior,

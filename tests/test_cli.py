@@ -5,6 +5,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from discenv.cli import main
 
@@ -205,3 +206,18 @@ def test_seed_override_changes_metadata(tmp_path):
                 "--quiet"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["metadata"]["seed"] == 7
+
+
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_grid_oracle_creates_missing_out_dir(tmp_path, command):
+    cfg = dict(ANNULUS_CONFIG, points=[[[1.5, 0.0]]],
+               families=[{"kind": "constant"}],
+               oracle={"kind": "grid", "spacing": 0.125})
+    cfg.pop("tolerances")
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "missing" / "nested"
+    assert run([command, "--config", cfg_path, "--out", out,
+                "--quiet"]) == 0
+    assert (out / "grid_field.csv").is_file()
+    rows = read_rows(out)
+    assert abs(float(rows[0]["oracle"]) - np.log(1.5)) <= 1e-2

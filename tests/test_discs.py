@@ -10,12 +10,12 @@ from discenv.discs import (
     cesaro_mean,
     constant_disc,
     diagonal_disc,
-    disc_from_samples,
     outer_function,
     outer_interior,
     random_smooth_loop,
     roots_of_unity,
     select_theta0,
+    taylor_eval,
     winding_number,
 )
 from discenv.errors import (
@@ -31,7 +31,7 @@ def blaschke(zeta, a):
 
 
 # ---------------------------------------------------------------------------
-# disc_from_samples
+# AnalyticDisc
 # ---------------------------------------------------------------------------
 
 def test_constant_disc_centre_and_residual():
@@ -43,7 +43,7 @@ def test_constant_disc_centre_and_residual():
 
 def test_identity_disc_coefficients():
     zeta = roots_of_unity(64)
-    disc = disc_from_samples(zeta)
+    disc = AnalyticDisc(zeta)
     assert abs(disc.coeffs[1, 0] - 1.0) <= 1e-12
     mask = np.ones(64, dtype=bool)
     mask[1] = False
@@ -53,23 +53,23 @@ def test_identity_disc_coefficients():
 
 def test_conjugate_samples_flagged_non_holomorphic():
     zeta = roots_of_unity(64)
-    disc = disc_from_samples(np.conj(zeta))
+    disc = AnalyticDisc(np.conj(zeta))
     assert abs(disc.holomorphy_residual - 1.0) <= 1e-12
     assert not disc.is_valid()
 
 
 def test_sample_count_must_be_power_of_two():
     with pytest.raises(ConfigurationError):
-        disc_from_samples(np.ones(12, dtype=complex))
+        AnalyticDisc(np.ones(12, dtype=complex))
     with pytest.raises(ConfigurationError):
-        disc_from_samples(np.ones(4, dtype=complex))
+        AnalyticDisc(np.ones(4, dtype=complex))
 
 
 @pytest.mark.parametrize("m", [8, 64, 512, 4096])
 def test_fourier_round_trip(m):
     rng = np.random.default_rng(m)
     samples = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
-    disc = disc_from_samples(samples)
+    disc = AnalyticDisc(samples)
     back = np.fft.ifft(disc.coeffs * m, axis=0)
     rel = np.max(np.abs(back - samples)) / np.max(np.abs(samples))
     assert rel <= 1e-12
@@ -77,16 +77,34 @@ def test_fourier_round_trip(m):
 
 def test_shrink_of_identity_disc():
     zeta = roots_of_unity(64)
-    disc = disc_from_samples(zeta).shrink(0.5)
+    disc = AnalyticDisc(zeta).shrink(0.5)
     assert np.max(np.abs(disc.samples[:, 0] - 0.5 * zeta)) <= 1e-12
 
 
 def test_evaluate_matches_polynomial():
     zeta = roots_of_unity(128)
-    disc = disc_from_samples(1.0 + 0.5 * zeta + 0.25j * zeta ** 3)
+    disc = AnalyticDisc(1.0 + 0.5 * zeta + 0.25j * zeta ** 3)
     z = np.array([0.0, 0.3 + 0.1j, -0.6j])
     expected = 1.0 + 0.5 * z + 0.25j * z ** 3
     assert np.max(np.abs(disc.evaluate(z)[:, 0] - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("coeff_shape", [(1,), (7,), (1, 2), (7, 3)])
+@pytest.mark.parametrize("z", [
+    0.4 - 0.3j,
+    np.array([0.0, 0.5j, -0.9]),
+    np.array([[0.1, 0.2j, 0.0], [-0.7 + 0.1j, 0.95, -0.3 - 0.6j]]),
+])
+def test_taylor_eval_matches_power_sum(coeff_shape, z):
+    rng = np.random.default_rng(len(coeff_shape) * 10 + coeff_shape[0])
+    c = rng.standard_normal(coeff_shape) \
+        + 1j * rng.standard_normal(coeff_shape)
+    z = np.asarray(z, dtype=complex)
+    zz = z[(...,) + (None,) * (c.ndim - 1)]
+    expected = sum(c[j] * zz ** j for j in range(c.shape[0]))
+    got = taylor_eval(c, z)
+    assert got.shape == z.shape + c.shape[1:]
+    assert np.max(np.abs(got - expected)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from discenv.discs import constant_disc, disc_from_samples, roots_of_unity
+from discenv.discs import AnalyticDisc, constant_disc, roots_of_unity
 from discenv.domains import Obstacle, planar_annulus_pair, shell_disc
 from discenv.errors import ConfigurationError, EvaluationError
 from discenv.expressions import obstacle_from_expression
@@ -33,7 +33,7 @@ def test_constant_disc_average_is_point_value():
 def test_circle_disc_average_of_log_modulus():
     zeta = roots_of_unity(512)
     for s in [1.2, 1.7]:
-        disc = disc_from_samples(s * zeta)
+        disc = AnalyticDisc(s * zeta)
         assert abs(poisson_functional(disc, LOG_ABS) - np.log(s)) <= 1e-10
 
 
@@ -59,15 +59,15 @@ def test_monotone_in_obstacle():
     phi_small = obstacle_from_expression("re(z1)", 1)
     phi_big = obstacle_from_expression("re(z1) + 0.5", 1)
     zeta = roots_of_unity(128)
-    disc = disc_from_samples(1.5 + 0.3 * zeta)
+    disc = AnalyticDisc(1.5 + 0.3 * zeta)
     assert poisson_functional(disc, phi_small) \
         <= poisson_functional(disc, phi_big) + 1e-12
 
 
 def test_exact_invariance_under_grid_rotation():
     zeta = roots_of_unity(128)
-    disc = disc_from_samples(1.5 + 0.3 * zeta + 0.1 * zeta ** 2)
-    rotated = disc_from_samples(np.roll(disc.samples, 5, axis=0))
+    disc = AnalyticDisc(1.5 + 0.3 * zeta + 0.1 * zeta ** 2)
+    rotated = AnalyticDisc(np.roll(disc.samples, 5, axis=0))
     # identical weights on a permuted node set; only summation order differs
     assert abs(poisson_functional(disc, LOG_ABS)
                - poisson_functional(rotated, LOG_ABS)) <= 1e-15
@@ -79,7 +79,7 @@ def test_quadrature_convergence_rate():
     values = {}
     for m in [64, 128, 256]:
         zeta = roots_of_unity(m)
-        disc = disc_from_samples(1.5 + 0.4 * zeta)
+        disc = AnalyticDisc(1.5 + 0.4 * zeta)
         values[m] = poisson_functional(disc, LOG_ABS)
     c = max(abs(values[64] - values[128]) * 64,
             abs(values[128] - values[256]) * 128)
@@ -93,7 +93,7 @@ def test_quadrature_convergence_rate():
 def test_full_boundary_in_w():
     w, _ = planar_annulus_pair()
     zeta = roots_of_unity(256)
-    disc = disc_from_samples(1.5 * zeta)
+    disc = AnalyticDisc(1.5 * zeta)
     mass, integral = partial_boundary_stats(disc, LOG_ABS, w)
     assert mass == 1.0
     assert abs(integral - poisson_functional(disc, LOG_ABS)) <= 1e-14
@@ -109,7 +109,7 @@ def test_partial_mass_against_refined_grid():
     w, _ = planar_annulus_pair()
     m = 1024
     zeta = roots_of_unity(m)
-    disc = disc_from_samples(0.8 + 0.8 * zeta)
+    disc = AnalyticDisc(0.8 + 0.8 * zeta)
     mass, integral = partial_boundary_stats(disc, LOG_ABS, w)
     fine = roots_of_unity(100 * m)
     fine_mass = np.mean(np.abs(0.8 + 0.8 * fine) > 1.0)
