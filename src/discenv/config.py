@@ -35,13 +35,17 @@ BUILTIN_OBSTACLES = {
 _TOP_KEYS = {
     "experiment", "pair", "obstacle", "points", "families", "quadrature_m",
     "seed", "starts", "budget", "penalty_weight", "oracle", "tolerances",
-    "partial_eps", "homotopy", "cesaro", "output",
+    "homotopy", "cesaro", "output",
 }
 
 
 def _require(cond, path, message):
     if not cond:
         raise ConfigurationError(f"{path}: {message}")
+
+
+def _is_number(value):
+    return isinstance(value, (int, float))
 
 
 def _check_keys(obj, allowed, path):
@@ -83,15 +87,12 @@ def validate_config(raw):
     for key in ("quadrature_m", "seed", "starts", "budget"):
         _require(isinstance(cfg[key], int) and cfg[key] >= 0,
                  f"config.{key}", "expected nonnegative integer")
+    _require(_is_number(cfg["penalty_weight"]) and cfg["penalty_weight"] > 0,
+             "config.penalty_weight", "expected a positive number")
     if cfg.get("oracle") is not None:
         _validate_oracle(cfg["oracle"])
     if "tolerances" in cfg:
         _check_keys(cfg["tolerances"], {"gap"}, "config.tolerances")
-    if "partial_eps" in cfg:
-        _require(isinstance(cfg["partial_eps"], list)
-                 and all(isinstance(e, (int, float)) and 0 < e < 1
-                         for e in cfg["partial_eps"]),
-                 "config.partial_eps", "expected list of values in (0,1)")
     if "homotopy" in cfg:
         _check_keys(cfg["homotopy"], {"z_prime", "s", "winding", "steps"},
                     "config.homotopy")
@@ -121,8 +122,8 @@ def _validate_pair(pair):
 
 
 def _validate_obstacle(obst):
-    _check_keys(obst, {"expr", "builtin", "rotation_invariant",
-                       "lower_bound", "upper_bound"}, "config.obstacle")
+    _check_keys(obst, {"expr", "builtin", "rotation_invariant"},
+                "config.obstacle")
     _require(("expr" in obst) != ("builtin" in obst), "config.obstacle",
              "exactly one of 'expr' or 'builtin' required")
     if "builtin" in obst:
@@ -136,6 +137,18 @@ def _validate_family(fam, path):
     _require(fam.get("kind") in {"constant", "polynomial", "vertical",
                                  "blaschke", "shell"},
              f"{path}.kind", f"unknown family kind {fam.get('kind')!r}")
+    for key in ("degree", "zeros", "winding"):
+        if key in fam:
+            _require(isinstance(fam[key], int) and fam[key] >= 1,
+                     f"{path}.{key}", "expected integer >= 1")
+    if "scale" in fam:
+        _require(_is_number(fam["scale"]), f"{path}.scale", "expected a number")
+    if "s_range" in fam:
+        lo_hi = fam["s_range"]
+        _require(isinstance(lo_hi, (list, tuple)) and len(lo_hi) == 2
+                 and all(_is_number(v) for v in lo_hi)
+                 and 0 < lo_hi[0] < lo_hi[1],
+                 f"{path}.s_range", "expected [lo, hi] with 0 < lo < hi")
 
 
 def _validate_oracle(oracle):
@@ -190,9 +203,7 @@ def build_obstacle(cfg, n):
     expr = obst.get("expr") or BUILTIN_OBSTACLES[obst["builtin"]]
     return obstacle_from_expression(
         expr, n,
-        rotation_invariant_last=bool(obst.get("rotation_invariant", False)),
-        lower_bound=obst.get("lower_bound", -np.inf),
-        upper_bound=obst.get("upper_bound", np.inf))
+        rotation_invariant_last=bool(obst.get("rotation_invariant", False)))
 
 
 def parse_point(entry, n, path="config.points"):

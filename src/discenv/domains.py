@@ -29,9 +29,6 @@ class DomainSpec:
                 f"got last axis {points.shape[-1]}")
         return self._margin_fn(points)
 
-    def contains(self, points):
-        return self.margin(points) > 0
-
     def __repr__(self):
         return f"DomainSpec({self.name!r}, n={self.n})"
 
@@ -39,13 +36,10 @@ class DomainSpec:
 class Obstacle:
     """The function phi on W: a vectorised evaluator plus metadata."""
 
-    def __init__(self, eval_fn, description="", rotation_invariant_last=False,
-                 lower_bound=-np.inf, upper_bound=np.inf):
+    def __init__(self, eval_fn, description="", rotation_invariant_last=False):
         self._eval_fn = eval_fn
         self.description = description
         self.rotation_invariant_last = rotation_invariant_last
-        self.lower_bound = lower_bound
-        self.upper_bound = upper_bound
 
     def __call__(self, points):
         points = np.asarray(points, dtype=complex)
@@ -195,8 +189,7 @@ def counterexample_pair(delta=0.3, tau=0.05, rho_u=0.05, eps_moll=0.01,
                         np.minimum(a2 - (1.0 - delta), 1.0 - a2))
         return -np.maximum(ramp(v1), ramp(v2))
 
-    phi = Obstacle(phi_eval, description="counterexample step obstacle",
-                   lower_bound=-1.0, upper_bound=0.0)
+    phi = Obstacle(phi_eval, description="counterexample step obstacle")
     return w, x, phi
 
 

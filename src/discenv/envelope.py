@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import ConfigurationError, EvaluationError, PreconditionError
+from .errors import ConfigurationError, EvaluationError, \
+    InfeasibleParameters, PreconditionError
 from .functionals import QuadratureGrid, partial_boundary_stats, \
     poisson_functional
 
@@ -24,6 +25,7 @@ INTERIOR_RADII = (0.25, 0.5, 0.75, 0.95)
 INTERIOR_ANGLES = 32
 
 BARRIER = 1e6
+FEAS_MARGIN = 1e-5  # slack inside the penalty hinge
 
 
 def interior_probe_points(radii=INTERIOR_RADII, angles=INTERIOR_ANGLES):
@@ -46,8 +48,6 @@ class EnvelopeRequest:
     budget: int = 400
     seed: int = 0
     grid: QuadratureGrid = None
-    feas_margin: float = 1e-5  # slack inside the penalty hinge
-    eps_feas: float = 1e-6     # certification threshold on violations
 
     def __post_init__(self):
         self.x = np.atleast_1d(np.asarray(self.x, dtype=complex))
@@ -89,9 +89,9 @@ def _violation(bm, im):
     return violation, strict
 
 
-def _hinge(margins, mu):
-    """Squared hinge penalty on margins that fall below the slack mu."""
-    return float(np.sum(np.maximum(0.0, mu - margins) ** 2))
+def _hinge(margins):
+    """Squared hinge penalty on margins that fall below FEAS_MARGIN."""
+    return float(np.sum(np.maximum(0.0, FEAS_MARGIN - margins) ** 2))
 
 
 class _Tracker:
@@ -124,12 +124,10 @@ def _run_start(req, family, objective_fn, rng, start_index):
     tracker = _Tracker()
 
     def wrapped(params):
-        bad = family.infeasibility(params)
-        if bad > 0:
-            return BARRIER * (1.0 + bad)
-        disc = family.build(params, req.grid.M)
-        if disc is None:
-            return BARRIER
+        try:
+            disc = family.build(params, req.grid.M)
+        except InfeasibleParameters as exc:
+            return BARRIER * (1.0 + exc.excess)
         try:
             obj, value, violation, strict = objective_fn(disc)
         except EvaluationError:
@@ -180,13 +178,12 @@ def minimize_envelope(req):
     which in turn dominates the largest plurisubharmonic subextension.
     """
     w, x_spec = req.pair
-    mu = req.feas_margin
 
     def objective_fn(disc):
         value = poisson_functional(disc, req.phi)
         bm, im = _margins(w, x_spec, disc)
         violation, strict = _violation(bm, im)
-        pen = req.penalty_weight * (_hinge(bm, mu) + _hinge(im, mu))
+        pen = req.penalty_weight * (_hinge(bm) + _hinge(im))
         return value + pen, value, violation, strict
 
     best, fallback = _search(req, objective_fn)
@@ -216,14 +213,13 @@ def partial_envelope(req, eps):
         raise ConfigurationError(
             f"eps={eps} unresolvable at M={req.grid.M}; need eps > 2/M")
     w, x_spec = req.pair
-    mu = req.feas_margin
     need = 1.0 - eps + 0.5 / req.grid.M
 
     def objective_fn(disc):
         mass, integral = partial_boundary_stats(disc, req.phi, w)
         bm, im = _margins(x_spec, x_spec, disc)
         pen = req.penalty_weight * (
-            max(0.0, need - mass) ** 2 + _hinge(bm, mu) + _hinge(im, mu))
+            max(0.0, need - mass) ** 2 + _hinge(bm) + _hinge(im))
         violation, strict = _violation(bm, im)
         if mass <= 1.0 - eps:
             violation = max(violation, (1.0 - eps) - mass + 1e-12)
@@ -252,10 +248,9 @@ def sample_feasible_values(req, n_samples, m=None):
         rng = np.random.default_rng([req.seed, 7919, f_idx])
         for s_idx in range(n_samples):
             params = family.initial(rng, start_index=s_idx + 1)
-            if family.infeasibility(params) > 0:
-                continue
-            disc = family.build(params, m)
-            if disc is None:
+            try:
+                disc = family.build(params, m)
+            except InfeasibleParameters:
                 continue
             if _violation(*_margins(w, x_spec, disc))[1]:
                 values.append(poisson_functional(disc, req.phi))

@@ -96,8 +96,6 @@ def compile_expression(text, n):
     return evaluate
 
 
-def obstacle_from_expression(text, n, rotation_invariant_last=False,
-                             lower_bound=-np.inf, upper_bound=np.inf):
+def obstacle_from_expression(text, n, rotation_invariant_last=False):
     return Obstacle(compile_expression(text, n), description=text,
-                    rotation_invariant_last=rotation_invariant_last,
-                    lower_bound=lower_bound, upper_bound=upper_bound)
+                    rotation_invariant_last=rotation_invariant_last)

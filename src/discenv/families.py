@@ -2,9 +2,10 @@
 
 Each family maps a real parameter vector to an AnalyticDisc whose value
 at 0 equals the prescribed centre by construction (never by penalty).
-A family may return None from ``build`` when a parameter vector cannot
-realise the centre (e.g. a solved-for Blaschke zero falls outside the
-unit disc); the optimiser treats that as a barrier.
+``build`` is the only call per parameter vector.  When a vector cannot
+realise the centre (a free or solved-for Blaschke zero falls outside the
+unit disc) it raises InfeasibleParameters, which the optimiser turns into
+a barrier.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .discs import AnalyticDisc, roots_of_unity
 from .domains import shell_disc
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InfeasibleParameters
 
 ZERO_CAP = 1.0 - 1e-6  # Blaschke zeros stay strictly inside the unit disc
 
@@ -23,14 +24,12 @@ class DiscFamily:
     n_params = 0
 
     def build(self, params, m):
+        """The AnalyticDisc for ``params`` sampled at m boundary nodes;
+        raises InfeasibleParameters when ``params`` admit no such disc."""
         raise NotImplementedError
 
     def initial(self, rng, start_index=0):
         return np.zeros(self.n_params)
-
-    def infeasibility(self, params):
-        """Nonnegative barrier magnitude when ``build`` would return None."""
-        return 0.0
 
 
 class ConstantFamily(DiscFamily):
@@ -132,29 +131,27 @@ class BlaschkeFamily(DiscFamily):
         self.n_params = 2 + 2 * (n_zeros - 1)
 
     def _zeros(self, params):
+        """(s, theta, zeros) of the product; raises InfeasibleParameters
+        when a free or the solved zero lies beyond ZERO_CAP."""
         s = float(np.exp(params[0]))
         theta = float(params[1])
         free = np.asarray(params[2:], dtype=float).reshape(-1, 2)
         zeros = free[:, 0] + 1j * free[:, 1] if free.size else \
             np.zeros(0, dtype=complex)
         if zeros.size and np.max(np.abs(zeros)) > ZERO_CAP:
-            return s, theta, None, float(np.max(np.abs(zeros)) - ZERO_CAP)
+            raise InfeasibleParameters(
+                float(np.max(np.abs(zeros)) - ZERO_CAP))
         if abs(self.target) < 1e-14:
             solved = 0.0 + 0.0j
         else:
             denom = s * np.prod(-zeros) if zeros.size else s
             solved = -self.target * np.exp(-1j * theta) / denom
             if abs(solved) > ZERO_CAP:
-                return s, theta, None, abs(solved) - ZERO_CAP
-        return s, theta, np.append(zeros, solved), 0.0
-
-    def infeasibility(self, params):
-        return self._zeros(np.asarray(params, dtype=float))[3]
+                raise InfeasibleParameters(abs(solved) - ZERO_CAP)
+        return s, theta, np.append(zeros, solved)
 
     def build(self, params, m):
-        s, theta, zeros, bad = self._zeros(np.asarray(params, dtype=float))
-        if zeros is None:
-            return None
+        s, theta, zeros = self._zeros(np.asarray(params, dtype=float))
         zeta = roots_of_unity(m)
         fn = np.full(m, s * np.exp(1j * theta), dtype=complex)
         for a in zeros:

@@ -9,31 +9,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discs import roots_of_unity
 from .errors import ConfigurationError, EvaluationError
 
 
 class QuadratureGrid:
-    """M uniform nodes on the unit circle with weights 1/M."""
+    """The size M of the uniform boundary grid (a power of two >= 8)."""
 
     def __init__(self, m):
         if m < 8 or (m & (m - 1)) != 0:
             raise ConfigurationError(
                 f"quadrature size must be a power of two >= 8, got {m}")
         self.M = m
-        self.nodes = roots_of_unity(m)
-        self.weights = np.full(m, 1.0 / m)
 
 
-def poisson_functional(disc, phi, grid=None):
-    """The boundary average of phi along the disc: mean of phi(f(node)).
-
-    If ``grid`` is omitted the disc's own sample grid is used; otherwise
-    the disc must be sampled on a grid of the same size.
-    """
-    if grid is not None and grid.M != disc.M:
-        raise ConfigurationError(
-            f"grid size {grid.M} does not match disc sample count {disc.M}")
+def poisson_functional(disc, phi):
+    """The boundary average of phi along the disc: mean of phi(f(node))
+    over the disc's own sample grid."""
     values = phi(disc.samples)
     if not np.all(np.isfinite(values)):
         bad = int(np.argmax(~np.isfinite(values)))
@@ -42,16 +33,13 @@ def poisson_functional(disc, phi, grid=None):
     return float(np.mean(values))
 
 
-def partial_boundary_stats(disc, phi, w, grid=None):
+def partial_boundary_stats(disc, phi, w):
     """Mass and integral of phi over the part of the boundary inside W.
 
     Returns (mass, integral) where mass is the fraction of boundary nodes
     with positive W-margin and integral sums phi only over those nodes
     with weight 1/M.  A boundary entirely outside W yields (0.0, 0.0).
     """
-    if grid is not None and grid.M != disc.M:
-        raise ConfigurationError(
-            f"grid size {grid.M} does not match disc sample count {disc.M}")
     inside = w.margin(disc.samples) > 0
     mass = float(np.count_nonzero(inside)) / disc.M
     if mass == 0.0:

@@ -16,7 +16,6 @@ import numpy as np
 from .discs import (
     AnalyticDisc,
     _analytic_log_coeffs,
-    outer_function,
     roots_of_unity,
     taylor_eval,
     winding_number,

@@ -26,7 +26,12 @@ from .errors import (
 # Kiselman infimum function
 # ---------------------------------------------------------------------------
 
-def kiselman_psi(pair, phi, zp, s_grid=512, return_spacing=False):
+#: Uniform samples of the radial interval, and of its refinement around the
+#: argmin.
+KISELMAN_SAMPLES = 512
+
+
+def kiselman_psi(pair, phi, zp, return_spacing=False):
     """Fiberwise infimum of a rotation-invariant obstacle over a Hartogs shell.
 
     psi(z') = inf over r(z') < s < R(z') of phi(z', s), found on a hybrid
@@ -50,16 +55,17 @@ def kiselman_psi(pair, phi, zp, s_grid=512, return_spacing=False):
     width = R - r
     edge = width * np.geomspace(1e-9, 1e-2, 24)
     s = np.concatenate([r + edge, np.linspace(r + 1e-9 * width,
-                                              R - 1e-9 * width, s_grid),
+                                              R - 1e-9 * width,
+                                              KISELMAN_SAMPLES),
                         R - edge])
     s = np.unique(np.clip(s, r + 1e-12 * width, R - 1e-12 * width))
     vals = values(s)
     i = int(np.argmin(vals))
     lo = s[max(i - 1, 0)]
     hi = s[min(i + 1, s.size - 1)]
-    fine = np.linspace(lo, hi, s_grid)
+    fine = np.linspace(lo, hi, KISELMAN_SAMPLES)
     fvals = values(fine)
-    spacing = (hi - lo) / (s_grid - 1)
+    spacing = (hi - lo) / (KISELMAN_SAMPLES - 1)
     best = float(min(vals[i], np.min(fvals)))
     if return_spacing:
         return best, float(spacing)
@@ -70,23 +76,24 @@ def kiselman_psi(pair, phi, zp, s_grid=512, return_spacing=False):
 # Planar grid obstacle solver
 # ---------------------------------------------------------------------------
 
+#: Relaxation sweep cap per grid level, and the number of coarser levels
+#: (each of twice the spacing) that warm-start a grid solve.
+MAX_SWEEPS = 200_000
+CASCADE_LEVELS = 4
+
+
 @dataclass
 class GridConfig:
     """Settings for the planar obstacle relaxation.
 
     ``spacing`` is the coarse spacing h; the solver also runs at h/2 and
     returns the finer field, recording the probe-wise difference as a
-    Richardson-style error estimate.  ``omega`` overrides the per-grid
-    optimal SOR factor; set 1.0 for the plain (pointwise monotone)
-    Gauss-Seidel iteration.
+    Richardson-style error estimate.
     """
     bounds: tuple  # (x_min, x_max, y_min, y_max)
     spacing: float = 1.0 / 128
     tol: float = 1e-10
-    max_sweeps: int = 200_000
-    omega: float | None = None
     probes: tuple = ()
-    cascade_levels: int = 4
 
 
 class GridField:
@@ -193,11 +200,11 @@ def _build_grid(pair, phi, cap, cfg, h):
     return xs, ys, mask, obst, ghost
 
 
-def _relax(u, obst, active, omega, tol, max_sweeps):
+def _relax(u, obst, active, omega, tol):
     """Red-black projected SOR on u <- min(obst, relaxed mean of neighbours).
 
     Fixed sweep order (red then black) for determinism.  Returns the
-    number of sweeps run.
+    number of sweeps run, at most MAX_SWEEPS.
     """
     ny, nx = u.shape
     iy, ix = np.mgrid[0:ny, 0:nx]
@@ -206,7 +213,7 @@ def _relax(u, obst, active, omega, tol, max_sweeps):
     inner[1:-1, 1:-1] = active[1:-1, 1:-1]
     colours = [inner & (parity == 0), inner & (parity == 1)]
     core = np.s_[1:-1, 1:-1]
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         biggest = 0.0
         for colour in colours:
             mean = u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:]
@@ -217,7 +224,7 @@ def _relax(u, obst, active, omega, tol, max_sweeps):
             u[core] += delta
         if biggest <= tol:
             return sweep + 1
-    return max_sweeps
+    return MAX_SWEEPS
 
 
 def _solve_level(pair, phi, cap, cfg, h, init_field=None):
@@ -236,17 +243,15 @@ def _solve_level(pair, phi, cap, cfg, h, init_field=None):
         u[active] = np.minimum(obst, np.where(try_pts, vals, cap))[active]
     else:
         u[active] = np.minimum(obst[active], cap)
-    n_across = max(mask.shape)
-    omega = cfg.omega if cfg.omega is not None \
-        else 2.0 / (1.0 + np.sin(np.pi / n_across))
-    _relax(u, obst, active, omega, cfg.tol, cfg.max_sweeps)
+    omega = 2.0 / (1.0 + np.sin(np.pi / max(mask.shape)))
+    _relax(u, obst, active, omega, cfg.tol)
     fld = GridField(xs[0], ys[0], h, u, mask)
     return fld
 
 
 def _solve_cascade(pair, phi, cap, cfg, h, warm=None):
     field = warm
-    spacings = [h * 2 ** k for k in range(cfg.cascade_levels, -1, -1)]
+    spacings = [h * 2 ** k for k in range(CASCADE_LEVELS, -1, -1)]
     for hh in spacings:
         if warm is not None and hh > warm.h:
             continue

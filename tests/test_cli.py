@@ -102,6 +102,22 @@ def test_validation_failure_exits_two_without_outputs(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"families": [{"kind": "polynomial", "degree": "two"}]},
+    {"penalty_weight": "big"},
+    {"families": [{"kind": "blaschke", "s_range": [2.0]}]},
+])
+def test_malformed_value_exits_two_with_one_line(tmp_path, capsys, overrides):
+    cfg_path = write_config(tmp_path, dict(ANNULUS_CONFIG, **overrides))
+    out = tmp_path / "run"
+    assert run(["envelope", "--config", cfg_path, "--out", out,
+                "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_infeasible_envelope_exits_three(tmp_path):
     # a constant disc at 0.5 cannot have boundary in the annulus
     cfg = dict(ANNULUS_CONFIG, points=[[[0.5, 0.0]]],

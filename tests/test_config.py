@@ -89,8 +89,32 @@ def test_obstacle_needs_exactly_one_source():
 
 
 def test_partial_eps_range_checked():
-    with pytest.raises(ConfigurationError):
-        validate_config(minimal_config(partial_eps=[0.5, 1.5]))
+    for cfg in (minimal_config(partial_eps=[0.5]),
+                minimal_config(obstacle={"builtin": "log_abs",
+                                         "lower_bound": -1.0}),
+                minimal_config(obstacle={"builtin": "log_abs",
+                                         "upper_bound": 0.0})):
+        with pytest.raises(ConfigurationError, match="unknown keys"):
+            validate_config(cfg)
+
+
+@pytest.mark.parametrize("overrides, path", [
+    ({"families": [{"kind": "polynomial", "degree": "two"}]}, "degree"),
+    ({"families": [{"kind": "polynomial", "degree": 0}]}, "degree"),
+    ({"families": [{"kind": "polynomial", "scale": "wide"}]}, "scale"),
+    ({"families": [{"kind": "blaschke", "zeros": 1.5}]}, "zeros"),
+    ({"families": [{"kind": "vertical", "winding": 0}]}, "winding"),
+    ({"families": [{"kind": "blaschke", "s_range": [2.0]}]}, "s_range"),
+    ({"families": [{"kind": "blaschke", "s_range": [2.0, 1.0]}]}, "s_range"),
+    ({"families": [{"kind": "vertical", "s_range": [0.0, 1.0]}]}, "s_range"),
+    ({"families": [{"kind": "vertical", "s_range": ["a", 1.0]}]}, "s_range"),
+    ({"families": [{"kind": "blaschke", "s_range": 1.0}]}, "s_range"),
+    ({"penalty_weight": "big"}, "penalty_weight"),
+    ({"penalty_weight": 0}, "penalty_weight"),
+])
+def test_malformed_values_rejected(overrides, path):
+    with pytest.raises(ConfigurationError, match=path):
+        validate_config(minimal_config(**overrides))
 
 
 def test_parse_point_shape():

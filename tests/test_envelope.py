@@ -9,9 +9,13 @@ from discenv.envelope import (
     minimize_envelope,
     partial_envelope,
 )
-from discenv.errors import ConfigurationError, PreconditionError
+from hypothesis import assume, given, settings, strategies as st
+
+from discenv.errors import ConfigurationError, InfeasibleParameters, \
+    PreconditionError
 from discenv.expressions import obstacle_from_expression
-from discenv.families import BlaschkeFamily, ConstantFamily, PolynomialFamily
+from discenv.families import ZERO_CAP, BlaschkeFamily, ConstantFamily, \
+    PolynomialFamily
 from discenv.functionals import QuadratureGrid
 
 LOG_ABS = obstacle_from_expression("log(abs(z1))", 1)
@@ -101,6 +105,41 @@ def test_polynomial_family_keeps_centre():
     disc = fam.build(fam.initial(rng), 128)
     assert abs(disc.centre[0] - 1.5) <= 1e-12
     assert disc.holomorphy_residual <= 1e-10
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(target=st.sampled_from([0.0, 0.02 + 0.01j, 0.3 - 0.4j, -0.7]),
+       n_zeros=st.integers(1, 3),
+       log_s=st.floats(-3.0, 1.0),
+       theta=st.floats(0.0, 2 * np.pi),
+       free=st.lists(st.tuples(st.floats(0.05, 1.1),
+                               st.floats(0.0, 2 * np.pi)),
+                     min_size=2, max_size=2))
+def test_blaschke_build_keeps_centre_or_raises(target, n_zeros, log_s,
+                                               theta, free):
+    """Target 0 pins a zero at the origin; otherwise the last zero is
+    solved.  Either the zeros exceed ZERO_CAP and build raises with that
+    excess, or the disc's centre is the target."""
+    centre = np.array([0.1 - 0.2j, target])
+    fam = BlaschkeFamily(centre, n_zeros=n_zeros)
+    zeros = [complex(r * np.cos(a), r * np.sin(a))
+             for r, a in free[:n_zeros - 1]]
+    params = [log_s, theta] + [v for z in zeros for v in (z.real, z.imag)]
+    free_max = max([abs(z) for z in zeros], default=0.0)
+    solved = abs(target) / (np.exp(log_s) * np.prod([abs(z) for z in zeros]))
+    try:
+        disc = fam.build(np.asarray(params), 1024)
+    except InfeasibleParameters as exc:
+        expected = free_max if free_max > ZERO_CAP else solved
+        assert exc.excess > 0
+        assert exc.excess == pytest.approx(expected - ZERO_CAP, rel=1e-12,
+                                           abs=1e-12)
+        return
+    assert max(free_max, solved) <= ZERO_CAP
+    # zeros nearer the circle alias on 1024 nodes: the node average then
+    # differs from the product's value at 0 by quadrature error
+    assume(max(free_max, solved) <= 0.95)
+    assert np.max(np.abs(disc.centre - centre)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
