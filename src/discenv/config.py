@@ -48,6 +48,19 @@ def _is_number(value):
     return isinstance(value, (int, float))
 
 
+def _require_int(obj, key, path, low):
+    """An optional key of ``obj``, if present, must be an integer >= low."""
+    if key in obj:
+        _require(isinstance(obj[key], int) and obj[key] >= low,
+                 f"{path}.{key}", f"expected integer >= {low}")
+
+
+def _require_number(obj, key, path):
+    """An optional key of ``obj``, if present, must be a number."""
+    if key in obj:
+        _require(_is_number(obj[key]), f"{path}.{key}", "expected a number")
+
+
 def _check_keys(obj, allowed, path):
     _require(isinstance(obj, dict), path, "expected an object")
     unknown = set(obj) - set(allowed)
@@ -94,12 +107,29 @@ def validate_config(raw):
     if "tolerances" in cfg:
         _check_keys(cfg["tolerances"], {"gap"}, "config.tolerances")
     if "homotopy" in cfg:
-        _check_keys(cfg["homotopy"], {"z_prime", "s", "winding", "steps"},
-                    "config.homotopy")
+        _validate_homotopy(cfg["homotopy"])
     if "cesaro" in cfg:
-        _check_keys(cfg["cesaro"], {"m", "m_w", "j_values", "amplitude"},
-                    "config.cesaro")
+        _validate_cesaro(cfg["cesaro"])
     return cfg
+
+
+def _validate_homotopy(spec):
+    _check_keys(spec, {"z_prime", "s", "winding", "steps"}, "config.homotopy")
+    for key in ("winding", "steps"):
+        _require_int(spec, key, "config.homotopy", 1)
+    _require_number(spec, "s", "config.homotopy")
+
+
+def _validate_cesaro(spec):
+    _check_keys(spec, {"m", "m_w", "j_values", "amplitude"}, "config.cesaro")
+    for key in ("m", "m_w"):
+        _require_int(spec, key, "config.cesaro", 1)
+    if "j_values" in spec:
+        js = spec["j_values"]
+        _require(isinstance(js, (list, tuple))
+                 and all(isinstance(j, int) and j >= 0 for j in js),
+                 "config.cesaro.j_values", "expected a list of integers >= 0")
+    _require_number(spec, "amplitude", "config.cesaro")
 
 
 def _validate_pair(pair):
@@ -138,11 +168,8 @@ def _validate_family(fam, path):
                                  "blaschke", "shell"},
              f"{path}.kind", f"unknown family kind {fam.get('kind')!r}")
     for key in ("degree", "zeros", "winding"):
-        if key in fam:
-            _require(isinstance(fam[key], int) and fam[key] >= 1,
-                     f"{path}.{key}", "expected integer >= 1")
-    if "scale" in fam:
-        _require(_is_number(fam["scale"]), f"{path}.scale", "expected a number")
+        _require_int(fam, key, path, 1)
+    _require_number(fam, "scale", path)
     if "s_range" in fam:
         lo_hi = fam["s_range"]
         _require(isinstance(lo_hi, (list, tuple)) and len(lo_hi) == 2
@@ -159,6 +186,21 @@ def _validate_oracle(oracle):
     if oracle.get("kind") == "closed_form":
         _require(isinstance(oracle.get("expr"), str),
                  "config.oracle.expr", "closed_form oracle needs 'expr'")
+    if "spacing" in oracle:
+        _require(_is_number(oracle["spacing"]) and oracle["spacing"] > 0,
+                 "config.oracle.spacing", "expected a positive number")
+    if "bounds" in oracle:
+        b = oracle["bounds"]
+        _require(isinstance(b, (list, tuple)) and len(b) == 4
+                 and all(_is_number(v) for v in b)
+                 and b[0] < b[1] and b[2] < b[3], "config.oracle.bounds",
+                 "expected [x_min, x_max, y_min, y_max] with min < max")
+    if "caps" in oracle:
+        caps = oracle["caps"]
+        _require(isinstance(caps, (list, tuple)) and len(caps) > 0
+                 and all(_is_number(c) for c in caps)
+                 and list(caps) == sorted(caps), "config.oracle.caps",
+                 "expected a nonempty increasing list of numbers")
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,26 @@ def taylor_eval(coeffs, z):
     return out
 
 
+def circle_eval(coeffs, radii, n):
+    """The power series sum_j coeffs[j] * z**j at z = r * exp(2*pi*i*q/n),
+    q = 0..n-1, for each r in ``radii``.
+
+    On a circle the series is an inverse DFT of the coefficients scaled
+    by r**j and folded mod n, so one FFT replaces the Horner loop.
+    ``coeffs`` has shape (K,) or (K, d); the result has shape
+    (len(radii), n) + coeffs.shape[1:], radius-major.
+    """
+    coeffs = np.asarray(coeffs)
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    k = coeffs.shape[0]
+    powers = radii[:, None] ** np.arange(k)
+    scaled = coeffs * powers[(...,) + (None,) * (coeffs.ndim - 1)]
+    pad = [(0, 0), (0, -k % n)] + [(0, 0)] * (coeffs.ndim - 1)
+    folded = np.pad(scaled, pad).reshape(
+        (radii.size, -1, n) + coeffs.shape[1:]).sum(axis=1)
+    return n * np.fft.ifft(folded, axis=1)
+
+
 class AnalyticDisc:
     """Boundary samples of a map from the closed unit disc into C^n.
 

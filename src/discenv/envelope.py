@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
+from .discs import circle_eval
 from .errors import ConfigurationError, EvaluationError, \
     InfeasibleParameters, PreconditionError
 from .functionals import QuadratureGrid, partial_boundary_stats, \
@@ -32,9 +33,6 @@ def interior_probe_points(radii=INTERIOR_RADII, angles=INTERIOR_ANGLES):
     rr = np.asarray(radii)
     zeta = np.exp(2j * np.pi * np.arange(angles) / angles)
     return (rr[:, None] * zeta[None, :]).ravel()
-
-
-_PROBES = interior_probe_points()
 
 
 @dataclass
@@ -72,9 +70,12 @@ class EnvelopeResult:
 
 def _margins(boundary_domain, x_spec, disc):
     """Signed margins of the boundary nodes in ``boundary_domain`` and of
-    the interior probes in X (positive means strictly inside)."""
-    return (boundary_domain.margin(disc.samples),
-            x_spec.margin(disc.evaluate(_PROBES)))
+    the interior probes in X (positive means strictly inside).
+
+    The probes are evaluated in ``interior_probe_points`` order."""
+    probes = circle_eval(disc.coeffs[:disc.M // 2], INTERIOR_RADII,
+                         INTERIOR_ANGLES).reshape(-1, disc.n)
+    return boundary_domain.margin(disc.samples), x_spec.margin(probes)
 
 
 def _violation(bm, im):

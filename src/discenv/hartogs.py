@@ -16,8 +16,8 @@ import numpy as np
 from .discs import (
     AnalyticDisc,
     _analytic_log_coeffs,
+    circle_eval,
     roots_of_unity,
-    taylor_eval,
     winding_number,
 )
 from .domains import DomainSpec
@@ -100,11 +100,11 @@ def hartogs_homotopy(f, t):
     if np.min(np.abs(fn)) <= 1e-12:
         raise DegenerateInputError("last component vanishes on the circle")
     m = f.M
-    zeta = roots_of_unity(m)
     a = _analytic_log_coeffs(fn)[:m // 2 + 1]
 
-    base = f.evaluate(t * zeta)[:, :-1]
-    ratio = np.exp(taylor_eval(a, t * zeta) - taylor_eval(a, zeta))
+    base = circle_eval(f.coeffs[:m // 2, :-1], t, m)[0]
+    log_t, log_1 = circle_eval(a, (t, 1.0), m)
+    ratio = np.exp(log_t - log_1)
     samples = np.concatenate([base, (fn * ratio)[:, None]], axis=1)
     return AnalyticDisc(samples)
 

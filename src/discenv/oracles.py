@@ -204,13 +204,16 @@ def _relax(u, obst, active, omega, tol):
     """Red-black projected SOR on u <- min(obst, relaxed mean of neighbours).
 
     Fixed sweep order (red then black) for determinism.  Returns the
-    number of sweeps run, at most MAX_SWEEPS.
+    number of sweeps run, at most MAX_SWEEPS; a grid with no active
+    interior node (a coarse cascade level) runs none.
     """
     ny, nx = u.shape
     iy, ix = np.mgrid[0:ny, 0:nx]
     parity = (ix + iy) % 2
     inner = np.zeros_like(active)
     inner[1:-1, 1:-1] = active[1:-1, 1:-1]
+    if not inner.any():
+        return 0
     colours = [inner & (parity == 0), inner & (parity == 1)]
     core = np.s_[1:-1, 1:-1]
     for sweep in range(MAX_SWEEPS):

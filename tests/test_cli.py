@@ -106,11 +106,24 @@ def test_validation_failure_exits_two_without_outputs(tmp_path):
     {"families": [{"kind": "polynomial", "degree": "two"}]},
     {"penalty_weight": "big"},
     {"families": [{"kind": "blaschke", "s_range": [2.0]}]},
+    {"oracle": {"kind": "grid", "caps": "abc"}},
+    {"oracle": {"kind": "grid", "caps": []}},
+    {"oracle": {"kind": "grid", "bounds": [1, 2]}},
+    {"oracle": {"kind": "grid", "spacing": "x"}},
+    {"oracle": {"kind": "grid", "spacing": -0.125}},
+    {"pair": {"variant": "hartogs"},
+     "homotopy": {"z_prime": [[0.0, 0.0]], "steps": "x"}},
+    {"pair": {"variant": "hartogs"},
+     "homotopy": {"z_prime": [[0.0, 0.0]], "s": "x"}},
+    {"cesaro": {"j_values": "x"}},
 ])
 def test_malformed_value_exits_two_with_one_line(tmp_path, capsys, overrides):
+    # run the subcommand that reads the malformed value
+    command = next((c for c in ("homotopy", "cesaro", "oracle")
+                    if c in overrides), "envelope")
     cfg_path = write_config(tmp_path, dict(ANNULUS_CONFIG, **overrides))
     out = tmp_path / "run"
-    assert run(["envelope", "--config", cfg_path, "--out", out,
+    assert run([command, "--config", cfg_path, "--out", out,
                 "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config.") and err.count("\n") == 1
@@ -235,5 +248,17 @@ def test_grid_oracle_creates_missing_out_dir(tmp_path, command):
     assert run([command, "--config", cfg_path, "--out", out,
                 "--quiet"]) == 0
     assert (out / "grid_field.csv").is_file()
+    rows = read_rows(out)
+    assert abs(float(rows[0]["oracle"]) - np.log(1.5)) <= 1e-2
+
+
+def test_grid_oracle_at_coarse_spacing(tmp_path):
+    # the coarsest cascade level (spacing 4) has no interior node
+    cfg = dict(ANNULUS_CONFIG, points=[[[1.5, 0.0]]],
+               oracle={"kind": "grid", "spacing": 0.25})
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert run(["oracle", "--config", cfg_path, "--out", out,
+                "--quiet"]) == 0
     rows = read_rows(out)
     assert abs(float(rows[0]["oracle"]) - np.log(1.5)) <= 1e-2

@@ -111,6 +111,27 @@ def test_partial_eps_range_checked():
     ({"families": [{"kind": "blaschke", "s_range": 1.0}]}, "s_range"),
     ({"penalty_weight": "big"}, "penalty_weight"),
     ({"penalty_weight": 0}, "penalty_weight"),
+    ({"oracle": {"kind": "grid", "caps": "abc"}}, "oracle.caps"),
+    ({"oracle": {"kind": "grid", "caps": []}}, "oracle.caps"),
+    ({"oracle": {"kind": "grid", "caps": [3.0, 1.0]}}, "oracle.caps"),
+    ({"oracle": {"kind": "grid", "caps": [1.0, "x"]}}, "oracle.caps"),
+    ({"oracle": {"kind": "grid", "bounds": [1, 2]}}, "oracle.bounds"),
+    ({"oracle": {"kind": "grid", "bounds": [1, 0, -1, 1]}}, "oracle.bounds"),
+    ({"oracle": {"kind": "grid", "bounds": [-1, 1, 1, 1]}}, "oracle.bounds"),
+    ({"oracle": {"kind": "grid", "bounds": [-1, 1, "a", 1]}},
+     "oracle.bounds"),
+    ({"oracle": {"kind": "grid", "spacing": "x"}}, "oracle.spacing"),
+    ({"oracle": {"kind": "grid", "spacing": -0.125}}, "oracle.spacing"),
+    ({"oracle": {"kind": "grid", "spacing": 0}}, "oracle.spacing"),
+    ({"homotopy": {"steps": "x"}}, "homotopy.steps"),
+    ({"homotopy": {"steps": 0}}, "homotopy.steps"),
+    ({"homotopy": {"winding": 1.5}}, "homotopy.winding"),
+    ({"homotopy": {"s": "x"}}, "homotopy.s"),
+    ({"cesaro": {"m": "x"}}, "cesaro.m"),
+    ({"cesaro": {"m_w": 0}}, "cesaro.m_w"),
+    ({"cesaro": {"j_values": "x"}}, "cesaro.j_values"),
+    ({"cesaro": {"j_values": [8, -1]}}, "cesaro.j_values"),
+    ({"cesaro": {"amplitude": "x"}}, "cesaro.amplitude"),
 ])
 def test_malformed_values_rejected(overrides, path):
     with pytest.raises(ConfigurationError, match=path):

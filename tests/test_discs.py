@@ -8,6 +8,7 @@ from discenv.discs import (
     AnalyticDisc,
     DiscLoop,
     cesaro_mean,
+    circle_eval,
     constant_disc,
     diagonal_disc,
     outer_function,
@@ -105,6 +106,24 @@ def test_taylor_eval_matches_power_sum(coeff_shape, z):
     got = taylor_eval(c, z)
     assert got.shape == z.shape + c.shape[1:]
     assert np.max(np.abs(got - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("coeff_shape", [(1,), (5,), (16,), (48,),
+                                         (5, 2), (16, 3), (48, 2)])
+def test_circle_eval_matches_taylor_eval(coeff_shape):
+    # n = 16: K < n (zero padding), K = n, and K a multiple of n
+    n = 16
+    radii = np.array([0.0, 0.25, 0.95, 1.0])
+    rng = np.random.default_rng(sum(coeff_shape))
+    c = rng.standard_normal(coeff_shape) \
+        + 1j * rng.standard_normal(coeff_shape)
+    # decay like 1/j keeps the sums O(1) against the absolute tolerance
+    c /= np.arange(1, coeff_shape[0] + 1).reshape(
+        (-1,) + (1,) * (c.ndim - 1))
+    got = circle_eval(c, radii, n)
+    points = radii[:, None] * roots_of_unity(n)[None, :]
+    assert got.shape == (radii.size, n) + c.shape[1:]
+    assert np.max(np.abs(got - taylor_eval(c, points))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

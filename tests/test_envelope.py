@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from discenv.domains import planar_annulus_pair
+from discenv.domains import ball, planar_annulus_pair, shell_pair
 from discenv.envelope import (
     EnvelopeRequest,
+    _margins,
+    interior_probe_points,
     minimize_envelope,
     partial_envelope,
 )
@@ -15,7 +17,7 @@ from discenv.errors import ConfigurationError, InfeasibleParameters, \
     PreconditionError
 from discenv.expressions import obstacle_from_expression
 from discenv.families import ZERO_CAP, BlaschkeFamily, ConstantFamily, \
-    PolynomialFamily
+    PolynomialFamily, ShellFamily, VerticalFamily
 from discenv.functionals import QuadratureGrid
 
 LOG_ABS = obstacle_from_expression("log(abs(z1))", 1)
@@ -140,6 +142,24 @@ def test_blaschke_build_keeps_centre_or_raises(target, n_zeros, log_s,
     # differs from the product's value at 0 by quadrature error
     assume(max(free_max, solved) <= 0.95)
     assert np.max(np.abs(disc.centre - centre)) <= 1e-12
+
+
+@pytest.mark.parametrize("family, pair", [
+    (ConstantFamily([1.5]), planar_annulus_pair()),
+    (PolynomialFamily([1.5]), planar_annulus_pair()),
+    (BlaschkeFamily([0.5], n_zeros=2), planar_annulus_pair()),
+    (ShellFamily([0.3, 0.2j]), shell_pair(2)),
+    (VerticalFamily([0.1, 0.0]), (ball(1.0, 2), ball(1.5, 2))),
+])
+def test_margins_probe_the_disc_at_interior_probe_points(family, pair):
+    w, x_spec = pair
+    rng = np.random.default_rng(0)
+    disc = family.build(family.initial(rng, 1), 512)
+    bm, im = _margins(w, x_spec, disc)
+    assert np.array_equal(bm, w.margin(disc.samples))
+    expected = x_spec.margin(disc.evaluate(interior_probe_points()))
+    assert im.shape == expected.shape
+    assert np.max(np.abs(im - expected)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

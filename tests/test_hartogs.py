@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from discenv.discs import AnalyticDisc, outer_interior, roots_of_unity
+from discenv.discs import AnalyticDisc, _analytic_log_coeffs, \
+    outer_interior, roots_of_unity, taylor_eval
 from discenv.domains import Obstacle, ball
 from discenv.errors import (
     ConfigurationError,
@@ -118,6 +119,20 @@ def test_homotopy_boundary_modulus_matches_outer_function():
         ft = hartogs_homotopy(f, t)
         expected = np.abs(outer_interior(f.component(1), t * zeta))
         assert np.max(np.abs(np.abs(ft.component(1)) - expected)) <= 1e-8
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_homotopy_matches_horner_formulation(k):
+    # reference: the same formula evaluated pointwise by Horner's rule
+    f = admissible_disc(10 + k, k)
+    fn = f.component(1)
+    zeta = roots_of_unity(f.M)
+    a = _analytic_log_coeffs(fn)[:f.M // 2 + 1]
+    for t in [0.0, 0.3, 1.0]:
+        ratio = np.exp(taylor_eval(a, t * zeta) - taylor_eval(a, zeta))
+        expected = np.stack([f.evaluate(t * zeta)[:, 0], fn * ratio], axis=1)
+        ft = hartogs_homotopy(f, t)
+        assert np.max(np.abs(ft.samples - expected)) <= 1e-12
 
 
 def test_homotopy_parameter_validation():
