@@ -80,21 +80,28 @@ def _write_outputs(outdir, cfg, rows, passed, extras=None):
                   _results_csv_text(rows))
 
 
-def _oracle_value(cfg, point, x_spec, phi, hartogs):
-    """Closed-form or Kiselman oracle value at one point; the grid oracle
-    is solved once per run by ``_grid_oracle`` instead."""
+def _problem(cfg):
+    """The pair, obstacle and points of a validated config:
+    (w, x_spec, phi, hartogs, points)."""
+    w, x_spec, builtin_phi, hartogs = cfgmod.build_pair(cfg)
+    phi = builtin_phi if cfg.get("obstacle") is None and builtin_phi \
+        else cfgmod.build_obstacle(cfg, x_spec.n)
+    points = [cfgmod.parse_point(p, x_spec.n) for p in cfg["points"]]
+    return w, x_spec, phi, hartogs, points
+
+
+def _oracle_values(cfg, points, w, x_spec, phi, hartogs, outdir):
+    """The configured oracle's value at each point.  The grid oracle is
+    solved once for all points and its field written to grid_field.csv."""
     oracle = cfg["oracle"]
     if oracle["kind"] == "closed_form":
         fn = compile_expression(oracle["expr"], x_spec.n)
-        return float(fn(point[None, :])[0])
-    if hartogs is None:
-        raise ConfigurationError(
-            "config.oracle: kiselman oracle needs a hartogs pair")
-    return float(kiselman_psi(hartogs, phi, point[:-1]))
-
-
-def _grid_oracle(cfg, points, w, x_spec, phi):
-    oracle = cfg["oracle"]
+        return [float(fn(p[None, :])[0]) for p in points]
+    if oracle["kind"] == "kiselman":
+        if hartogs is None:
+            raise ConfigurationError(
+                "config.oracle: kiselman oracle needs a hartogs pair")
+        return [float(kiselman_psi(hartogs, phi, p[:-1])) for p in points]
     bounds = tuple(oracle.get("bounds", (-2.0625, 2.0625, -2.0625, 2.0625)))
     spacing = float(oracle.get("spacing", 1.0 / 128))
     probes = [complex(p[0]) for p in points]
@@ -105,24 +112,30 @@ def _grid_oracle(cfg, points, w, x_spec, phi):
         m = float(np.max(sample)) + 1.0
         caps = [m + 1, m + 2, m + 4, m + 8]
     field = grid_obstacle_solver((w, x_spec), phi, caps, gcfg)
-    return field
+    field.to_csv(os.path.join(outdir, "grid_field.csv"))
+    return [float(v) for v in field.interpolate(np.asarray(probes))]
+
+
+def _row(point, envelope=None, oracle=None, feasible=True,
+         max_violation=0.0, runtime_s=0.0, **extra):
+    """One row of results.csv and report.json; gap = envelope - oracle
+    when both are known."""
+    gap = None if envelope is None or oracle is None else envelope - oracle
+    return {"point": point, "envelope": envelope, "oracle": oracle,
+            "gap": gap, "feasible": feasible, "max_violation": max_violation,
+            "runtime_s": runtime_s, **extra}
 
 
 def run_envelope(cfg, outdir, compare=False, quiet=False):
-    w, x_spec, builtin_phi, hartogs = cfgmod.build_pair(cfg)
-    phi = builtin_phi if cfg.get("obstacle") is None and builtin_phi \
-        else cfgmod.build_obstacle(cfg, x_spec.n)
-    points = [cfgmod.parse_point(p, x_spec.n) for p in cfg["points"]]
+    w, x_spec, phi, hartogs, points = _problem(cfg)
     grid = QuadratureGrid(cfg["quadrature_m"])
-
-    grid_field = None
-    if compare and cfg.get("oracle", {}) and cfg["oracle"]["kind"] == "grid":
-        grid_field = _grid_oracle(cfg, points, w, x_spec, phi)
-        grid_field.to_csv(os.path.join(outdir, "grid_field.csv"))
+    oracle_vals = [None] * len(points)
+    if compare and cfg.get("oracle") is not None:
+        oracle_vals = _oracle_values(cfg, points, w, x_spec, phi, hartogs,
+                                     outdir)
 
     rows = []
-    any_infeasible = False
-    for point in points:
+    for point, oracle_val in zip(points, oracle_vals):
         fams = cfgmod.build_families(cfg, point, hartogs)
         req = EnvelopeRequest(pair=(w, x_spec), phi=phi, x=point,
                               families=fams,
@@ -132,31 +145,15 @@ def run_envelope(cfg, outdir, compare=False, quiet=False):
         t0 = time.perf_counter()
         res = minimize_envelope(req)
         runtime = time.perf_counter() - t0
-        oracle_val = None
-        if compare and cfg.get("oracle") is not None:
-            if grid_field is not None:
-                oracle_val = float(
-                    grid_field.interpolate(np.asarray([complex(point[0])]))[0])
-            else:
-                oracle_val = _oracle_value(cfg, point, x_spec, phi, hartogs)
-        gap = None if oracle_val is None else res.value - oracle_val
-        any_infeasible |= not res.feasible
-        rows.append({
-            "point": _point_label(point),
-            "envelope": res.value,
-            "oracle": oracle_val,
-            "gap": gap,
-            "feasible": bool(res.feasible),
-            "max_violation": res.max_violation,
-            "runtime_s": runtime,
-            "family": res.family,
-            "start_index": res.start_index,
-            "trace": [float(v) for v in res.trace],
-        })
+        rows.append(_row(_point_label(point), res.value, oracle_val,
+                         bool(res.feasible), res.max_violation, runtime,
+                         family=res.family, start_index=res.start_index,
+                         trace=[float(v) for v in res.trace]))
         if not quiet:
             print(f"{_point_label(point)}: envelope={res.value:.6f} "
                   f"oracle={oracle_val} feasible={res.feasible}")
 
+    any_infeasible = not all(r["feasible"] for r in rows)
     gap_tol = cfg.get("tolerances", {}).get("gap")
     tol_fail = False
     if compare and gap_tol is not None:
@@ -170,34 +167,17 @@ def run_envelope(cfg, outdir, compare=False, quiet=False):
 
 
 def run_oracle(cfg, outdir, quiet=False):
-    w, x_spec, builtin_phi, hartogs = cfgmod.build_pair(cfg)
-    phi = builtin_phi if cfg.get("obstacle") is None and builtin_phi \
-        else cfgmod.build_obstacle(cfg, x_spec.n)
-    points = [cfgmod.parse_point(p, x_spec.n) for p in cfg["points"]]
-    oracle = cfg.get("oracle")
-    if oracle is None:
+    w, x_spec, phi, hartogs, points = _problem(cfg)
+    if cfg.get("oracle") is None:
         raise ConfigurationError("config.oracle: required for this command")
+    values = _oracle_values(cfg, points, w, x_spec, phi, hartogs, outdir)
     rows = []
-    if oracle["kind"] == "grid":
-        field = _grid_oracle(cfg, points, w, x_spec, phi)
-        field.to_csv(os.path.join(outdir, "grid_field.csv"))
-        vals = field.interpolate(np.asarray([complex(p[0]) for p in points]))
-        for point, v in zip(points, vals):
-            rows.append(_oracle_row(point, float(v)))
-    else:
-        for point in points:
-            v = _oracle_value(cfg, point, x_spec, phi, hartogs)
-            rows.append(_oracle_row(point, v))
-            if not quiet:
-                print(f"{_point_label(point)}: oracle={v}")
+    for point, v in zip(points, values):
+        rows.append(_row(_point_label(point), oracle=v))
+        if not quiet:
+            print(f"{_point_label(point)}: oracle={v}")
     _write_outputs(outdir, cfg, rows, True)
     return 0
-
-
-def _oracle_row(point, value):
-    return {"point": _point_label(point), "envelope": None, "oracle": value,
-            "gap": None, "feasible": True, "max_violation": 0.0,
-            "runtime_s": 0.0}
 
 
 def run_homotopy(cfg, outdir, quiet=False):
@@ -215,11 +195,8 @@ def run_homotopy(cfg, outdir, quiet=False):
     trace = homotopy_trace(hartogs, disc, steps=int(spec.get("steps", 32)))
     _atomic_write(os.path.join(outdir, "homotopy_trace.json"),
                   trace.to_json() + "\n")
-    rows = [{"point": _point_label(zp), "envelope": None, "oracle": None,
-             "gap": None, "feasible": True,
-             "max_violation": float(-np.min(trace.min_margins)
-                                    if np.min(trace.min_margins) < 0 else 0.0),
-             "runtime_s": 0.0}]
+    rows = [_row(_point_label(zp),
+                 max_violation=max(0.0, -float(np.min(trace.min_margins))))]
     _write_outputs(outdir, cfg, rows, True,
                    extras={"homotopy": trace.rows()})
     return 0
@@ -237,8 +214,7 @@ def run_cesaro(cfg, outdir, quiet=False):
     for j, err in result:
         writer.writerow([j, repr(err)])
     _atomic_write(os.path.join(outdir, "cesaro.csv"), buf.getvalue())
-    rows = [{"point": "", "envelope": None, "oracle": None, "gap": None,
-             "feasible": True, "max_violation": 0.0, "runtime_s": 0.0}]
+    rows = [_row("")]
     _write_outputs(outdir, cfg, rows, True,
                    extras={"cesaro": [[int(j), float(e)] for j, e in result]})
     return 0

@@ -197,7 +197,7 @@ def _build_grid(pair, phi, cap, cfg, h):
             gvals = phi(zz[ghost])
         gvals = np.where(np.isfinite(gvals), gvals, cap)
         obst[ghost] = gvals
-    return xs, ys, mask, obst, ghost
+    return xs, ys, mask, obst
 
 
 def _relax(u, obst, active, omega, tol):
@@ -231,35 +231,25 @@ def _relax(u, obst, active, omega, tol):
 
 
 def _solve_level(pair, phi, cap, cfg, h, init_field=None):
-    xs, ys, mask, obst, ghost = _build_grid(pair, phi, cap, cfg, h)
+    xs, ys, mask, obst = _build_grid(pair, phi, cap, cfg, h)
     active = mask > 0
-    u = np.full(mask.shape, cap, dtype=float)
-    u[ghost] = obst[ghost]
-    u[~active & ~ghost] = obst[~active & ~ghost]
-    if init_field is not None:
-        # prolong a coarser solution where possible, clipped by the obstacle
+    if init_field is None:
+        start = cap
+    elif init_field.h == h:
+        # a previous cap's field on this very grid starts as it is
+        start = init_field.values
+    else:
+        # prolong a coarser solution where possible
         zz = xs[None, :] + 1j * ys[:, None]
         try_pts = init_field.in_region(zz, code=1)
-        vals = np.full(mask.shape, cap)
+        start = np.full(mask.shape, cap)
         if np.any(try_pts):
-            vals[try_pts] = init_field.interpolate(zz[try_pts])
-        u[active] = np.minimum(obst, np.where(try_pts, vals, cap))[active]
-    else:
-        u[active] = np.minimum(obst[active], cap)
+            start[try_pts] = init_field.interpolate(zz[try_pts])
+    u = obst.copy()
+    u[active] = np.minimum(obst, start)[active]
     omega = 2.0 / (1.0 + np.sin(np.pi / max(mask.shape)))
     _relax(u, obst, active, omega, cfg.tol)
-    fld = GridField(xs[0], ys[0], h, u, mask)
-    return fld
-
-
-def _solve_cascade(pair, phi, cap, cfg, h, warm=None):
-    field = warm
-    spacings = [h * 2 ** k for k in range(CASCADE_LEVELS, -1, -1)]
-    for hh in spacings:
-        if warm is not None and hh > warm.h:
-            continue
-        field = _solve_level(pair, phi, cap, cfg, hh, init_field=field)
-    return field
+    return GridField(xs[0], ys[0], h, u, mask)
 
 
 def grid_obstacle_solver(pair, phi, cap_sequence, cfg):
@@ -269,9 +259,11 @@ def grid_obstacle_solver(pair, phi, cap_sequence, cfg):
     on W and n on X \\ W; the relaxation u <- min(obstacle, four-neighbour
     mean) is iterated to a fixed point.  Beyond the point where the cap
     exceeds sup phi the fixed points coincide, so the per-cap probe values
-    saturate; the field for the largest cap is returned, computed at both
-    cfg.spacing and cfg.spacing / 2 with the probe-wise difference kept as
-    an error estimate.
+    saturate.  The first cap is solved coarse to fine from CASCADE_LEVELS
+    doublings of cfg.spacing, each later cap at cfg.spacing from the
+    previous cap's field; the field for the largest cap is returned,
+    solved once more at cfg.spacing / 2 with the probe-wise difference
+    kept as an error estimate.
     """
     w_spec, x_spec = pair
     if w_spec.n != 1 or x_spec.n != 1:
@@ -281,15 +273,17 @@ def grid_obstacle_solver(pair, phi, cap_sequence, cfg):
     if caps != sorted(caps):
         raise ConfigurationError("cap sequence must be increasing")
     per_cap = {}
-    field = None
+    coarse = None
     for cap in caps:
-        field = _solve_cascade(pair, phi, cap, cfg, cfg.spacing, warm=field)
+        levels = CASCADE_LEVELS if coarse is None else 0
+        for k in range(levels, -1, -1):
+            coarse = _solve_level(pair, phi, cap, cfg, cfg.spacing * 2 ** k,
+                                  init_field=coarse)
         if cfg.probes:
             per_cap[cap] = [float(v) for v in
-                            field.interpolate(np.asarray(cfg.probes))]
-    coarse = field
-    fine = _solve_cascade(pair, phi, caps[-1], cfg, cfg.spacing / 2,
-                          warm=coarse)
+                            coarse.interpolate(np.asarray(cfg.probes))]
+    fine = _solve_level(pair, phi, caps[-1], cfg, cfg.spacing / 2,
+                        init_field=coarse)
     fine.per_cap_probe_values = per_cap
     if cfg.probes:
         pts = np.asarray(cfg.probes)

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from discenv import cli
 from discenv.cli import main
 
 ANNULUS_CONFIG = {
@@ -262,3 +263,20 @@ def test_grid_oracle_at_coarse_spacing(tmp_path):
                 "--quiet"]) == 0
     rows = read_rows(out)
     assert abs(float(rows[0]["oracle"]) - np.log(1.5)) <= 1e-2
+
+
+def test_oracle_runs_before_any_search(tmp_path, capsys, monkeypatch):
+    # the Kiselman oracle needs a Hartogs pair, so this compare cannot run
+    calls = []
+    search = cli.minimize_envelope
+    monkeypatch.setattr(cli, "minimize_envelope",
+                        lambda req: calls.append(req) or search(req))
+    cfg = dict(ANNULUS_CONFIG, oracle={"kind": "kiselman"})
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert run(["compare", "--config", cfg_path, "--out", out,
+                "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: config.oracle:")
+    assert calls == []
+    assert not out.exists()
+

@@ -15,6 +15,7 @@ from discenv.errors import (
 )
 from discenv.expressions import obstacle_from_expression
 from discenv.hartogs import HartogsPair
+from discenv import oracles
 from discenv.oracles import (
     GridConfig,
     grid_obstacle_solver,
@@ -125,6 +126,27 @@ def test_cap_saturation_and_richardson():
     assert len(field.richardson["probe_abs_diff"]) == len(cfg.probes)
     # field values never exceed the obstacle cap
     assert np.max(field.values) <= 4.0 + 1e-12
+
+
+def test_later_cap_starts_from_the_previous_field(monkeypatch):
+    # bounds +-2.0625 put nodes on the edge of X, where a warm start that
+    # went through interpolation reset the field to the cap
+    sweeps = []
+    relax = oracles._relax
+
+    def counting(*args):
+        sweeps.append(relax(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(oracles, "_relax", counting)
+    cfg = GridConfig(bounds=(-2.0625, 2.0625, -2.0625, 2.0625),
+                     spacing=1.0 / 16, tol=1e-10, probes=(1.5 + 0.0j,))
+    phi = obstacle_from_expression("log(abs(z1))", 1)
+    grid_obstacle_solver(planar_annulus_pair(), phi, [2.0, 3.0], cfg)
+    # first cap coarse to fine, second cap at h, then h/2
+    levels = oracles.CASCADE_LEVELS + 1
+    assert len(sweeps) == levels + 2
+    assert sweeps[levels] <= 2
 
 
 def test_relaxation_is_below_initial_cap():
