@@ -169,8 +169,9 @@ class GridField:
 def _build_grid(pair, phi, cap, cfg, h):
     w_spec, x_spec = pair
     x_min, x_max, y_min, y_max = cfg.bounds
-    nx = int(round((x_max - x_min) / h)) + 1
-    ny = int(round((y_max - y_min) / h)) + 1
+    # enough nodes to reach the bounds, also where h does not divide them
+    nx = int(np.ceil((x_max - x_min) / h - 1e-9)) + 1
+    ny = int(np.ceil((y_max - y_min) / h - 1e-9)) + 1
     xs = x_min + h * np.arange(nx)
     ys = y_min + h * np.arange(ny)
     zz = (xs[None, :] + 1j * ys[:, None])[:, :, None]
