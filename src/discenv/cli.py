@@ -21,7 +21,7 @@ import numpy as np
 from . import config as cfgmod
 from .discs import cesaro_convergence
 from .envelope import EnvelopeRequest, minimize_envelope
-from .errors import ConfigurationError, DiscenvError
+from .errors import ConfigurationError, DiscenvError, InfeasibleEnvelope
 from .expressions import compile_expression
 from .functionals import QuadratureGrid
 from .hartogs import homotopy_trace, vertical_disc
@@ -287,7 +287,7 @@ def main(argv=None):
         raise ConfigurationError(f"unknown command {args.command}")
     except DiscenvError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, InfeasibleEnvelope) else 2
 
 
 if __name__ == "__main__":

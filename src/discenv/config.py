@@ -100,6 +100,9 @@ def validate_config(raw):
     for key in ("quadrature_m", "seed", "starts", "budget"):
         _require(isinstance(cfg[key], int) and cfg[key] >= 0,
                  f"config.{key}", "expected nonnegative integer")
+    m = cfg["quadrature_m"]
+    _require(m >= 8 and (m & (m - 1)) == 0, "config.quadrature_m",
+             "expected a power of two >= 8")
     _require(_is_number(cfg["penalty_weight"]) and cfg["penalty_weight"] > 0,
              "config.penalty_weight", "expected a positive number")
     if cfg.get("oracle") is not None:

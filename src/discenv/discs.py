@@ -341,15 +341,13 @@ def diagonal_disc(G, theta0, tau=TAU_HOL):
     c = _torus_coeffs(G, tau)
     k, _, n = c.shape
     m = 2 * k
-    # frequency m coefficient of g is sum over p+q=m of c[p,q] e^{i p theta0}
+    # the frequency-f coefficient of g is the sum over p + q = f of
+    # c[p, q] e^{i p theta0}; f <= 2k - 2 < m, so every term fits
     phase = np.exp(1j * theta0 * np.arange(k))
     cp = c * phase[:, None, None]
     gcoeff = np.zeros((m, n), dtype=complex)
     for p in range(k):
-        for q in range(k):
-            f = p + q
-            if f < m:
-                gcoeff[f] += cp[p, q]
+        gcoeff[p:p + k] += cp[p]
     return AnalyticDisc(taylor_eval(gcoeff, roots_of_unity(m)))
 
 

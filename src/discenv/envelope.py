@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 
 from .discs import circle_eval
 from .errors import ConfigurationError, EvaluationError, \
-    InfeasibleParameters, PreconditionError
+    InfeasibleEnvelope, InfeasibleParameters, PreconditionError
 from .functionals import QuadratureGrid, partial_boundary_stats, \
     poisson_functional
 
@@ -171,6 +171,15 @@ def _search(req, objective_fn):
     return best, fallback
 
 
+def _no_disc(req):
+    """The error for a search that recorded no disc."""
+    if not req.families:
+        return ConfigurationError("no family produced any disc")
+    point = " ".join(repr(complex(c)) for c in req.x)
+    return InfeasibleEnvelope(
+        f"no disc centred at {point} had a finite boundary average")
+
+
 def minimize_envelope(req):
     """Best feasible boundary average of the obstacle over the disc families.
 
@@ -189,7 +198,7 @@ def minimize_envelope(req):
 
     best, fallback = _search(req, objective_fn)
     if best is None and fallback is None:
-        raise ConfigurationError("no family produced any disc")
+        raise _no_disc(req)
     _, f_idx, s_idx, params, tr = best if best is not None else fallback
     disc = req.families[f_idx].build(params, req.grid.M)
     return EnvelopeResult(
@@ -231,7 +240,7 @@ def partial_envelope(req, eps):
     if best is not None:
         return float(best[0])
     if fallback is None:
-        raise ConfigurationError("no family produced any disc")
+        raise _no_disc(req)
     return float(fallback[0][1])
 
 

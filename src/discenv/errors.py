@@ -40,3 +40,8 @@ class InfeasibleParameters(DiscenvError):
     def __init__(self, excess):
         super().__init__(f"parameters infeasible by {excess:.3e}")
         self.excess = excess
+
+
+class InfeasibleEnvelope(DiscenvError):
+    """No disc of the searched families has a finite boundary average
+    at the point, so the search gives no bound there."""

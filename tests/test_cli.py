@@ -117,6 +117,7 @@ def test_validation_failure_exits_two_without_outputs(tmp_path):
     {"pair": {"variant": "hartogs"},
      "homotopy": {"z_prime": [[0.0, 0.0]], "s": "x"}},
     {"cesaro": {"j_values": "x"}},
+    {"quadrature_m": 100},
 ])
 def test_malformed_value_exits_two_with_one_line(tmp_path, capsys, overrides):
     # run the subcommand that reads the malformed value
@@ -280,3 +281,39 @@ def test_oracle_runs_before_any_search(tmp_path, capsys, monkeypatch):
     assert calls == []
     assert not out.exists()
 
+
+def test_grid_covers_its_bounds(tmp_path):
+    # 4.125 / 3 is not an integer: the grid must reach past x_max anyway
+    cfg = dict(ANNULUS_CONFIG, points=[[[1.5, 0.0]]],
+               oracle={"kind": "grid", "spacing": 3.0})
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert run(["oracle", "--config", cfg_path, "--out", out,
+                "--quiet"]) == 0
+    with open(out / "grid_field.csv", newline="") as fh:
+        nodes = list(csv.DictReader(fh))
+    assert max(float(r["x"]) for r in nodes) >= 2.0625
+    assert max(float(r["y"]) for r in nodes) >= 2.0625
+
+
+def test_non_finite_obstacle_exits_three(tmp_path, capsys):
+    # log|z1| is -inf along the constant disc at z1 = 0: no disc has a
+    # finite boundary average, which is an infeasible envelope, not a
+    # configuration error
+    cfg = {
+        "experiment": "hartogs-log",
+        "pair": {"variant": "hartogs"},
+        "obstacle": {"builtin": "log_abs", "rotation_invariant": True},
+        "points": [[[0.0, 0.0], [0.5, 0.0]]],
+        "families": [{"kind": "constant"}],
+        "oracle": {"kind": "kiselman"},
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert run(["compare", "--config", cfg_path, "--out", out,
+                "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite boundary average" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -132,6 +132,8 @@ def test_partial_eps_range_checked():
     ({"cesaro": {"j_values": "x"}}, "cesaro.j_values"),
     ({"cesaro": {"j_values": [8, -1]}}, "cesaro.j_values"),
     ({"cesaro": {"amplitude": "x"}}, "cesaro.amplitude"),
+    ({"quadrature_m": 100}, "quadrature_m"),
+    ({"quadrature_m": 4}, "quadrature_m"),
 ])
 def test_malformed_values_rejected(overrides, path):
     with pytest.raises(ConfigurationError, match=path):

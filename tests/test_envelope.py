@@ -13,8 +13,8 @@ from discenv.envelope import (
 )
 from hypothesis import assume, given, settings, strategies as st
 
-from discenv.errors import ConfigurationError, InfeasibleParameters, \
-    PreconditionError
+from discenv.errors import ConfigurationError, InfeasibleEnvelope, \
+    InfeasibleParameters, PreconditionError
 from discenv.expressions import obstacle_from_expression
 from discenv.families import ZERO_CAP, BlaschkeFamily, ConstantFamily, \
     PolynomialFamily, ShellFamily, VerticalFamily
@@ -58,6 +58,16 @@ def test_no_family_is_a_configuration_error():
     req.families = []
     with pytest.raises(ConfigurationError):
         minimize_envelope(req)
+
+
+@pytest.mark.parametrize("search", [
+    minimize_envelope, lambda req: partial_envelope(req, 0.3)])
+def test_no_finite_disc_is_an_infeasible_envelope(search):
+    # the obstacle is -inf on the boundary of the only disc there is
+    phi = obstacle_from_expression("log(abs(z1 - 1.5))", 1)
+    req = annulus_request(1.5, [ConstantFamily([1.5])], phi=phi)
+    with pytest.raises(InfeasibleEnvelope, match="finite boundary average"):
+        search(req)
 
 
 def test_determinism_same_seed():
