@@ -4,8 +4,9 @@ The boundary-in-W and interior-in-X constraints are enforced by squared
 hinge penalties on the signed margins (with a small feasibility slack so
 reported optima sit strictly inside), while the centre constraint is
 structural in every disc family.  Each (family, start) pair is minimised
-independently by Nelder-Mead from seeded initial parameters; results
-merge deterministically by (value, family index, start index).
+independently by Nelder-Mead from seeded initial parameters.  Recorded
+discs rank by (not strictly feasible, violation, value); ties keep the
+first recorded, then the lowest (family, start) index.
 """
 
 from __future__ import annotations
@@ -95,36 +96,24 @@ def _hinge(margins):
     return float(np.sum(np.maximum(0.0, FEAS_MARGIN - margins) ** 2))
 
 
-class _Tracker:
-    """Best-so-far bookkeeping across objective evaluations of one start."""
-
-    def __init__(self):
-        self.best_obj = np.inf
-        self.best_feasible_value = np.inf
-        self.best_feasible_params = None
-        self.least_violation = np.inf
-        self.least_violation_params = None
-        self.least_violation_value = np.inf
-        self.trace = []
-
-    def record(self, obj, value, violation, strict, params):
-        if strict and value < self.best_feasible_value:
-            self.best_feasible_value = value
-            self.best_feasible_params = np.array(params, dtype=float)
-        if violation < self.least_violation or (
-                violation == self.least_violation
-                and value < self.least_violation_value):
-            self.least_violation = violation
-            self.least_violation_value = value
-            self.least_violation_params = np.array(params, dtype=float)
-        self.best_obj = min(self.best_obj, obj)
-        self.trace.append(self.best_obj)
+def _no_disc(req):
+    """The error for a search that recorded no disc."""
+    if not req.families:
+        return ConfigurationError("no family produced any disc")
+    point = " ".join(repr(complex(c)) for c in req.x)
+    return InfeasibleEnvelope(
+        f"no disc centred at {point} had a finite boundary average")
 
 
 def _run_start(req, family, objective_fn, rng, start_index):
-    tracker = _Tracker()
+    """Minimise one start.  Returns its least-keyed record
+    (key, params, disc), or None when no disc was recorded, and the
+    trace of the best objective so far."""
+    best = None
+    trace = []
 
     def wrapped(params):
+        nonlocal best
         try:
             disc = family.build(params, req.grid.M)
         except InfeasibleParameters as exc:
@@ -136,7 +125,11 @@ def _run_start(req, family, objective_fn, rng, start_index):
             return BARRIER
         if not np.isfinite(obj):
             return BARRIER
-        tracker.record(obj, value, violation, strict, params)
+        # a strict disc's violation is 0.0, so strict discs rank by value
+        key = (not strict, violation, value)
+        if best is None or key < best[0]:
+            best = (key, np.array(params, dtype=float), disc)
+        trace.append(min(trace[-1], obj) if trace else obj)
         return obj
 
     p0 = family.initial(rng, start_index)
@@ -146,46 +139,34 @@ def _run_start(req, family, objective_fn, rng, start_index):
         minimize(wrapped, p0, method="Nelder-Mead",
                  options={"maxfev": req.budget, "xatol": 1e-9,
                           "fatol": 1e-12, "adaptive": True})
-    return tracker
+    return best, trace
 
 
 def _search(req, objective_fn):
-    best = None       # (value, f_idx, s_idx, params, tracker)
-    fallback = None   # least violating overall
+    """The least-keyed record over every (family, start):
+    (key, f_idx, s_idx, params, disc, trace).  Starts run in index order
+    and only a smaller key replaces the record, so ties keep the lowest
+    (family, start) index."""
+    best = None
     for f_idx, family in enumerate(req.families):
         n_starts = req.starts if family.n_params > 0 else 1
         for s_idx in range(n_starts):
             rng = np.random.default_rng([req.seed, f_idx, s_idx])
-            tr = _run_start(req, family, objective_fn, rng, s_idx)
-            if tr.best_feasible_params is not None:
-                key = (tr.best_feasible_value, f_idx, s_idx)
-                if best is None or key < (best[0], best[1], best[2]):
-                    best = (tr.best_feasible_value, f_idx, s_idx,
-                            tr.best_feasible_params, tr)
-            if tr.least_violation_params is not None:
-                key = (tr.least_violation, tr.least_violation_value,
-                       f_idx, s_idx)
-                if fallback is None or key < fallback[0]:
-                    fallback = (key, f_idx, s_idx,
-                                tr.least_violation_params, tr)
-    return best, fallback
-
-
-def _no_disc(req):
-    """The error for a search that recorded no disc."""
-    if not req.families:
-        return ConfigurationError("no family produced any disc")
-    point = " ".join(repr(complex(c)) for c in req.x)
-    return InfeasibleEnvelope(
-        f"no disc centred at {point} had a finite boundary average")
+            record, trace = _run_start(req, family, objective_fn, rng, s_idx)
+            if record is not None and (best is None or record[0] < best[0]):
+                best = (record[0], f_idx, s_idx, *record[1:], trace)
+    if best is None:
+        raise _no_disc(req)
+    return best
 
 
 def minimize_envelope(req):
     """Best feasible boundary average of the obstacle over the disc families.
 
-    The reported value is the plain quadrature average along the winning
-    disc (penalties removed); it is an upper bound for the true envelope,
-    which in turn dominates the largest plurisubharmonic subextension.
+    The value is the plain quadrature average (penalties removed) along
+    the least-ranked disc recorded in the search; it is an upper bound
+    for the true envelope, which in turn dominates the largest
+    plurisubharmonic subextension.
     """
     w, x_spec = req.pair
 
@@ -196,17 +177,12 @@ def minimize_envelope(req):
         pen = req.penalty_weight * (_hinge(bm) + _hinge(im))
         return value + pen, value, violation, strict
 
-    best, fallback = _search(req, objective_fn)
-    if best is None and fallback is None:
-        raise _no_disc(req)
-    _, f_idx, s_idx, params, tr = best if best is not None else fallback
-    disc = req.families[f_idx].build(params, req.grid.M)
+    (blocked, violation, value), f_idx, s_idx, params, disc, trace = \
+        _search(req, objective_fn)
     return EnvelopeResult(
-        value=float(poisson_functional(disc, req.phi)),
-        best_params=params, family=req.families[f_idx].name,
-        start_index=s_idx,
-        max_violation=_violation(*_margins(w, x_spec, disc))[0],
-        feasible=best is not None, trace=tr.trace, disc=disc)
+        value=value, best_params=params, family=req.families[f_idx].name,
+        start_index=s_idx, max_violation=violation, feasible=not blocked,
+        trace=trace, disc=disc)
 
 
 def partial_envelope(req, eps):
@@ -236,22 +212,16 @@ def partial_envelope(req, eps):
             strict = False
         return integral + pen, integral, violation, strict
 
-    best, fallback = _search(req, objective_fn)
-    if best is not None:
-        return float(best[0])
-    if fallback is None:
-        raise _no_disc(req)
-    return float(fallback[0][1])
+    return _search(req, objective_fn)[0][2]
 
 
-def sample_feasible_values(req, n_samples, m=None):
+def sample_feasible_values(req, n_samples):
     """Draw random parameter vectors across the request's families, keep
     the feasible discs, and return their boundary averages.
 
     Used for sampled gap demonstrations; this is evidence about the
     searched family only, not a bound over all discs.
     """
-    m = m or req.grid.M
     w, x_spec = req.pair
     values = []
     for f_idx, family in enumerate(req.families):
@@ -259,7 +229,7 @@ def sample_feasible_values(req, n_samples, m=None):
         for s_idx in range(n_samples):
             params = family.initial(rng, start_index=s_idx + 1)
             try:
-                disc = family.build(params, m)
+                disc = family.build(params, req.grid.M)
             except InfeasibleParameters:
                 continue
             if _violation(*_margins(w, x_spec, disc))[1]:
