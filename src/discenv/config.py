@@ -7,6 +7,7 @@ before anything is run, so a failed run never leaves partial outputs.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -45,7 +46,14 @@ def _require(cond, path, message):
 
 
 def _is_number(value):
-    return isinstance(value, (int, float))
+    """An int or a finite float (JSON's NaN and Infinity are not)."""
+    return isinstance(value, int) \
+        or (isinstance(value, float) and math.isfinite(value))
+
+
+def _is_coordinate(value):
+    return isinstance(value, list) and len(value) == 2 \
+        and all(_is_number(v) for v in value)
 
 
 def _require_int(obj, key, path, low):
@@ -89,6 +97,10 @@ def validate_config(raw):
         _validate_obstacle(cfg["obstacle"])
     cfg.setdefault("points", [])
     _require(isinstance(cfg["points"], list), "config.points", "expected list")
+    for i, point in enumerate(cfg["points"]):
+        _require(isinstance(point, list)
+                 and all(_is_coordinate(c) for c in point),
+                 f"config.points[{i}]", "expected [re, im] number pairs")
     cfg.setdefault("families", [])
     for i, fam in enumerate(cfg["families"]):
         _validate_family(fam, f"config.families[{i}]")
@@ -109,6 +121,7 @@ def validate_config(raw):
         _validate_oracle(cfg["oracle"])
     if "tolerances" in cfg:
         _check_keys(cfg["tolerances"], {"gap"}, "config.tolerances")
+        _require_number(cfg["tolerances"], "gap", "config.tolerances")
     if "homotopy" in cfg:
         _validate_homotopy(cfg["homotopy"])
     if "cesaro" in cfg:
@@ -142,6 +155,8 @@ def _validate_pair(pair):
     _require(variant in {"planar_annulus", "shell", "hartogs",
                          "counterexample"},
              "config.pair.variant", f"unknown variant {variant!r}")
+    for key in ("delta", "tau", "rho_u", "eps_moll", "base_radius"):
+        _require_number(pair, key, "config.pair")
     if variant == "shell":
         _require(isinstance(pair.get("n", 2), int) and pair.get("n", 2) >= 2,
                  "config.pair.n", "shell needs integer n >= 2")
@@ -149,7 +164,8 @@ def _validate_pair(pair):
         _require(isinstance(pair.get("n", 2), int) and pair.get("n", 2) >= 2,
                  "config.pair.n", "hartogs needs integer n >= 2")
         for key in ("r", "R"):
-            _require(isinstance(pair.get(key, 1.0), (int, float, str)),
+            value = pair.get(key, 1.0)
+            _require(_is_number(value) or isinstance(value, str),
                      f"config.pair.{key}",
                      "expected a number or expression over z1..")
 
@@ -162,6 +178,11 @@ def _validate_obstacle(obst):
     if "builtin" in obst:
         _require(obst["builtin"] in BUILTIN_OBSTACLES, "config.obstacle.builtin",
                  f"unknown builtin {obst['builtin']!r}")
+    else:
+        _require(isinstance(obst["expr"], str), "config.obstacle.expr",
+                 "expected a string")
+    _require(isinstance(obst.get("rotation_invariant", False), bool),
+             "config.obstacle.rotation_invariant", "expected true or false")
 
 
 def _validate_family(fam, path):
@@ -245,10 +266,10 @@ def build_obstacle(cfg, n):
     obst = cfg.get("obstacle")
     if obst is None:
         raise ConfigurationError("config.obstacle: required for this command")
-    expr = obst.get("expr") or BUILTIN_OBSTACLES[obst["builtin"]]
+    expr = obst["expr"] if "expr" in obst \
+        else BUILTIN_OBSTACLES[obst["builtin"]]
     return obstacle_from_expression(
-        expr, n,
-        rotation_invariant_last=bool(obst.get("rotation_invariant", False)))
+        expr, n, rotation_invariant_last=obst.get("rotation_invariant", False))
 
 
 def parse_point(entry, n, path="config.points"):
@@ -256,8 +277,8 @@ def parse_point(entry, n, path="config.points"):
              f"point must list {n} coordinates as [re, im] pairs")
     coords = []
     for c in entry:
-        _require(isinstance(c, list) and len(c) == 2, path,
-                 "coordinate must be an [re, im] pair")
+        _require(_is_coordinate(c), path,
+                 "coordinate must be an [re, im] pair of numbers")
         coords.append(complex(c[0], c[1]))
     return np.asarray(coords, dtype=complex)
 

@@ -91,7 +91,10 @@ def compile_expression(text, n):
     fn = _compile_node(tree, n)
 
     def evaluate(pts):
-        return np.real(fn(np.asarray(pts, dtype=complex)))
+        pts = np.asarray(pts, dtype=complex)
+        out = np.real(fn(pts))
+        # a constant expression gives one scalar: spread it over the points
+        return np.full(pts.shape[:-1], out) if np.ndim(out) == 0 else out
 
     return evaluate
 

@@ -183,6 +183,11 @@ def _build_grid(pair, phi, cap, cfg, h):
     obst = np.full((ny, nx), cap, dtype=float)
     inside_w = mask == 2
     obst[inside_w] = phi(zz[inside_w])
+    bad = inside_w & ~np.isfinite(obst)
+    if np.any(bad):
+        node = complex(zz[bad][0, 0])
+        raise EvaluationError(
+            f"obstacle not finite at grid node {node} (spacing {h})")
     # ghost ring: outside-X nodes adjacent to inside nodes carry the
     # obstacle value there when it is finite (the obstacle is assumed
     # evaluable on a thin ring beyond the outer boundary)
@@ -205,8 +210,9 @@ def _relax(u, obst, active, omega, tol):
     """Red-black projected SOR on u <- min(obst, relaxed mean of neighbours).
 
     Fixed sweep order (red then black) for determinism.  Returns the
-    number of sweeps run, at most MAX_SWEEPS; a grid with no active
-    interior node (a coarse cascade level) runs none.
+    number of sweeps run; a grid with no active interior node (a coarse
+    cascade level) runs none.  Raises EvaluationError when MAX_SWEEPS
+    sweeps leave an update above tol.
     """
     ny, nx = u.shape
     iy, ix = np.mgrid[0:ny, 0:nx]
@@ -228,7 +234,9 @@ def _relax(u, obst, active, omega, tol):
             u[core] += delta
         if biggest <= tol:
             return sweep + 1
-    return MAX_SWEEPS
+    raise EvaluationError(
+        f"grid relaxation on {ny}x{nx} nodes not converged after "
+        f"{MAX_SWEEPS} sweeps (last update {biggest:.3e} > tol {tol:.3e})")
 
 
 def _solve_level(pair, phi, cap, cfg, h, init_field=None):

@@ -27,6 +27,10 @@ ANNULUS_CONFIG = {
 }
 
 
+#: a point of C^2 inside X of both the Hartogs and the counterexample pair
+C2_POINT = [[[0.5, 0.0], [0.0, 0.0]]]
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -118,11 +122,24 @@ def test_validation_failure_exits_two_without_outputs(tmp_path):
      "homotopy": {"z_prime": [[0.0, 0.0]], "s": "x"}},
     {"cesaro": {"j_values": "x"}},
     {"quadrature_m": 100},
+    {"points": [[["a", 0]]]},
+    {"points": [[[None, 0]]]},
+    {"obstacle": {"expr": 5}},
+    {"obstacle": {"builtin": "log_abs", "rotation_invariant": "no"}},
+    {"pair": {"variant": "counterexample", "delta": "x"}, "points": C2_POINT},
+    {"pair": {"variant": "counterexample", "tau": "x"}, "points": C2_POINT},
+    {"pair": {"variant": "counterexample", "rho_u": "x"}, "points": C2_POINT},
+    {"pair": {"variant": "counterexample", "eps_moll": "x"},
+     "points": C2_POINT},
+    {"pair": {"variant": "hartogs", "base_radius": "x"}, "points": C2_POINT},
+    {"tolerances": {"gap": "x"}},
 ])
 def test_malformed_value_exits_two_with_one_line(tmp_path, capsys, overrides):
     # run the subcommand that reads the malformed value
-    command = next((c for c in ("homotopy", "cesaro", "oracle")
-                    if c in overrides), "envelope")
+    readers = {"homotopy": "homotopy", "cesaro": "cesaro",
+               "oracle": "oracle", "tolerances": "compare"}
+    command = next((c for key, c in readers.items() if key in overrides),
+                   "envelope")
     cfg_path = write_config(tmp_path, dict(ANNULUS_CONFIG, **overrides))
     out = tmp_path / "run"
     assert run([command, "--config", cfg_path, "--out", out,
@@ -131,6 +148,96 @@ def test_malformed_value_exits_two_with_one_line(tmp_path, capsys, overrides):
     assert err.startswith("error: config.") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_closed_form_oracle_of_a_constant(tmp_path):
+    cfg = dict(ANNULUS_CONFIG, oracle={"kind": "closed_form",
+                                       "expr": "0.405"})
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert run(["oracle", "--config", cfg_path, "--out", out,
+                "--quiet"]) == 0
+    assert [float(r["oracle"]) for r in read_rows(out)] == [0.405, 0.405]
+
+
+def test_kiselman_oracle_of_a_constant_obstacle(tmp_path):
+    cfg = {
+        "experiment": "hartogs-constant",
+        "pair": {"variant": "hartogs"},
+        "obstacle": {"expr": "1", "rotation_invariant": True},
+        "points": [[[0.3, 0.0], [0.0, 0.0]]],
+        "oracle": {"kind": "kiselman"},
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert run(["oracle", "--config", cfg_path, "--out", out,
+                "--quiet"]) == 0
+    assert float(read_rows(out)[0]["oracle"]) == 1.0
+
+
+def test_non_finite_grid_obstacle_exits_two(tmp_path, capsys):
+    # log|z1 - 1.5| is -inf at a node of the h/2 level
+    cfg = dict(ANNULUS_CONFIG, points=[[[1.5, 0.0]]],
+               obstacle={"expr": "log(abs(z1 - 1.5))"},
+               oracle={"kind": "grid", "spacing": 0.125, "caps": [1, 2]})
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert run(["oracle", "--config", cfg_path, "--out", out,
+                "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: obstacle not finite at grid node")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_shell_pair_with_shell_family(tmp_path):
+    # re(z1) is pluriharmonic: its boundary average is its centre value
+    cfg = {
+        "experiment": "shell",
+        "pair": {"variant": "shell", "n": 2},
+        "obstacle": {"expr": "re(z1)"},
+        "points": [[[0.5, 0.0], [0.3, 0.2]]],
+        "families": [{"kind": "shell"}],
+        "quadrature_m": 128,
+        "oracle": {"kind": "closed_form", "expr": "re(z1)"},
+        "tolerances": {"gap": 1e-12},
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert run(["compare", "--config", cfg_path, "--out", out,
+                "--quiet"]) == 0
+    row = read_rows(out)[0]
+    assert row["feasible"] == "1"
+    assert abs(float(row["envelope"]) - 0.5) <= 1e-12
+    report = json.loads((out / "report.json").read_text())
+    assert report["rows"][0]["family"] == "shell"
+
+
+def test_hartogs_pair_with_vertical_family(tmp_path):
+    # criterion 1's pair: the envelope is the Kiselman psi, re z1 + 1/16
+    cfg = {
+        "experiment": "hartogs-vertical",
+        "pair": {"variant": "hartogs", "n": 2, "r": 0.25, "R": 1.0},
+        "obstacle": {"expr": "re(z1) + abs(z2) * abs(z2)",
+                     "rotation_invariant": True},
+        "points": [[[0.3, 0.0], [0.0, 0.0]]],
+        "families": [{"kind": "vertical", "winding": 1,
+                      "s_range": [0.25, 1.0]}],
+        "quadrature_m": 128,
+        "starts": 2,
+        "budget": 200,
+        "oracle": {"kind": "kiselman"},
+        "tolerances": {"gap": 1e-2},
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert run(["compare", "--config", cfg_path, "--out", out,
+                "--quiet"]) == 0
+    row = read_rows(out)[0]
+    assert row["feasible"] == "1"
+    assert abs(float(row["envelope"]) - (0.3 + 1.0 / 16)) <= 1e-2
+    report = json.loads((out / "report.json").read_text())
+    assert report["rows"][0]["family"] == "vertical"
 
 
 def test_infeasible_envelope_exits_three(tmp_path):

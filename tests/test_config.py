@@ -134,6 +134,22 @@ def test_partial_eps_range_checked():
     ({"cesaro": {"amplitude": "x"}}, "cesaro.amplitude"),
     ({"quadrature_m": 100}, "quadrature_m"),
     ({"quadrature_m": 4}, "quadrature_m"),
+    ({"points": [[["a", 0]]]}, "points"),
+    ({"points": [[[None, 0]]]}, "points"),
+    ({"obstacle": {"expr": 5}}, "obstacle.expr"),
+    ({"obstacle": {"builtin": "log_abs", "rotation_invariant": "no"}},
+     "obstacle.rotation_invariant"),
+    ({"pair": {"variant": "counterexample", "delta": "x"}}, "pair.delta"),
+    ({"pair": {"variant": "counterexample", "tau": "x"}}, "pair.tau"),
+    ({"pair": {"variant": "counterexample", "rho_u": "x"}}, "pair.rho_u"),
+    ({"pair": {"variant": "counterexample", "eps_moll": None}},
+     "pair.eps_moll"),
+    ({"pair": {"variant": "hartogs", "base_radius": "x"}},
+     "pair.base_radius"),
+    ({"tolerances": {"gap": "x"}}, "tolerances.gap"),
+    ({"tolerances": {"gap": float("nan")}}, "tolerances.gap"),
+    ({"oracle": {"kind": "grid", "spacing": float("inf")}},
+     "oracle.spacing"),
 ])
 def test_malformed_values_rejected(overrides, path):
     with pytest.raises(ConfigurationError, match=path):

@@ -7,6 +7,7 @@ from discenv.domains import ball, planar_annulus_pair, shell_pair
 from discenv.envelope import (
     EnvelopeRequest,
     _margins,
+    _violation,
     interior_probe_points,
     minimize_envelope,
     partial_envelope,
@@ -18,9 +19,16 @@ from discenv.errors import ConfigurationError, InfeasibleEnvelope, \
 from discenv.expressions import obstacle_from_expression
 from discenv.families import ZERO_CAP, BlaschkeFamily, ConstantFamily, \
     PolynomialFamily, ShellFamily, VerticalFamily
-from discenv.functionals import QuadratureGrid
+from discenv.functionals import QuadratureGrid, poisson_functional
 
 LOG_ABS = obstacle_from_expression("log(abs(z1))", 1)
+
+
+def assert_recorded_disc(res):
+    """The result's value and violation are those of its own disc."""
+    w, x_spec = planar_annulus_pair()
+    assert res.value == poisson_functional(res.disc, LOG_ABS)
+    assert res.max_violation == _violation(*_margins(w, x_spec, res.disc))[0]
 
 
 def annulus_request(x, families, **overrides):
@@ -38,6 +46,7 @@ def test_constant_family_attains_point_value():
     assert res.feasible
     assert res.value <= np.log(x) + 1e-10
     assert res.family == "constant"
+    assert_recorded_disc(res)
 
 
 def test_centre_outside_x_rejected():
@@ -51,6 +60,20 @@ def test_infeasible_point_reports_least_violating_disc():
     res = minimize_envelope(req)
     assert not res.feasible
     assert res.max_violation > 0
+    assert_recorded_disc(res)
+
+
+def test_feasible_disc_outranks_a_lower_infeasible_one():
+    # the constant disc at 0.5 has value log 0.5 < 0 but its boundary
+    # lies outside W; any strictly feasible disc must still win
+    req = annulus_request(0.5, [ConstantFamily([0.5]),
+                                BlaschkeFamily([0.5], n_zeros=1,
+                                               s_range=(1.0, 2.0))])
+    res = minimize_envelope(req)
+    assert res.family == "blaschke"
+    assert res.feasible
+    assert 0.0 < res.value < 1e-5
+    assert_recorded_disc(res)
 
 
 def test_no_family_is_a_configuration_error():
@@ -188,6 +211,13 @@ def test_partial_with_constant_family_inside_w():
     x = 1.5
     value = partial_envelope(annulus_request(x, [ConstantFamily([x])]), 0.3)
     assert value <= np.log(x) + 1e-10
+
+
+def test_partial_without_enough_mass_reports_least_violating_disc():
+    # the constant disc at 0.5 has no boundary node in W: mass 0 <= 1 - eps
+    value = partial_envelope(annulus_request(0.5, [ConstantFamily([0.5])]),
+                             0.3)
+    assert value == 0.0
 
 
 def test_partial_eps_validation():

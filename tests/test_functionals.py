@@ -98,6 +98,15 @@ def test_boundary_entirely_outside_w():
     assert partial_boundary_stats(disc, LOG_ABS, w) == (0.0, 0.0)
 
 
+def test_constant_obstacle_weighs_every_node_in_w():
+    # "1" has no coordinate in it, yet gives one value per point
+    w, _ = planar_annulus_pair()
+    disc = constant_disc(np.array([1.5 + 0.0j]), m=256)
+    phi = obstacle_from_expression("1", 1)
+    assert phi(disc.samples).shape == (256,)
+    assert partial_boundary_stats(disc, phi, w) == (1.0, 1.0)
+
+
 def test_partial_mass_against_refined_grid():
     w, _ = planar_annulus_pair()
     m = 1024

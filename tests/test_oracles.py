@@ -149,6 +149,23 @@ def test_later_cap_starts_from_the_previous_field(monkeypatch):
     assert sweeps[levels] <= 2
 
 
+def test_non_finite_obstacle_at_a_w_node_raises():
+    # log|z1 - 1.5| is -inf at the node 1.5 of the h/2 = 1/16 level
+    phi = obstacle_from_expression("log(abs(z1 - 1.5))", 1)
+    cfg = GridConfig(bounds=(-2.0625, 2.0625, -2.0625, 2.0625),
+                     spacing=0.125, probes=(1.5 + 0.0j,))
+    with pytest.raises(EvaluationError, match=r"grid node \(1\.5\+0j\)"):
+        grid_obstacle_solver(planar_annulus_pair(), phi, [1.0, 2.0], cfg)
+
+
+def test_relaxation_at_the_sweep_cap_raises(monkeypatch):
+    monkeypatch.setattr(oracles, "MAX_SWEEPS", 2)
+    phi = obstacle_from_expression("log(abs(z1))", 1)
+    with pytest.raises(EvaluationError, match="not converged after 2 sweeps"):
+        grid_obstacle_solver(planar_annulus_pair(), phi, [1.0],
+                             annulus_grid_config())
+
+
 def test_relaxation_is_below_initial_cap():
     pair = planar_annulus_pair()
     phi = obstacle_from_expression("log(abs(z1))", 1)
