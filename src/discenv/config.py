@@ -45,9 +45,14 @@ def _require(cond, path, message):
         raise ConfigurationError(f"{path}: {message}")
 
 
+def _is_int(value):
+    """An int that is not a bool (JSON's true and false are not numbers)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_number(value):
     """An int or a finite float (JSON's NaN and Infinity are not)."""
-    return isinstance(value, int) \
+    return _is_int(value) \
         or (isinstance(value, float) and math.isfinite(value))
 
 
@@ -59,7 +64,7 @@ def _is_coordinate(value):
 def _require_int(obj, key, path, low):
     """An optional key of ``obj``, if present, must be an integer >= low."""
     if key in obj:
-        _require(isinstance(obj[key], int) and obj[key] >= low,
+        _require(_is_int(obj[key]) and obj[key] >= low,
                  f"{path}.{key}", f"expected integer >= {low}")
 
 
@@ -110,7 +115,7 @@ def validate_config(raw):
     cfg.setdefault("budget", 400)
     cfg.setdefault("penalty_weight", 1e3)
     for key in ("quadrature_m", "seed", "starts", "budget"):
-        _require(isinstance(cfg[key], int) and cfg[key] >= 0,
+        _require(_is_int(cfg[key]) and cfg[key] >= 0,
                  f"config.{key}", "expected nonnegative integer")
     m = cfg["quadrature_m"]
     _require(m >= 8 and (m & (m - 1)) == 0, "config.quadrature_m",
@@ -143,7 +148,7 @@ def _validate_cesaro(spec):
     if "j_values" in spec:
         js = spec["j_values"]
         _require(isinstance(js, (list, tuple))
-                 and all(isinstance(j, int) and j >= 0 for j in js),
+                 and all(_is_int(j) and j >= 0 for j in js),
                  "config.cesaro.j_values", "expected a list of integers >= 0")
     _require_number(spec, "amplitude", "config.cesaro")
 
@@ -157,12 +162,10 @@ def _validate_pair(pair):
              "config.pair.variant", f"unknown variant {variant!r}")
     for key in ("delta", "tau", "rho_u", "eps_moll", "base_radius"):
         _require_number(pair, key, "config.pair")
-    if variant == "shell":
-        _require(isinstance(pair.get("n", 2), int) and pair.get("n", 2) >= 2,
-                 "config.pair.n", "shell needs integer n >= 2")
+    if variant in ("shell", "hartogs"):
+        _require(_is_int(pair.get("n", 2)) and pair.get("n", 2) >= 2,
+                 "config.pair.n", f"{variant} needs integer n >= 2")
     if variant == "hartogs":
-        _require(isinstance(pair.get("n", 2), int) and pair.get("n", 2) >= 2,
-                 "config.pair.n", "hartogs needs integer n >= 2")
         for key in ("r", "R"):
             value = pair.get(key, 1.0)
             _require(_is_number(value) or isinstance(value, str),

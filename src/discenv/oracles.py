@@ -9,6 +9,7 @@ below a capped obstacle, and a sampled sub-mean-value check of
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -76,10 +77,11 @@ def kiselman_psi(pair, phi, zp, return_spacing=False):
 # Planar grid obstacle solver
 # ---------------------------------------------------------------------------
 
-#: Relaxation sweep cap per grid level, and the number of coarser levels
-#: (each of twice the spacing) that warm-start a grid solve.
-MAX_SWEEPS = 200_000
+#: Multigrid cycle cap per grid level, the coarser levels (each of twice
+#: the spacing) that warm-start a grid solve, and sweeps per coarse level.
+MAX_SWEEPS = 1_000
 CASCADE_LEVELS = 4
+COARSE_SWEEPS = 3
 
 
 @dataclass
@@ -156,14 +158,13 @@ class GridField:
     def to_csv(self, path):
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         xs, ys = self.points()
+        xr = [repr(x) for x in xs.tolist()]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "y", "value", "mask"])
-            for iy, y in enumerate(ys):
-                for ix, x in enumerate(xs):
-                    writer.writerow([repr(float(x)), repr(float(y)),
-                                     repr(float(self.values[iy, ix])),
-                                     int(self.mask[iy, ix])])
+            for y, vals, mask in zip(ys.tolist(), self.values, self.mask):
+                writer.writerows(zip(xr, itertools.repeat(repr(y)),
+                                     map(repr, vals.tolist()), mask.tolist()))
 
 
 def _build_grid(pair, phi, cap, cfg, h):
@@ -206,37 +207,93 @@ def _build_grid(pair, phi, cap, cfg, h):
     return xs, ys, mask, obst
 
 
-def _relax(u, obst, active, omega, tol):
-    """Red-black projected SOR on u <- min(obst, relaxed mean of neighbours).
-
-    Fixed sweep order (red then black) for determinism.  Returns the
-    number of sweeps run; a grid with no active interior node (a coarse
-    cascade level) runs none.  Raises EvaluationError when MAX_SWEEPS
-    sweeps leave an update above tol.
-    """
+def _sweep(u, lo, hi, rhs=None):
+    """One red-black Gauss-Seidel sweep of u <- clip(mean of neighbours +
+    rhs, lo, hi) over the interior nodes, on strided sublattices."""
     ny, nx = u.shape
-    iy, ix = np.mgrid[0:ny, 0:nx]
-    parity = (ix + iy) % 2
+    for a, b in ((1, 1), (2, 2), (1, 2), (2, 1)):
+        t = u[a - 1:ny - 2:2, b:nx - 1:2] + u[a + 1:ny:2, b:nx - 1:2]
+        t += u[a:ny - 1:2, b - 1:nx - 2:2] + u[a:ny - 1:2, b + 1:nx:2]
+        t *= 0.25
+        node = np.s_[a:ny - 1:2, b:nx - 1:2]
+        if rhs is not None:
+            t += rhs[node]
+        np.minimum(np.maximum(t, lo[node], out=t), hi[node], out=u[node])
+
+
+def _defect(u):
+    """Mean of neighbours - u on the interior nodes, 0 on the rim."""
+    d = np.zeros_like(u)
+    d[1:-1, 1:-1] = 0.25 * (u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2]
+                            + u[1:-1, 2:]) - u[1:-1, 1:-1]
+    return d
+
+
+def _coarse_taps(a):
+    """a on the 3x3 neighbourhood of each interior node of the grid of every
+    other node, as taps[dy][dx]; a grid of even size is padded by one."""
+    pad = np.pad(a, ((0, 1 - a.shape[0] % 2), (0, 1 - a.shape[1] % 2)))
+    py, px = pad.shape
+    return [[pad[k:py - 3 + k:2, j:px - 3 + j:2] for j in (1, 2, 3)]
+            for k in (1, 2, 3)]
+
+
+def _correction(d, free):
+    """Correction e, zero off free, for e - (mean of neighbours of e) = d
+    on free: a linear V-cycle on the grid of every other node, with d
+    restricted by full weighting (times 4 for the doubled spacing).
+
+    A coarse node is free when its whole 3x3 fine neighbourhood is, so the
+    bilinear correction stays in free (Kornhuber's truncated monotone
+    multigrid); coarse sets made by injection let cycles stall or diverge.
+    """
+    coarse = np.pad(np.logical_and.reduce(sum(_coarse_taps(free), [])), 1)
+    if not coarse.any():
+        return 0.0
+    rows = [a + 2 * b + c for a, b, c in _coarse_taps(d)]
+    dc = np.pad(0.25 * (rows[0] + 2 * rows[1] + rows[2]), 1)
+    e = np.zeros_like(dc)
+    hi = np.where(coarse, np.inf, 0.0)
+    for _ in range(COARSE_SWEEPS):
+        _sweep(e, -hi, hi, dc)
+    e += _correction(_defect(e) + dc, coarse)
+    for _ in range(COARSE_SWEEPS):
+        _sweep(e, -hi, hi, dc)
+    fine = np.zeros((2 * e.shape[0] - 1, 2 * e.shape[1] - 1))
+    fine[::2, ::2] = e
+    fine[1::2, ::2] = 0.5 * (e[:-1] + e[1:])
+    fine[:, 1::2] = 0.5 * (fine[:, :-2:2] + fine[:, 2::2])
+    return fine[:d.shape[0], :d.shape[1]] * free
+
+
+def _relax(u, obst, active, tol):
+    """Projected multigrid V-cycles for u <- min(obst, mean of neighbours).
+
+    A cycle: a projected red-black Gauss-Seidel sweep, u <- min(obst, u + e)
+    with e from _correction on the free set (active interior nodes below
+    obst), a second sweep.  Returns the cycle count once a cycle changes u
+    by at most tol, 0 with no active interior node; raises EvaluationError
+    when MAX_SWEEPS cycles do not get there.
+    """
     inner = np.zeros_like(active)
     inner[1:-1, 1:-1] = active[1:-1, 1:-1]
     if not inner.any():
         return 0
-    colours = [inner & (parity == 0), inner & (parity == 1)]
-    core = np.s_[1:-1, 1:-1]
-    for sweep in range(MAX_SWEEPS):
-        biggest = 0.0
-        for colour in colours:
-            mean = u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:]
-            new = np.minimum(obst[core],
-                             u[core] + omega * (0.25 * mean - u[core]))
-            delta = np.where(colour[core], new - u[core], 0.0)
-            biggest = max(biggest, float(np.max(np.abs(delta))))
-            u[core] += delta
-        if biggest <= tol:
-            return sweep + 1
+    # nodes off the interior keep their value: lo = hi = u there
+    hi = np.where(inner, obst, u)
+    lo = np.where(inner, -np.inf, u)
+    for cycle in range(MAX_SWEEPS):
+        before = u.copy()
+        _sweep(u, lo, hi)
+        free = inner & (u < obst)
+        np.minimum(u + _correction(_defect(u), free), hi, out=u)
+        _sweep(u, lo, hi)
+        change = float(np.max(np.abs(u - before)))
+        if change <= tol:
+            return cycle + 1
     raise EvaluationError(
-        f"grid relaxation on {ny}x{nx} nodes not converged after "
-        f"{MAX_SWEEPS} sweeps (last update {biggest:.3e} > tol {tol:.3e})")
+        f"grid relaxation on {u.shape[0]}x{u.shape[1]} nodes not converged "
+        f"after {MAX_SWEEPS} sweeps (last change {change:.3e} > {tol:.3e})")
 
 
 def _solve_level(pair, phi, cap, cfg, h, init_field=None):
@@ -256,8 +313,7 @@ def _solve_level(pair, phi, cap, cfg, h, init_field=None):
             start[try_pts] = init_field.interpolate(zz[try_pts])
     u = obst.copy()
     u[active] = np.minimum(obst, start)[active]
-    omega = 2.0 / (1.0 + np.sin(np.pi / max(mask.shape)))
-    _relax(u, obst, active, omega, cfg.tol)
+    _relax(u, obst, active, cfg.tol)
     return GridField(xs[0], ys[0], h, u, mask)
 
 

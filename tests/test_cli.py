@@ -133,6 +133,9 @@ def test_validation_failure_exits_two_without_outputs(tmp_path):
      "points": C2_POINT},
     {"pair": {"variant": "hartogs", "base_radius": "x"}, "points": C2_POINT},
     {"tolerances": {"gap": "x"}},
+    {"tolerances": {"gap": True}},
+    {"starts": True},
+    {"points": [[[True, 0]]]},
 ])
 def test_malformed_value_exits_two_with_one_line(tmp_path, capsys, overrides):
     # run the subcommand that reads the malformed value

@@ -150,6 +150,11 @@ def test_partial_eps_range_checked():
     ({"tolerances": {"gap": float("nan")}}, "tolerances.gap"),
     ({"oracle": {"kind": "grid", "spacing": float("inf")}},
      "oracle.spacing"),
+    ({"tolerances": {"gap": True}}, "tolerances.gap"),
+    ({"starts": True}, "starts"),
+    ({"points": [[[True, 0]]]}, "points"),
+    ({"homotopy": {"steps": True}}, "homotopy.steps"),
+    ({"cesaro": {"j_values": [8, True]}}, "cesaro.j_values"),
 ])
 def test_malformed_values_rejected(overrides, path):
     with pytest.raises(ConfigurationError, match=path):

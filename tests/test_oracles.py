@@ -149,6 +149,39 @@ def test_later_cap_starts_from_the_previous_field(monkeypatch):
     assert sweeps[levels] <= 2
 
 
+@pytest.mark.parametrize("expr", ["log(abs(z1))", "-abs(z1)"])
+def test_multigrid_converges_below_the_obstacle(monkeypatch, expr):
+    # log|z1| is harmonic in W, so its contact set there is a fine-grained
+    # mix of contact and free nodes; -|z1| is superharmonic, so its
+    # contact set has a free boundary inside W
+    pair = planar_annulus_pair()
+    phi = obstacle_from_expression(expr, 1)
+    cycles = []
+    relax = oracles._relax
+
+    def counting(*args):
+        cycles.append(relax(*args))
+        return cycles[-1]
+
+    monkeypatch.setattr(oracles, "_relax", counting)
+    cfg = annulus_grid_config(tol=1e-10)
+    field = grid_obstacle_solver(pair, phi, [1.0], cfg)
+    # a cycle count that grows with the grid, as sweeps do, fails this
+    assert cycles[-1] <= 100
+    ref = grid_obstacle_solver(pair, phi, [1.0],
+                               annulus_grid_config(tol=1e-13))
+    u = field.values
+    assert np.max(np.abs(u - ref.values)) <= 1e-9
+    _, _, mask, obst = oracles._build_grid(pair, phi, 1.0, cfg, field.h)
+    active = mask > 0
+    assert np.all(u[active] <= obst[active])
+    # a cycle whose coarse correction undoes its sweeps stops on a small
+    # change away from the fixed point, and the reference stops there too
+    mean = 0.25 * (u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:])
+    step = np.minimum(obst[1:-1, 1:-1], mean) - u[1:-1, 1:-1]
+    assert np.max(np.abs(step[active[1:-1, 1:-1]])) <= 1e-9
+
+
 def test_non_finite_obstacle_at_a_w_node_raises():
     # log|z1 - 1.5| is -inf at the node 1.5 of the h/2 = 1/16 level
     phi = obstacle_from_expression("log(abs(z1 - 1.5))", 1)
@@ -204,6 +237,24 @@ def test_field_interpolation_and_csv_export(tmp_path):
     assert rows[0] == ["x", "y", "value", "mask"]
     ny, nx = field.values.shape
     assert len(rows) == 1 + ny * nx
+
+
+def test_csv_export_matches_the_per_node_rows(tmp_path):
+    values = np.array([[0.1, -2.0 / 3, 1e-300], [np.pi, 0.0, -1.5e17]])
+    mask = np.array([[0, 1, 2], [2, 1, 0]], dtype=np.int8)
+    field = oracles.GridField(-0.3, 1.0 / 3, 0.1, values, mask)
+    field.to_csv(tmp_path / "field.csv")
+    expected = tmp_path / "expected.csv"
+    xs, ys = field.points()
+    with open(expected, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "value", "mask"])
+        for iy, y in enumerate(ys):
+            for ix, x in enumerate(xs):
+                writer.writerow([repr(float(x)), repr(float(y)),
+                                 repr(float(values[iy, ix])),
+                                 int(mask[iy, ix])])
+    assert (tmp_path / "field.csv").read_bytes() == expected.read_bytes()
 
 
 # ---------------------------------------------------------------------------
