@@ -9,6 +9,8 @@ how far the samples are from being boundary values of a holomorphic map.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import (
@@ -26,9 +28,13 @@ def _is_pow2(m):
     return m >= 1 and (m & (m - 1)) == 0
 
 
+@lru_cache(maxsize=32)
 def roots_of_unity(m):
-    """The M-th roots of unity exp(2*pi*i*j/M), j = 0..M-1."""
-    return np.exp(2j * np.pi * np.arange(m) / m)
+    """The M-th roots of unity exp(2*pi*i*j/M), j = 0..M-1, as a cached
+    read-only array."""
+    zeta = np.exp(2j * np.pi * np.arange(m) / m)
+    zeta.flags.writeable = False
+    return zeta
 
 
 def taylor_eval(coeffs, z):
@@ -46,6 +52,15 @@ def taylor_eval(coeffs, z):
     return out
 
 
+@lru_cache(maxsize=16)
+def _radius_powers(radii, k):
+    """The read-only table r**j, j = 0..k-1, one row per r in ``radii``
+    (a tuple); bounded, since the homotopy's radii vary with t."""
+    powers = np.asarray(radii)[:, None] ** np.arange(k)
+    powers.flags.writeable = False
+    return powers
+
+
 def circle_eval(coeffs, radii, n):
     """The power series sum_j coeffs[j] * z**j at z = r * exp(2*pi*i*q/n),
     q = 0..n-1, for each r in ``radii``.
@@ -56,13 +71,15 @@ def circle_eval(coeffs, radii, n):
     (len(radii), n) + coeffs.shape[1:], radius-major.
     """
     coeffs = np.asarray(coeffs)
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    radii = tuple(np.atleast_1d(np.asarray(radii, dtype=float)).tolist())
     k = coeffs.shape[0]
-    powers = radii[:, None] ** np.arange(k)
+    powers = _radius_powers(radii, k)
     scaled = coeffs * powers[(...,) + (None,) * (coeffs.ndim - 1)]
-    pad = [(0, 0), (0, -k % n)] + [(0, 0)] * (coeffs.ndim - 1)
-    folded = np.pad(scaled, pad).reshape(
-        (radii.size, -1, n) + coeffs.shape[1:]).sum(axis=1)
+    if k % n:
+        pad = [(0, 0), (0, -k % n)] + [(0, 0)] * (coeffs.ndim - 1)
+        scaled = np.pad(scaled, pad)
+    folded = scaled.reshape(
+        (len(radii), -1, n) + coeffs.shape[1:]).sum(axis=1)
     return n * np.fft.ifft(folded, axis=1)
 
 

@@ -4,9 +4,10 @@ The boundary-in-W and interior-in-X constraints are enforced by squared
 hinge penalties on the signed margins (with a small feasibility slack so
 reported optima sit strictly inside), while the centre constraint is
 structural in every disc family.  Each (family, start) pair is minimised
-independently by Nelder-Mead from seeded initial parameters.  Recorded
-discs rank by (not strictly feasible, violation, value); ties keep the
-first recorded, then the lowest (family, start) index.
+independently by adaptive Nelder-Mead (``minimize``) from seeded initial
+parameters.  Recorded discs rank by (not strictly feasible, violation,
+value); ties keep the first recorded, then the lowest (family, start)
+index.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .discs import circle_eval
 from .errors import ConfigurationError, EvaluationError, \
@@ -28,6 +28,86 @@ INTERIOR_ANGLES = 32
 
 BARRIER = 1e6
 FEAS_MARGIN = 1e-5  # slack inside the penalty hinge
+
+
+class _BudgetSpent(Exception):
+    """Raised inside ``minimize`` when the evaluation budget is spent."""
+
+
+@dataclass
+class MinimizeResult:
+    """The best simplex vertex, its value and the evaluations spent."""
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+def minimize(fun, x0, budget):
+    """Adaptive Nelder-Mead (Gao & Han, Comput. Optim. Appl. 51, 2012).
+
+    Evaluates the points that scipy.optimize.minimize(fun, x0,
+    method="Nelder-Mead", options={"maxfev": budget, "xatol": 1e-9,
+    "fatol": 1e-12, "adaptive": True}) evaluates, in the same order, and
+    stops as soon as ``budget`` evaluations are spent, even mid-shrink.
+    ``fun`` gets a copy of each point.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= budget:
+            raise _BudgetSpent
+        nfev += 1
+        return fun(np.copy(x))
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    order = np.argsort(fsim)
+    sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    while nfev < budget:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-9
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12):
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + chi) * xbar - chi * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = (1 + psi) * xbar - psi * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    return MinimizeResult(sim[0], float(fsim[0]), nfev)
 
 
 def interior_probe_points(radii=INTERIOR_RADII, angles=INTERIOR_ANGLES):
@@ -83,11 +163,12 @@ def _violation(bm, im):
     """Max constraint violation of the boundary and interior margins.
 
     Returns (violation, strict) where strict certifies that every boundary
-    node and every interior probe lies strictly inside its domain.
+    node and every interior probe lies strictly inside its domain.  A NaN
+    margin gives a NaN violation.
     """
-    violation = float(max(np.max(np.maximum(0.0, -bm)),
-                          np.max(np.maximum(0.0, -im))))
-    strict = bool(np.min(bm) > 0 and np.min(im) > 0)
+    lo_b, lo_i = np.min(bm), np.min(im)
+    violation = float(np.maximum(0.0, -np.minimum(lo_b, lo_i)))
+    strict = bool(lo_b > 0 and lo_i > 0)
     return violation, strict
 
 
@@ -136,9 +217,7 @@ def _run_start(req, family, objective_fn, rng, start_index):
     if family.n_params == 0:
         wrapped(p0)
     else:
-        minimize(wrapped, p0, method="Nelder-Mead",
-                 options={"maxfev": req.budget, "xatol": 1e-9,
-                          "fatol": 1e-12, "adaptive": True})
+        minimize(wrapped, p0, req.budget)
     return best, trace
 
 

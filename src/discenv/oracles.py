@@ -147,13 +147,11 @@ class GridField:
         ix = np.floor(fx).astype(int)
         iy = np.floor(fy).astype(int)
         ok = (ix >= 0) & (iy >= 0) & (ix < nx - 1) & (iy < ny - 1)
-        out = np.zeros(np.shape(z), dtype=bool)
         m = self.mask
         ixs = np.clip(ix, 0, nx - 2)
         iys = np.clip(iy, 0, ny - 2)
-        out = ok & (m[iys, ixs] >= code) & (m[iys, ixs + 1] >= code) \
+        return ok & (m[iys, ixs] >= code) & (m[iys, ixs + 1] >= code) \
             & (m[iys + 1, ixs] >= code) & (m[iys + 1, ixs + 1] >= code)
-        return out
 
     def to_csv(self, path):
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
@@ -273,7 +271,9 @@ def _relax(u, obst, active, tol):
     with e from _correction on the free set (active interior nodes below
     obst), a second sweep.  Returns the cycle count once a cycle changes u
     by at most tol, 0 with no active interior node; raises EvaluationError
-    when MAX_SWEEPS cycles do not get there.
+    when MAX_SWEEPS cycles do not get there, or when the stopping cycle
+    leaves a fixed-point step |min(obst, mean of neighbours) - u| above
+    10 tol (a coarse correction that undoes its sweeps stalls that way).
     """
     inner = np.zeros_like(active)
     inner[1:-1, 1:-1] = active[1:-1, 1:-1]
@@ -290,10 +290,17 @@ def _relax(u, obst, active, tol):
         _sweep(u, lo, hi)
         change = float(np.max(np.abs(u - before)))
         if change <= tol:
+            step = float(np.max(np.abs(
+                np.minimum(obst, u + _defect(u)) - u)[inner]))
+            if step > 10 * tol:
+                raise EvaluationError(
+                    f"grid relaxation on {u.shape[0]}x{u.shape[1]} nodes "
+                    f"stalled after {cycle + 1} cycles (fixed-point step "
+                    f"{step:.3e} > {10 * tol:.3e})")
             return cycle + 1
     raise EvaluationError(
         f"grid relaxation on {u.shape[0]}x{u.shape[1]} nodes not converged "
-        f"after {MAX_SWEEPS} sweeps (last change {change:.3e} > {tol:.3e})")
+        f"after {MAX_SWEEPS} cycles (last change {change:.3e} > {tol:.3e})")
 
 
 def _solve_level(pair, phi, cap, cfg, h, init_field=None):

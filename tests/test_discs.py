@@ -4,6 +4,7 @@ functions, Cesaro smoothing, and diagonal reparametrization."""
 import numpy as np
 import pytest
 
+from discenv import discs
 from discenv.discs import (
     AnalyticDisc,
     DiscLoop,
@@ -109,9 +110,11 @@ def test_taylor_eval_matches_power_sum(coeff_shape, z):
 
 
 @pytest.mark.parametrize("coeff_shape", [(1,), (5,), (16,), (48,),
-                                         (5, 2), (16, 3), (48, 2)])
+                                         (5, 2), (16, 3), (48, 2),
+                                         (21,), (37, 2)])
 def test_circle_eval_matches_taylor_eval(coeff_shape):
-    # n = 16: K < n (zero padding), K = n, and K a multiple of n
+    # n = 16: K < n or K not a multiple of n (zero padding), K = n, and K
+    # a multiple of n
     n = 16
     radii = np.array([0.0, 0.25, 0.95, 1.0])
     rng = np.random.default_rng(sum(coeff_shape))
@@ -124,6 +127,18 @@ def test_circle_eval_matches_taylor_eval(coeff_shape):
     points = radii[:, None] * roots_of_unity(n)[None, :]
     assert got.shape == (radii.size, n) + c.shape[1:]
     assert np.max(np.abs(got - taylor_eval(c, points))) <= 1e-13
+
+
+def test_cached_tables_are_read_only_and_bounded():
+    with pytest.raises(ValueError):
+        roots_of_unity(16)[0] = 1.0
+    c = np.ones(8, dtype=complex)
+    for t in np.linspace(0.1, 0.9, 40):
+        circle_eval(c, (t, 1.0), 8)
+    powers = discs._radius_powers
+    assert powers.cache_info().currsize <= powers.cache_info().maxsize
+    with pytest.raises(ValueError):
+        powers((0.5,), 8)[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,21 @@
 """Penalised envelope search: feasibility, determinism, monotonicity."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import discenv
 from discenv.domains import ball, planar_annulus_pair, shell_pair
 from discenv.envelope import (
+    BARRIER,
     EnvelopeRequest,
     _margins,
     _violation,
     interior_probe_points,
+    minimize,
     minimize_envelope,
     partial_envelope,
 )
@@ -226,3 +233,79 @@ def test_partial_eps_validation():
         partial_envelope(req, 1.5)
     with pytest.raises(ConfigurationError):
         partial_envelope(req, 1e-4)
+
+
+# ---------------------------------------------------------------------------
+# minimize (adaptive Nelder-Mead)
+# ---------------------------------------------------------------------------
+
+def bowl(x):
+    return float(np.sum((x - 0.3) ** 2)
+                 + np.sum(100 * (x[1:] - x[:-1] ** 2) ** 2))
+
+
+def walled_bowl(x):
+    return BARRIER if np.linalg.norm(x) > 1 else bowl(x)
+
+
+def plateau(x):
+    return float(np.floor(4 * np.sum(x ** 2)) / 4)
+
+
+def flat(x):
+    return BARRIER
+
+
+def evaluated_points(search, fun, x0):
+    points = []
+
+    def recording(x):
+        points.append(x.tobytes())
+        return fun(x)
+
+    return search(recording, x0), points
+
+
+@pytest.mark.parametrize("fun, x0, budget", [
+    *[(bowl, np.random.default_rng(n).standard_normal(n), 400)
+      for n in range(1, 7)],
+    # ties at BARRIER in the simplex order
+    (walled_bowl, np.array([0.7, 0.7, 0.0]), 400),
+    (flat, np.array([1.0, 2.0, 3.0]), 400),
+    # evaluations 7-9 are the first shrink, so 8 ends in its middle
+    (flat, np.array([1.0, 2.0, 3.0]), 8),
+    # budgets inside the initial simplex
+    (bowl, np.array([0.5, -0.5, 1.0, 2.0]), 3),
+    (bowl, np.array([0.5, -0.5, 1.0, 2.0]), 1),
+    # zero start coordinates are stepped by 0.00025, not scaled
+    (plateau, np.array([0.0, 1.5]), 300),
+    (bowl, np.zeros(3), 400),
+])
+def test_minimize_evaluates_the_points_scipy_does(fun, x0, budget):
+    optimize = pytest.importorskip("scipy.optimize")
+    options = {"maxfev": budget, "xatol": 1e-9, "fatol": 1e-12,
+               "adaptive": True}
+    ref, ref_points = evaluated_points(
+        lambda f, x: optimize.minimize(f, x, method="Nelder-Mead",
+                                       options=options), fun, x0)
+    got, points = evaluated_points(lambda f, x: minimize(f, x, budget),
+                                   fun, x0)
+    assert points == ref_points
+    assert got.nfev == ref.nfev == len(points)
+
+
+def test_nan_margin_gives_nan_violation():
+    ok = np.ones(4)
+    nan = np.array([1.0, np.nan, 1.0, 1.0])
+    for bm, im in ((nan, ok), (ok, nan)):
+        violation, strict = _violation(bm, im)
+        assert np.isnan(violation) and not strict
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(discenv.__file__))
+    code = "import sys, discenv, discenv.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -194,7 +194,17 @@ def test_non_finite_obstacle_at_a_w_node_raises():
 def test_relaxation_at_the_sweep_cap_raises(monkeypatch):
     monkeypatch.setattr(oracles, "MAX_SWEEPS", 2)
     phi = obstacle_from_expression("log(abs(z1))", 1)
-    with pytest.raises(EvaluationError, match="not converged after 2 sweeps"):
+    with pytest.raises(EvaluationError, match="not converged after 2 cycles"):
+        grid_obstacle_solver(planar_annulus_pair(), phi, [1.0],
+                             annulus_grid_config())
+
+
+def test_relaxation_that_stalls_off_the_fixed_point_raises(monkeypatch):
+    # with no sweeps the coarse corrections are zero, so the first cycle
+    # changes nothing and stops where it started, at the obstacle
+    monkeypatch.setattr(oracles, "_sweep", lambda *args: None)
+    phi = obstacle_from_expression("log(abs(z1))", 1)
+    with pytest.raises(EvaluationError, match="stalled after 1 cycles"):
         grid_obstacle_solver(planar_annulus_pair(), phi, [1.0],
                              annulus_grid_config())
 
