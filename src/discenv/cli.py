@@ -2,7 +2,7 @@
 
 Subcommands: envelope, oracle, compare, homotopy, cesaro, emit-plot.
 Exit codes: 0 success, 1 tolerance failure, 2 validation error,
-3 infeasible envelope.
+3 infeasible envelope, 4 internal error.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 import time
+import traceback
 
 import numpy as np
 
@@ -288,6 +289,10 @@ def main(argv=None):
     except DiscenvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, InfeasibleEnvelope) else 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -108,17 +108,54 @@ def _curve_points(delta, t):
     return z1, z2
 
 
-def _dist_to_curve(points, delta, t_grid):
-    """Euclidean distance in C^2 from each point to the sampled curve."""
-    c1, c2 = _curve_points(delta, t_grid)
+CURVE_SAMPLES = 4096
+_BLOCK = 64       # consecutive samples per pruning block; divides CURVE_SAMPLES
+_CHUNK = 512      # points per pass: at most 512 x 4096 distances in memory
+
+
+def _curve_table(delta):
+    """The sampled curve and its blocks of _BLOCK consecutive samples.
+
+    Returns (c1, c2, mid, radius): the curve samples, the index of each
+    block's middle sample (its centre) and the block's covering radius
+    max |sample - centre| in C^2.
+    """
+    c1, c2 = _curve_points(delta, np.linspace(0.0, 1.0, CURVE_SAMPLES))
+    mid = np.arange(_BLOCK // 2, CURVE_SAMPLES, _BLOCK)
+    radius = np.sqrt(np.max(
+        np.abs(c1.reshape(-1, _BLOCK) - c1[mid, None]) ** 2
+        + np.abs(c2.reshape(-1, _BLOCK) - c2[mid, None]) ** 2, axis=1))
+    return c1, c2, mid, radius
+
+
+def _dist_to_curve(points, table):
+    """Euclidean distance in C^2 from each point to the sampled curve.
+
+    Equal bit for bit to the minimum over all samples, found by branch and
+    bound over the blocks of ``table``: the nearest block centre bounds
+    the distance from above, and only blocks whose centre distance minus
+    covering radius does not exceed that bound are scanned.
+    """
+    c1, c2, mid, radius = table
     flat = points.reshape(-1, 2)
     out = np.empty(flat.shape[0])
-    block = 512
-    for lo in range(0, flat.shape[0], block):
-        chunk = flat[lo:lo + block]
-        d2 = (np.abs(chunk[:, 0:1] - c1[None, :]) ** 2
-              + np.abs(chunk[:, 1:2] - c2[None, :]) ** 2)
-        out[lo:lo + block] = np.sqrt(d2.min(axis=1))
+    for lo in range(0, flat.shape[0], _CHUNK):
+        p1, p2 = flat[lo:lo + _CHUNK, 0:1], flat[lo:lo + _CHUNK, 1:2]
+        centre = np.sqrt(np.abs(p1 - c1[mid]) ** 2 + np.abs(p2 - c2[mid]) ** 2)
+        upper = centre.min(axis=1, keepdims=True)
+        # Computed distances and radii are within a few roundoff units
+        # (u = 1.1e-16) of exact, so a skipped block's samples compute to
+        # at least its bound minus about 10 u (upper + curve diameter); the
+        # slack 1e-9 upper + 1e-12 exceeds that 300-fold.  NaN fails every
+        # comparison, so a NaN point keeps all blocks and gets NaN.
+        rows, blocks = np.nonzero(
+            ~(centre - radius > upper * (1.0 + 1e-9) + 1e-12))
+        idx = blocks[:, None] * _BLOCK + np.arange(_BLOCK)
+        d2 = np.abs(p1[rows] - c1[idx]) ** 2 + np.abs(p2[rows] - c2[idx]) ** 2
+        best = np.full(p1.shape[0], np.inf)
+        with np.errstate(invalid="ignore"):      # NaN rows, as in the scan
+            np.minimum.at(best, rows, d2.min(axis=1))
+        out[lo:lo + _CHUNK] = np.sqrt(best)
     return out.reshape(points.shape[:-1])
 
 
@@ -130,8 +167,7 @@ def _semicircle_dist(z, upper):
     return np.where(on_half, radial, ends)
 
 
-def counterexample_pair(delta=0.3, tau=0.05, rho_u=0.05, eps_moll=0.01,
-                        curve_samples=4096):
+def counterexample_pair(delta=0.3, tau=0.05, rho_u=0.05, eps_moll=0.01):
     """The pair in C^2 on which the disc formula has a gap.
 
     W is the union of a flat slab W1 = D x {|z2| < delta}, an annular
@@ -146,7 +182,7 @@ def counterexample_pair(delta=0.3, tau=0.05, rho_u=0.05, eps_moll=0.01,
         raise ConfigurationError("delta must lie in (0, 1/2)")
     if not 0 < tau < 0.2:
         raise ConfigurationError("tube radius out of range")
-    t_grid = np.linspace(0.0, 1.0, curve_samples)
+    table = _curve_table(delta)
 
     def m1(p):
         return np.minimum(1.0 - np.abs(p[..., 0]), delta - np.abs(p[..., 1]))
@@ -156,13 +192,10 @@ def counterexample_pair(delta=0.3, tau=0.05, rho_u=0.05, eps_moll=0.01,
         return np.minimum(1.0 - np.abs(p[..., 0]),
                           np.minimum(a2 - (1.0 - delta), 1.0 - a2))
 
-    def m3(p, where=None):
+    def m3(p, where):
         # tube margin is expensive; evaluate only where requested
-        if where is None:
-            return tau - _dist_to_curve(p, delta, t_grid)
         out = np.full(p.shape[:-1], -np.inf)
-        if np.any(where):
-            out[where] = tau - _dist_to_curve(p[where], delta, t_grid)
+        out[where] = tau - _dist_to_curve(p[where], table)
         return out
 
     def w_margin(p):
@@ -196,9 +229,10 @@ def counterexample_pair(delta=0.3, tau=0.05, rho_u=0.05, eps_moll=0.01,
 def counterexample_projection_interval(delta=0.3, tau=0.05, samples=20001):
     """Probe the real-axis interval (a, b) cut out by the tube projection.
 
-    Scans Re z1 over [1, 2.5] and reports the range where some tube point
-    projects within the real axis.  Used to document the probed values of
-    a and b rather than assuming them.
+    Takes ``samples`` points of the joining curve whose z1 lies within tau
+    of the real axis, and reports the extent on the real axis of their
+    radius-tau discs in the z1-plane.  Used to document the probed values
+    of a and b rather than assuming them.
     """
     t = np.linspace(0.0, 1.0, samples)
     z1, _ = _curve_points(delta, t)

@@ -135,6 +135,11 @@ class EnvelopeRequest:
         w, x_spec = self.pair
         if not np.all(x_spec.margin(self.x[None, :]) > 0):
             raise PreconditionError("centre lies outside X")
+        for fam in self.families:
+            if not np.array_equal(fam.centre, self.x):
+                raise ConfigurationError(
+                    f"family {fam.name!r} is centred at {fam.centre}, "
+                    f"not at the point {self.x}")
 
 
 @dataclass

@@ -392,6 +392,20 @@ def test_oracle_runs_before_any_search(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_unexpected_exception_exits_four(tmp_path, capsys, monkeypatch):
+    def broken(req):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "minimize_envelope", broken)
+    cfg_path = write_config(tmp_path, ANNULUS_CONFIG)
+    out = tmp_path / "run"
+    assert run(["compare", "--config", cfg_path, "--out", out,
+                "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert err.splitlines()[-1] == "error: internal: RuntimeError: boom"
+    assert not (out / "report.json").exists()
+
+
 def test_grid_covers_its_bounds(tmp_path):
     # 4.125 / 3 is not an integer: the grid must reach past x_max anyway
     cfg = dict(ANNULUS_CONFIG, points=[[[1.5, 0.0]]],

@@ -3,8 +3,14 @@ counterexample pair."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from discenv import domains
 from discenv.domains import (
+    CURVE_SAMPLES,
+    _curve_points,
+    _curve_table,
+    _dist_to_curve,
     ball,
     counterexample_pair,
     counterexample_projection_interval,
@@ -162,6 +168,107 @@ def test_counterexample_parameter_validation():
         counterexample_pair(delta=0.6)
     with pytest.raises(ConfigurationError):
         counterexample_pair(tau=0.5)
+
+
+def brute_dist_to_curve(points, delta):
+    """Reference: the distance to every curve sample, 512 points at a time."""
+    c1, c2 = _curve_points(delta, np.linspace(0.0, 1.0, CURVE_SAMPLES))
+    flat = points.reshape(-1, 2)
+    out = np.empty(flat.shape[0])
+    block = 512
+    for lo in range(0, flat.shape[0], block):
+        chunk = flat[lo:lo + block]
+        d2 = (np.abs(chunk[:, 0:1] - c1[None, :]) ** 2
+              + np.abs(chunk[:, 1:2] - c2[None, :]) ** 2)
+        out[lo:lo + block] = np.sqrt(d2.min(axis=1))
+    return out.reshape(points.shape[:-1])
+
+
+def assert_tube_distance_exact(points, delta):
+    """The pruned distance, and the W and X margins built on it, equal bit
+    for bit what the full scan gives."""
+    points = np.asarray(points, dtype=complex).reshape(-1, 2)
+    expected = brute_dist_to_curve(points, delta)
+    got = _dist_to_curve(points, _curve_table(delta))
+    assert np.array_equal(got, expected, equal_nan=True)
+    w, x, _ = counterexample_pair(delta=delta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(domains, "_dist_to_curve",
+                   lambda p, table: brute_dist_to_curve(p, delta))
+        w_ref, x_ref = w.margin(points), x.margin(points)
+    assert np.array_equal(w.margin(points), w_ref, equal_nan=True)
+    assert np.array_equal(x.margin(points), x_ref, equal_nan=True)
+    return got
+
+
+def curve_samples(delta):
+    c1, c2 = _curve_points(delta, np.linspace(0.0, 1.0, CURVE_SAMPLES))
+    return np.stack([c1, c2], axis=1)
+
+
+_placement = st.tuples(
+    st.sampled_from(["sample", "midway"]),
+    st.integers(0, CURVE_SAMPLES - 1),
+    st.sampled_from([0.0, 1e-9, 1e-4, 0.01, 0.05, 0.3]),
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(delta=st.sampled_from([0.1, 0.45]),
+       placements=st.lists(_placement, min_size=1, max_size=12))
+def test_tube_distance_equals_full_scan_near_curve(delta, placements):
+    """Points on curve samples and midway between two block centres (where
+    the nearest centre's block need not hold the nearest sample), each
+    with an offset from none to 0.3."""
+    s = curve_samples(delta)
+    centres = s[32::64]
+    points = []
+    for kind, k, scale, off in placements:
+        if kind == "sample":
+            base = s[k]
+        else:
+            b = min(k // 64, len(centres) - 2)
+            base = 0.5 * (centres[b] + centres[b + 1])
+        points.append(base + scale * (np.array(off[:2]) + 1j * np.array(off[2:])))
+    assert_tube_distance_exact(np.array(points), delta)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.45])
+def test_curve_table_radius_covers_each_block(delta):
+    """Exactness rests on each radius covering its block.  The comparisons
+    with the full scan cannot see a radius 1 % short: that cuts the block
+    holding the nearest sample only if its centre is farther than the
+    nearest centre by 0.99 of its radius, and on this curve no point
+    searched came closer than 0.72."""
+    c1, c2, mid, radius = _curve_table(delta)
+    assert np.array_equal(mid, np.arange(32, CURVE_SAMPLES, 64))
+    blocks = curve_samples(delta).reshape(-1, 64, 2)
+    centres = np.stack([c1[mid], c2[mid]], axis=1)
+    spread = np.linalg.norm(blocks - centres[:, None, :], axis=-1).max(axis=1)
+    assert np.allclose(radius, spread, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.45])
+def test_tube_distance_far_points_and_empty_batch(delta):
+    rng = np.random.default_rng(4)
+    far = 50.0 * (rng.standard_normal((300, 2)) + 1j * rng.standard_normal((300, 2)))
+    box = np.stack([rng.uniform(-0.5, 2.5, 700) + 1j * rng.uniform(-1.5, 1.5, 700),
+                    rng.uniform(-1.0, 2.0, 700) + 1j * rng.uniform(-1.0, 1.0, 700)],
+                   axis=1)
+    huge = np.array([[1.0 + 0j, 1e6j], [1e8, -1e8]])
+    assert_tube_distance_exact(np.concatenate([far, box, huge]), delta)
+    assert assert_tube_distance_exact(np.zeros((0, 2)), delta).shape == (0,)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.45])
+def test_tube_distance_non_finite_coordinates(delta):
+    nan, inf = float("nan"), float("inf")
+    pts = np.array([[nan, 0.5], [1.5, complex(0.2, nan)], [inf, 0.3],
+                    [1.5, complex(0.2, -inf)], [2.0, 0.5]])
+    d = assert_tube_distance_exact(pts, delta)
+    assert np.isnan(d[:2]).all()
+    assert np.isposinf(d[2:4]).all()
+    assert np.isfinite(d[4])
 
 
 def test_counterexample_projection_interval_brackets_two():

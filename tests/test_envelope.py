@@ -61,6 +61,13 @@ def test_centre_outside_x_rejected():
         annulus_request(2.5, [ConstantFamily([2.5])])
 
 
+def test_family_centred_elsewhere_rejected():
+    with pytest.raises(ConfigurationError, match="blaschke"):
+        annulus_request(1.5, [ConstantFamily([1.5]), BlaschkeFamily([1.2])])
+    with pytest.raises(ConfigurationError, match="constant"):
+        annulus_request(1.5, [ConstantFamily([1.5, 0.0])])
+
+
 def test_infeasible_point_reports_least_violating_disc():
     # a constant disc at 0.5 has its whole boundary inside the removed disc
     req = annulus_request(0.5, [ConstantFamily([0.5])])
@@ -147,6 +154,32 @@ def test_polynomial_family_keeps_centre():
     disc = fam.build(fam.initial(rng), 128)
     assert abs(disc.centre[0] - 1.5) <= 1e-12
     assert disc.holomorphy_residual <= 1e-10
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["constant", "polynomial", "vertical", "shell"]),
+       centre=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=2,
+                       max_size=3),
+       degree=st.integers(1, 6),
+       winding=st.integers(1, 6),
+       params=st.lists(st.floats(-3.0, 1.0), min_size=36, max_size=36),
+       m=st.sampled_from([128, 256, 512]))
+def test_family_build_keeps_centre(kind, centre, degree, winding, params, m):
+    """The node average of every built disc is the family's centre.  The
+    shell centre has norm below sqrt(3), so its Moebius component aliases
+    by at most (2/3)^m on m nodes."""
+    centre = np.array(centre)
+    if kind == "constant":
+        fam = ConstantFamily(centre)
+    elif kind == "polynomial":
+        fam = PolynomialFamily(centre, degree=degree)
+    elif kind == "vertical":
+        centre[-1] = 0.0
+        fam = VerticalFamily(centre, winding=winding)
+    else:
+        fam = ShellFamily(centre)
+    disc = fam.build(np.asarray(params[:fam.n_params]), m)
+    assert np.max(np.abs(disc.centre - fam.centre)) <= 1e-12
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
