@@ -69,8 +69,7 @@ def _write_outputs(outdir, cfg, rows, passed, extras=None):
         "experiment": cfg["experiment"],
         "effective_config": cfg,
         "rows": rows,
-        "metadata": {"seed": cfg["seed"], "quadrature_m": cfg["quadrature_m"],
-                     "defaults_version": 1},
+        "metadata": {"seed": cfg["seed"], "quadrature_m": cfg["quadrature_m"]},
         "pass": bool(passed),
     }
     if extras:

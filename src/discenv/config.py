@@ -33,6 +33,16 @@ BUILTIN_OBSTACLES = {
     "re_first": "re(z1)",
 }
 
+#: Each family kind's class, and the config keys it takes under their
+#: keyword names; a key the config leaves out keeps the class default.
+FAMILY_KINDS = {
+    "constant": (ConstantFamily, {}),
+    "polynomial": (PolynomialFamily, {"degree": "degree", "scale": "scale"}),
+    "shell": (ShellFamily, {}),
+    "vertical": (VerticalFamily, {"winding": "winding", "s_range": "s_range"}),
+    "blaschke": (BlaschkeFamily, {"zeros": "n_zeros", "s_range": "s_range"}),
+}
+
 _TOP_KEYS = {
     "experiment", "pair", "obstacle", "points", "families", "quadrature_m",
     "seed", "starts", "budget", "penalty_weight", "oracle", "tolerances",
@@ -191,8 +201,7 @@ def _validate_obstacle(obst):
 def _validate_family(fam, path):
     _check_keys(fam, {"kind", "degree", "winding", "zeros", "s_range",
                       "scale"}, path)
-    _require(fam.get("kind") in {"constant", "polynomial", "vertical",
-                                 "blaschke", "shell"},
+    _require(fam.get("kind") in FAMILY_KINDS,
              f"{path}.kind", f"unknown family kind {fam.get('kind')!r}")
     for key in ("degree", "zeros", "winding"):
         _require_int(fam, key, path, 1)
@@ -289,22 +298,11 @@ def parse_point(entry, n, path="config.points"):
 def build_families(cfg, centre, hartogs=None):
     fams = []
     for spec in cfg["families"]:
-        kind = spec["kind"]
-        if kind == "constant":
-            fams.append(ConstantFamily(centre))
-        elif kind == "polynomial":
-            fams.append(PolynomialFamily(centre, degree=spec.get("degree", 4),
-                                         scale=spec.get("scale", 0.4)))
-        elif kind == "shell":
-            fams.append(ShellFamily(centre))
-        elif kind == "vertical":
-            s_range = tuple(spec.get("s_range", (0.1, 1.0)))
-            fams.append(VerticalFamily(centre, winding=spec.get("winding", 1),
-                                       s_range=s_range))
-        elif kind == "blaschke":
-            s_range = tuple(spec.get("s_range", (1.0, 2.0)))
-            fams.append(BlaschkeFamily(centre, n_zeros=spec.get("zeros", 1),
-                                       s_range=s_range))
+        cls, keys = FAMILY_KINDS[spec["kind"]]
+        kwargs = {arg: spec[key] for key, arg in keys.items() if key in spec}
+        if "s_range" in kwargs:
+            kwargs["s_range"] = tuple(kwargs["s_range"])
+        fams.append(cls(centre, **kwargs))
     if not fams:
         raise ConfigurationError("config.families: at least one family needed")
     return fams

@@ -193,19 +193,20 @@ def counterexample_pair(delta=0.3, tau=0.05, rho_u=0.05, eps_moll=0.01):
                           np.minimum(a2 - (1.0 - delta), 1.0 - a2))
 
     def m3(p, where):
-        # tube margin is expensive; evaluate only where requested
+        # tube margin is expensive and at most tau; evaluate it only where
+        # it can exceed the other margin
         out = np.full(p.shape[:-1], -np.inf)
         out[where] = tau - _dist_to_curve(p[where], table)
         return out
 
     def w_margin(p):
         base = np.maximum(m1(p), m2(p))
-        need = base < 0.05
+        need = base < tau
         return np.maximum(base, m3(p, need))
 
     def x_margin(p):
         base = np.minimum(1.0 - np.abs(p[..., 0]), 1.0 - np.abs(p[..., 1]))
-        need = base < 0.05
+        need = base < tau
         return np.maximum(base, m3(p, need))
 
     w = DomainSpec(f"counterexample_W(delta={delta}, tau={tau})", 2, w_margin)

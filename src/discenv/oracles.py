@@ -77,10 +77,9 @@ def kiselman_psi(pair, phi, zp, return_spacing=False):
 # Planar grid obstacle solver
 # ---------------------------------------------------------------------------
 
-#: Multigrid cycle cap per grid level, the coarser levels (each of twice
-#: the spacing) that warm-start a grid solve, and sweeps per coarse level.
+#: Multigrid cycle cap per grid level, and sweeps per coarse level of a
+#: V-cycle.
 MAX_SWEEPS = 1_000
-CASCADE_LEVELS = 4
 COARSE_SWEEPS = 3
 
 
@@ -137,21 +136,6 @@ class GridField:
                 + tx * (1 - ty) * v[iy, ix + 1]
                 + (1 - tx) * ty * v[iy + 1, ix]
                 + tx * ty * v[iy + 1, ix + 1])
-
-    def in_region(self, z, code=1):
-        """True where all four surrounding nodes have mask >= code."""
-        z = np.asarray(z, dtype=complex)
-        fx = (np.real(z) - self.x0) / self.h
-        fy = (np.imag(z) - self.y0) / self.h
-        ny, nx = self.values.shape
-        ix = np.floor(fx).astype(int)
-        iy = np.floor(fy).astype(int)
-        ok = (ix >= 0) & (iy >= 0) & (ix < nx - 1) & (iy < ny - 1)
-        m = self.mask
-        ixs = np.clip(ix, 0, nx - 2)
-        iys = np.clip(iy, 0, ny - 2)
-        return ok & (m[iys, ixs] >= code) & (m[iys, ixs + 1] >= code) \
-            & (m[iys + 1, ixs] >= code) & (m[iys + 1, ixs + 1] >= code)
 
     def to_csv(self, path):
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
@@ -257,11 +241,22 @@ def _correction(d, free):
     e += _correction(_defect(e) + dc, coarse)
     for _ in range(COARSE_SWEEPS):
         _sweep(e, -hi, hi, dc)
+    return _prolong(e, d.shape) * free
+
+
+def _prolong(e, shape):
+    """Bilinear prolongation of e to the grid of half its spacing with the
+    same first node, cut to shape; rows or columns beyond the prolonged
+    grid (one short when the bounds lie just within 1e-9 above a whole
+    number of coarse spacings) repeat its last one."""
     fine = np.zeros((2 * e.shape[0] - 1, 2 * e.shape[1] - 1))
     fine[::2, ::2] = e
     fine[1::2, ::2] = 0.5 * (e[:-1] + e[1:])
     fine[:, 1::2] = 0.5 * (fine[:, :-2:2] + fine[:, 2::2])
-    return fine[:d.shape[0], :d.shape[1]] * free
+    short = [(0, max(n - m, 0)) for n, m in zip(shape, fine.shape)]
+    if any(pad for _, pad in short):
+        fine = np.pad(fine, short, mode="edge")
+    return fine[:shape[0], :shape[1]]
 
 
 def _relax(u, obst, active, tol):
@@ -303,21 +298,16 @@ def _relax(u, obst, active, tol):
         f"after {MAX_SWEEPS} cycles (last change {change:.3e} > {tol:.3e})")
 
 
-def _solve_level(pair, phi, cap, cfg, h, init_field=None):
+def _solve_level(pair, phi, cap, cfg, h, start=None):
+    """The field for one cap at spacing h, relaxed from the cap (start
+    None), from start as it is when it has this grid's shape, or else from
+    start prolonged from the grid of spacing 2h."""
     xs, ys, mask, obst = _build_grid(pair, phi, cap, cfg, h)
     active = mask > 0
-    if init_field is None:
+    if start is None:
         start = cap
-    elif init_field.h == h:
-        # a previous cap's field on this very grid starts as it is
-        start = init_field.values
-    else:
-        # prolong a coarser solution where possible
-        zz = xs[None, :] + 1j * ys[:, None]
-        try_pts = init_field.in_region(zz, code=1)
-        start = np.full(mask.shape, cap)
-        if np.any(try_pts):
-            start[try_pts] = init_field.interpolate(zz[try_pts])
+    elif start.shape != mask.shape:
+        start = _prolong(start, mask.shape)
     u = obst.copy()
     u[active] = np.minimum(obst, start)[active]
     _relax(u, obst, active, cfg.tol)
@@ -331,11 +321,11 @@ def grid_obstacle_solver(pair, phi, cap_sequence, cfg):
     on W and n on X \\ W; the relaxation u <- min(obstacle, four-neighbour
     mean) is iterated to a fixed point.  Beyond the point where the cap
     exceeds sup phi the fixed points coincide, so the per-cap probe values
-    saturate.  The first cap is solved coarse to fine from CASCADE_LEVELS
-    doublings of cfg.spacing, each later cap at cfg.spacing from the
+    saturate.  At cfg.spacing the first cap starts from the cap itself
+    (multigrid needs no coarser warm start) and each later cap from the
     previous cap's field; the field for the largest cap is returned,
-    solved once more at cfg.spacing / 2 with the probe-wise difference
-    kept as an error estimate.
+    solved once more at cfg.spacing / 2 from the prolonged cfg.spacing
+    field, with the probe-wise difference kept as an error estimate.
     """
     w_spec, x_spec = pair
     if w_spec.n != 1 or x_spec.n != 1:
@@ -347,15 +337,13 @@ def grid_obstacle_solver(pair, phi, cap_sequence, cfg):
     per_cap = {}
     coarse = None
     for cap in caps:
-        levels = CASCADE_LEVELS if coarse is None else 0
-        for k in range(levels, -1, -1):
-            coarse = _solve_level(pair, phi, cap, cfg, cfg.spacing * 2 ** k,
-                                  init_field=coarse)
+        coarse = _solve_level(pair, phi, cap, cfg, cfg.spacing,
+                              None if coarse is None else coarse.values)
         if cfg.probes:
             per_cap[cap] = [float(v) for v in
                             coarse.interpolate(np.asarray(cfg.probes))]
     fine = _solve_level(pair, phi, caps[-1], cfg, cfg.spacing / 2,
-                        init_field=coarse)
+                        coarse.values)
     fine.per_cap_probe_values = per_cap
     if cfg.probes:
         pts = np.asarray(cfg.probes)

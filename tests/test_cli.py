@@ -365,7 +365,7 @@ def test_grid_oracle_creates_missing_out_dir(tmp_path, command):
 
 
 def test_grid_oracle_at_coarse_spacing(tmp_path):
-    # the coarsest cascade level (spacing 4) has no interior node
+    # the grid oracle still solves at a spacing as coarse as 1/4
     cfg = dict(ANNULUS_CONFIG, points=[[[1.5, 0.0]]],
                oracle={"kind": "grid", "spacing": 0.25})
     cfg_path = write_config(tmp_path, cfg)

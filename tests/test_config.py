@@ -7,6 +7,7 @@ from discenv.config import build_families, build_pair, parse_point, \
     validate_config
 from discenv.errors import ConfigurationError
 from discenv.expressions import compile_expression
+from discenv.families import BlaschkeFamily, PolynomialFamily, VerticalFamily
 
 
 # ---------------------------------------------------------------------------
@@ -202,3 +203,26 @@ def test_build_families_from_config():
     assert [f.name for f in fams] == ["constant", "blaschke", "polynomial"]
     with pytest.raises(ConfigurationError):
         build_families(validate_config(minimal_config()), np.array([0.0j]))
+
+
+def test_build_families_leaves_unset_keys_to_the_family_defaults():
+    centre = np.array([0.0j])
+    cfg = validate_config(minimal_config(families=[
+        {"kind": "polynomial"},
+        {"kind": "vertical"},
+        {"kind": "blaschke"},
+        {"kind": "polynomial", "degree": 3, "scale": 0.2},
+        {"kind": "vertical", "winding": 2, "s_range": [0.2, 0.5]},
+        {"kind": "blaschke", "zeros": 3, "s_range": [1.5, 3.0]},
+    ]))
+    fams = build_families(cfg, centre)
+    defaults = [PolynomialFamily(centre), VerticalFamily(centre),
+                BlaschkeFamily(centre)]
+    attrs = {"polynomial": ("degree", "scale"), "vertical": ("k", "s_range"),
+             "blaschke": ("k", "s_range")}
+    for got, ref in zip(fams, defaults):
+        for a in attrs[ref.name]:
+            assert getattr(got, a) == getattr(ref, a)
+    assert (fams[3].degree, fams[3].scale) == (3, 0.2)
+    assert (fams[4].k, fams[4].s_range) == (2, (0.2, 0.5))
+    assert (fams[5].k, fams[5].s_range) == (3, (1.5, 3.0))

@@ -170,6 +170,28 @@ def test_counterexample_parameter_validation():
         counterexample_pair(tau=0.5)
 
 
+@pytest.mark.parametrize("tau", [0.05, 0.1, 0.15, 0.19])
+def test_counterexample_margins_take_the_tube_wherever_it_is_larger(tau):
+    delta = 0.3
+    w, x, _ = counterexample_pair(delta=delta, tau=tau)
+    rng = np.random.default_rng(5)
+    near = curve_samples(delta)[rng.integers(0, CURVE_SAMPLES, 2000)]
+    near += 0.25 * (rng.standard_normal(near.shape)
+                    + 1j * rng.standard_normal(near.shape))
+    # 0.94 times the curve's start: slab margins 0.06, tube margin tau - 0.06
+    start = 0.94 * curve_samples(delta)[:1]
+    pts = np.concatenate([start, near])
+    a1, a2 = np.abs(pts[:, 0]), np.abs(pts[:, 1])
+    slabs = np.maximum(np.minimum(1.0 - a1, delta - a2),
+                       np.minimum(1.0 - a1, np.minimum(a2 - (1.0 - delta),
+                                                       1.0 - a2)))
+    box = np.minimum(1.0 - a1, 1.0 - a2)
+    tube = tau - _dist_to_curve(pts, _curve_table(delta))
+    assert np.array_equal(w.margin(pts), np.maximum(slabs, tube))
+    assert np.array_equal(x.margin(pts), np.maximum(box, tube))
+    assert abs(w.margin(start)[0] - max(0.06, tau - 0.06)) <= 1e-12
+
+
 def brute_dist_to_curve(points, delta):
     """Reference: the distance to every curve sample, 512 points at a time."""
     c1, c2 = _curve_points(delta, np.linspace(0.0, 1.0, CURVE_SAMPLES))

@@ -128,25 +128,79 @@ def test_cap_saturation_and_richardson():
     assert np.max(field.values) <= 4.0 + 1e-12
 
 
-def test_later_cap_starts_from_the_previous_field(monkeypatch):
-    # bounds +-2.0625 put nodes on the edge of X, where a warm start that
-    # went through interpolation reset the field to the cap
-    sweeps = []
+def counting_relax(monkeypatch):
+    """The cycle counts of the _relax calls made from here on."""
+    cycles = []
     relax = oracles._relax
 
     def counting(*args):
-        sweeps.append(relax(*args))
-        return sweeps[-1]
+        cycles.append(relax(*args))
+        return cycles[-1]
 
     monkeypatch.setattr(oracles, "_relax", counting)
+    return cycles
+
+
+def test_later_cap_starts_from_the_previous_field(monkeypatch):
+    # bounds +-2.0625 put nodes on the edge of X, where a warm start that
+    # went through interpolation reset the field to the cap
+    sweeps = counting_relax(monkeypatch)
     cfg = GridConfig(bounds=(-2.0625, 2.0625, -2.0625, 2.0625),
                      spacing=1.0 / 16, tol=1e-10, probes=(1.5 + 0.0j,))
     phi = obstacle_from_expression("log(abs(z1))", 1)
-    grid_obstacle_solver(planar_annulus_pair(), phi, [2.0, 3.0], cfg)
-    # first cap coarse to fine, second cap at h, then h/2
-    levels = oracles.CASCADE_LEVELS + 1
-    assert len(sweeps) == levels + 2
-    assert sweeps[levels] <= 2
+    caps = [2.0, 3.0]
+    grid_obstacle_solver(planar_annulus_pair(), phi, caps, cfg)
+    # one level per cap at h, then h/2
+    assert len(sweeps) == len(caps) + 1
+    assert sweeps[1] <= 2
+
+
+def test_prolongation_matches_bilinear_interpolation():
+    rng = np.random.default_rng(3)
+    for shape in [(5, 8), (6, 7), (2, 2)]:
+        e = rng.standard_normal(shape)
+        coarse = oracles.GridField(-2.0625, -1.5, 0.125, e, None)
+        ny, nx = 2 * shape[0] - 1, 2 * shape[1] - 1
+        fine = oracles._prolong(e, (ny, nx))
+        assert fine.shape == (ny, nx)
+        # interpolate takes the nodes below and left of the coarse grid's
+        # last row and column
+        xs = coarse.x0 + 0.0625 * np.arange(nx - 1)
+        ys = coarse.y0 + 0.0625 * np.arange(ny - 1)
+        zz = xs[None, :] + 1j * ys[:, None]
+        assert np.allclose(fine[:-1, :-1], coarse.interpolate(zz),
+                           rtol=1e-14, atol=1e-14)
+        assert np.array_equal(fine[::2, ::2], e)
+
+
+def test_prolongation_covers_a_fine_grid_one_node_longer():
+    # (x_max - x_min) / h is 66 + 7e-10: within _build_grid's 1e-9 slack at
+    # h, so 67 nodes, but not at h/2, so 134 where 2 * 67 - 1 = 133
+    e = np.arange(6.0).reshape(2, 3)
+    fine = oracles._prolong(e, (4, 6))
+    assert np.array_equal(fine[:3, :5], oracles._prolong(e, (3, 5)))
+    assert np.array_equal(fine[3], fine[2])
+    assert np.array_equal(fine[:, 5], fine[:, 4])
+    cfg = GridConfig(bounds=(-2.0625, -2.0625 + (66 + 7e-10) / 16,
+                             -2.0625, 2.0625),
+                     spacing=1.0 / 16, tol=1e-10, probes=(1.5 + 0.0j,))
+    phi = obstacle_from_expression("log(abs(z1))", 1)
+    field = grid_obstacle_solver(planar_annulus_pair(), phi, [2.0], cfg)
+    assert field.values.shape == (133, 134)
+    assert abs(field.interpolate(np.array([1.5 + 0.0j]))[0]
+               - np.log(1.5)) <= 1e-2
+
+
+def test_prolonged_start_saves_cycles_at_half_spacing(monkeypatch):
+    pair = planar_annulus_pair()
+    phi = obstacle_from_expression("log(abs(z1))", 1)
+    cfg = annulus_grid_config(tol=1e-10)
+    cycles = counting_relax(monkeypatch)
+    grid_obstacle_solver(pair, phi, [1.0], cfg)
+    oracles._solve_level(pair, phi, 1.0, cfg, cfg.spacing / 2)
+    # h cold, h/2 from the prolonged h field, h/2 cold
+    assert len(cycles) == 3
+    assert cycles[1] < cycles[2]
 
 
 @pytest.mark.parametrize("expr", ["log(abs(z1))", "-abs(z1)"])
@@ -156,14 +210,7 @@ def test_multigrid_converges_below_the_obstacle(monkeypatch, expr):
     # contact set has a free boundary inside W
     pair = planar_annulus_pair()
     phi = obstacle_from_expression(expr, 1)
-    cycles = []
-    relax = oracles._relax
-
-    def counting(*args):
-        cycles.append(relax(*args))
-        return cycles[-1]
-
-    monkeypatch.setattr(oracles, "_relax", counting)
+    cycles = counting_relax(monkeypatch)
     cfg = annulus_grid_config(tol=1e-10)
     field = grid_obstacle_solver(pair, phi, [1.0], cfg)
     # a cycle count that grows with the grid, as sweeps do, fails this
