@@ -124,9 +124,12 @@ def validate_config(raw):
     cfg.setdefault("starts", 8)
     cfg.setdefault("budget", 400)
     cfg.setdefault("penalty_weight", 1e3)
-    for key in ("quadrature_m", "seed", "starts", "budget"):
+    for key in ("quadrature_m", "seed"):
         _require(_is_int(cfg[key]) and cfg[key] >= 0,
                  f"config.{key}", "expected nonnegative integer")
+    for key in ("starts", "budget"):
+        _require(_is_int(cfg[key]) and cfg[key] >= 1,
+                 f"config.{key}", "expected integer >= 1")
     m = cfg["quadrature_m"]
     _require(m >= 8 and (m & (m - 1)) == 0, "config.quadrature_m",
              "expected a power of two >= 8")
@@ -199,10 +202,13 @@ def _validate_obstacle(obst):
 
 
 def _validate_family(fam, path):
-    _check_keys(fam, {"kind", "degree", "winding", "zeros", "s_range",
-                      "scale"}, path)
-    _require(fam.get("kind") in FAMILY_KINDS,
-             f"{path}.kind", f"unknown family kind {fam.get('kind')!r}")
+    _require(isinstance(fam, dict), path, "expected an object")
+    kind = fam.get("kind")
+    _require(isinstance(kind, str) and kind in FAMILY_KINDS,
+             f"{path}.kind", f"unknown family kind {kind!r}")
+    unknown = set(fam) - {"kind"} - set(FAMILY_KINDS[kind][1])
+    _require(not unknown, path,
+             f"unknown keys {sorted(unknown)} for kind {kind!r}")
     for key in ("degree", "zeros", "winding"):
         _require_int(fam, key, path, 1)
     _require_number(fam, "scale", path)

@@ -62,25 +62,27 @@ def _radius_powers(radii, k):
 
 
 def circle_eval(coeffs, radii, n):
-    """The power series sum_j coeffs[j] * z**j at z = r * exp(2*pi*i*q/n),
-    q = 0..n-1, for each r in ``radii``.
+    """The power series sum_j coeffs[b, j] * z**j of each series b of a
+    batch at z = r * exp(2*pi*i*q/n), q = 0..n-1, for each r in ``radii``.
 
     On a circle the series is an inverse DFT of the coefficients scaled
     by r**j and folded mod n, so one FFT replaces the Horner loop.
-    ``coeffs`` has shape (K,) or (K, d); the result has shape
-    (len(radii), n) + coeffs.shape[1:], radius-major.
+    ``coeffs`` has shape (B, K) or (B, K, d); the result has shape
+    (B, len(radii), n) + coeffs.shape[2:], radius-major.
     """
     coeffs = np.asarray(coeffs)
     radii = tuple(np.atleast_1d(np.asarray(radii, dtype=float)).tolist())
-    k = coeffs.shape[0]
-    powers = _radius_powers(radii, k)
-    scaled = coeffs * powers[(...,) + (None,) * (coeffs.ndim - 1)]
+    k = coeffs.shape[1]
+    extra = (1,) * (coeffs.ndim - 2)
+    powers = _radius_powers(radii, k).reshape((len(radii),) + extra + (k,))
+    # with the coefficient axis last and contiguous, the products and the
+    # fold run along rows rather than across the short trailing axes
+    rows = np.ascontiguousarray(np.moveaxis(coeffs, 1, -1))
+    scaled = rows[:, None] * powers
     if k % n:
-        pad = [(0, 0), (0, -k % n)] + [(0, 0)] * (coeffs.ndim - 1)
-        scaled = np.pad(scaled, pad)
-    folded = scaled.reshape(
-        (len(radii), -1, n) + coeffs.shape[1:]).sum(axis=1)
-    return n * np.fft.ifft(folded, axis=1)
+        scaled = np.pad(scaled, [(0, 0)] * (scaled.ndim - 1) + [(0, -k % n)])
+    folded = scaled.reshape(scaled.shape[:-1] + (-1, n)).sum(axis=-2)
+    return np.moveaxis(n * np.fft.ifft(folded, axis=-1), -1, 2)
 
 
 class AnalyticDisc:

@@ -110,7 +110,10 @@ def _curve_points(delta, t):
 
 CURVE_SAMPLES = 4096
 _BLOCK = 64       # consecutive samples per pruning block; divides CURVE_SAMPLES
-_CHUNK = 512      # points per pass: at most 512 x 4096 distances in memory
+# points per pass: a pass holds a few complex (_CHUNK, 64) arrays of block
+# distances; 128 points (one M = 128 disc) keep that near 0.5 MB when the
+# envelope search hands over batches of discs
+_CHUNK = 128
 
 
 def _curve_table(delta):

@@ -2,10 +2,13 @@
 
 Each family maps a real parameter vector to an AnalyticDisc whose value
 at 0 equals the prescribed centre by construction (never by penalty).
-``build`` is the only call per parameter vector.  When a vector cannot
-realise the centre (a free or solved-for Blaschke zero falls outside the
-unit disc) it raises InfeasibleParameters, which the optimiser turns into
-a barrier.
+``build_many(P, m)`` is the one construction: it maps the rows of P to
+boundary samples at m nodes, shape (B, m, n), and to each row's
+infeasibility excess, which is positive where a row cannot realise the
+centre (a free or solved-for Blaschke zero falls outside the unit disc)
+and 0 elsewhere.  The samples of such a row are unspecified; the search
+gives it a barrier.  ``build`` is the one-row view that raises
+InfeasibleParameters instead.
 """
 
 from __future__ import annotations
@@ -23,10 +26,19 @@ class DiscFamily:
     name = "family"
     n_params = 0
 
+    def build_many(self, P, m):
+        """Boundary samples (B, m, n) of the rows of P, shape
+        (B, n_params), and each row's infeasibility excess (B,)."""
+        raise NotImplementedError
+
     def build(self, params, m):
         """The AnalyticDisc for ``params`` sampled at m boundary nodes;
         raises InfeasibleParameters when ``params`` admit no such disc."""
-        raise NotImplementedError
+        P = np.asarray(params, dtype=float).reshape(1, self.n_params)
+        samples, excess = self.build_many(P, m)
+        if excess[0] > 0:
+            raise InfeasibleParameters(float(excess[0]))
+        return AnalyticDisc(samples[0])
 
     def initial(self, rng, start_index=0):
         return np.zeros(self.n_params)
@@ -41,8 +53,8 @@ class ConstantFamily(DiscFamily):
     def __init__(self, centre):
         self.centre = np.atleast_1d(np.asarray(centre, dtype=complex))
 
-    def build(self, params, m):
-        return AnalyticDisc(np.tile(self.centre, (m, 1)))
+    def build_many(self, P, m):
+        return np.tile(self.centre, (len(P), m, 1)), np.zeros(len(P))
 
 
 class PolynomialFamily(DiscFamily):
@@ -59,17 +71,14 @@ class PolynomialFamily(DiscFamily):
         self.n = self.centre.size
         self.n_params = 2 * degree * self.n
 
-    def _coeffs(self, params):
-        flat = params[:self.n_params].reshape(self.degree, self.n, 2)
-        return flat[..., 0] + 1j * flat[..., 1]
-
-    def build(self, params, m):
+    def build_many(self, P, m):
         if m // 2 <= self.degree:
             raise ConfigurationError("sample grid too small for degree")
-        c = np.zeros((m, self.n), dtype=complex)
-        c[0] = self.centre
-        c[1:self.degree + 1] = self._coeffs(np.asarray(params, dtype=float))
-        return AnalyticDisc(np.fft.ifft(c * m, axis=0))
+        flat = P.reshape(len(P), self.degree, self.n, 2)
+        c = np.zeros((len(P), m, self.n), dtype=complex)
+        c[:, 0] = self.centre
+        c[:, 1:self.degree + 1] = flat[..., 0] + 1j * flat[..., 1]
+        return np.fft.ifft(c * m, axis=1), np.zeros(len(P))
 
     def initial(self, rng, start_index=0):
         raw = rng.standard_normal(self.n_params)
@@ -96,12 +105,11 @@ class VerticalFamily(DiscFamily):
         self.k = winding
         self.s_range = s_range
 
-    def build(self, params, m):
-        s = float(np.exp(params[0]))
-        zeta = roots_of_unity(m)
-        samples = np.tile(self.centre, (m, 1))
-        samples[:, -1] = s * zeta ** self.k
-        return AnalyticDisc(samples)
+    def build_many(self, P, m):
+        s = np.exp(P[:, 0])
+        samples = np.tile(self.centre, (len(P), m, 1))
+        samples[:, :, -1] = s[:, None] * roots_of_unity(m) ** self.k
+        return samples, np.zeros(len(P))
 
     def initial(self, rng, start_index=0):
         lo, hi = self.s_range
@@ -130,35 +138,44 @@ class BlaschkeFamily(DiscFamily):
         self.target = complex(self.centre[-1])
         self.n_params = 2 + 2 * (n_zeros - 1)
 
-    def _zeros(self, params):
-        """(s, theta, zeros) of the product; raises InfeasibleParameters
-        when a free or the solved zero lies beyond ZERO_CAP."""
-        s = float(np.exp(params[0]))
-        theta = float(params[1])
-        free = np.asarray(params[2:], dtype=float).reshape(-1, 2)
-        zeros = free[:, 0] + 1j * free[:, 1] if free.size else \
-            np.zeros(0, dtype=complex)
-        if zeros.size and np.max(np.abs(zeros)) > ZERO_CAP:
-            raise InfeasibleParameters(
-                float(np.max(np.abs(zeros)) - ZERO_CAP))
+    def _zeros(self, P):
+        """(s, theta, zeros, excess) of each row: zeros has the free
+        zeros then the solved one; excess is how far the outermost free
+        zero, or else the solved zero, lies beyond ZERO_CAP (0 inside it,
+        and where a zero is undefined)."""
+        s, theta = np.exp(P[:, 0]), P[:, 1]
+        free = P[:, 2:].reshape(len(P), -1, 2)
+        zeros = free[..., 0] + 1j * free[..., 1]
+        excess = np.zeros(len(P))
+        if zeros.shape[1]:
+            excess = np.fmax(np.max(np.abs(zeros), axis=1) - ZERO_CAP, 0.0)
         if abs(self.target) < 1e-14:
-            solved = 0.0 + 0.0j
+            solved = np.zeros(len(P), dtype=complex)
         else:
-            denom = s * np.prod(-zeros) if zeros.size else s
-            solved = -self.target * np.exp(-1j * theta) / denom
-            if abs(solved) > ZERO_CAP:
-                raise InfeasibleParameters(abs(solved) - ZERO_CAP)
-        return s, theta, np.append(zeros, solved)
+            # numpy rounds a complex product of scalars differently from
+            # one of arrays, so the rotated target is formed row by row
+            rotated = np.array([-self.target * np.exp(-1j * t)
+                                for t in theta.tolist()])
+            denom = s * np.prod(-zeros, axis=1) if zeros.shape[1] else s
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
+                solved = rotated / denom
+            over = np.hypot(solved.real, solved.imag) - ZERO_CAP
+            excess = np.where(excess > 0, excess, np.fmax(over, 0.0))
+        return s, theta, np.concatenate([zeros, solved[:, None]], axis=1), \
+            excess
 
-    def build(self, params, m):
-        s, theta, zeros = self._zeros(np.asarray(params, dtype=float))
+    def build_many(self, P, m):
+        s, theta, zeros, excess = self._zeros(P)
         zeta = roots_of_unity(m)
-        fn = np.full(m, s * np.exp(1j * theta), dtype=complex)
-        for a in zeros:
-            fn *= (zeta - a) / (1.0 - np.conj(a) * zeta)
-        samples = np.tile(self.centre, (m, 1))
-        samples[:, -1] = fn
-        return AnalyticDisc(samples)
+        fn = np.repeat((s * np.exp(1j * theta))[:, None], m, axis=1)
+        # rows past ZERO_CAP are built too, and may divide by zero
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for a in zeros.T[:, :, None]:
+                fn *= (zeta - a) / (1.0 - np.conj(a) * zeta)
+        samples = np.tile(self.centre, (len(P), m, 1))
+        samples[:, :, -1] = fn
+        return samples, excess
 
     def initial(self, rng, start_index=0):
         lo, hi = self.s_range
@@ -191,5 +208,6 @@ class ShellFamily(DiscFamily):
     def __init__(self, centre):
         self.centre = np.atleast_1d(np.asarray(centre, dtype=complex))
 
-    def build(self, params, m):
-        return shell_disc(self.centre, m=m)
+    def build_many(self, P, m):
+        samples = shell_disc(self.centre, m=m).samples
+        return np.repeat(samples[None], len(P), axis=0), np.zeros(len(P))

@@ -22,30 +22,48 @@ class QuadratureGrid:
         self.M = m
 
 
+def boundary_averages(samples, phi):
+    """The boundary average of phi along each disc of a batch: the mean of
+    phi over the nodes of samples (B, M, n), one value per disc.  A disc
+    along which phi is not finite gets a value that is not finite."""
+    return np.mean(phi(samples), axis=-1)
+
+
 def poisson_functional(disc, phi):
     """The boundary average of phi along the disc: mean of phi(f(node))
     over the disc's own sample grid."""
-    values = phi(disc.samples)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.argmax(~np.isfinite(values)))
+    value = float(boundary_averages(disc.samples[None], phi)[0])
+    if not np.isfinite(value):
         raise EvaluationError(
-            f"obstacle evaluation not finite at boundary node {bad}")
-    return float(np.mean(values))
+            "obstacle evaluation not finite at a boundary node")
+    return value
+
+
+def partial_stats(samples, phi, w):
+    """Mass and integral of phi over the part of each disc's boundary
+    inside W, for samples (B, M, n).
+
+    The mass is the fraction of nodes with positive W-margin; the
+    integral sums phi over those nodes only, with weight 1/M.  phi is
+    evaluated at no other node.  A disc whose in-W values are not all
+    finite gets an integral that is not finite.
+    """
+    m = samples.shape[1]
+    inside = w.margin(samples) > 0
+    counts = np.count_nonzero(inside, axis=1)
+    values = phi(samples[inside])
+    ends = np.cumsum(counts).tolist()
+    # each disc's sum runs over its own values alone, as for one disc
+    integral = np.array([np.sum(values[e - c:e])
+                         for c, e in zip(counts.tolist(), ends)]) / m
+    return counts / m, integral
 
 
 def partial_boundary_stats(disc, phi, w):
-    """Mass and integral of phi over the part of the boundary inside W.
-
-    Returns (mass, integral) where mass is the fraction of boundary nodes
-    with positive W-margin and integral sums phi only over those nodes
-    with weight 1/M.  A boundary entirely outside W yields (0.0, 0.0).
-    """
-    inside = w.margin(disc.samples) > 0
-    mass = float(np.count_nonzero(inside)) / disc.M
-    if mass == 0.0:
-        return 0.0, 0.0
-    values = phi(disc.samples[inside])
-    if not np.all(np.isfinite(values)):
+    """Mass and integral of phi over the part of the boundary inside W
+    (``partial_stats`` of one disc).  A boundary entirely outside W
+    yields (0.0, 0.0)."""
+    mass, integral = partial_stats(disc.samples[None], phi, w)
+    if not np.isfinite(integral[0]):
         raise EvaluationError("obstacle evaluation not finite on boundary arc")
-    integral = float(np.sum(values)) / disc.M
-    return mass, integral
+    return float(mass[0]), float(integral[0])

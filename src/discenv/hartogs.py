@@ -102,8 +102,8 @@ def hartogs_homotopy(f, t):
     m = f.M
     a = _analytic_log_coeffs(fn)[:m // 2 + 1]
 
-    base = circle_eval(f.coeffs[:m // 2, :-1], t, m)[0]
-    log_t, log_1 = circle_eval(a, (t, 1.0), m)
+    base = circle_eval(f.coeffs[None, :m // 2, :-1], t, m)[0, 0]
+    log_t, log_1 = circle_eval(a[None], (t, 1.0), m)[0]
     ratio = np.exp(log_t - log_1)
     samples = np.concatenate([base, (fn * ratio)[:, None]], axis=1)
     return AnalyticDisc(samples)

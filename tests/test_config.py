@@ -1,8 +1,11 @@
 """Obstacle expression grammar and JSON config validation."""
 
+import json
+
 import numpy as np
 import pytest
 
+from discenv import cli
 from discenv.config import build_families, build_pair, parse_point, \
     validate_config
 from discenv.errors import ConfigurationError
@@ -81,6 +84,41 @@ def test_unknown_family_kind_rejected():
         validate_config(minimal_config(families=[{"kind": "spline"}]))
 
 
+@pytest.mark.parametrize("family, key", [
+    ({"kind": "constant", "degree": 3}, "degree"),
+    ({"kind": "constant", "s_range": [1, 2]}, "s_range"),
+    ({"kind": "shell", "zeros": 2}, "zeros"),
+    ({"kind": "vertical", "zeros": 5}, "zeros"),
+    ({"kind": "vertical", "scale": 9}, "scale"),
+    ({"kind": "polynomial", "winding": 2}, "winding"),
+    ({"kind": "blaschke", "degree": 2}, "degree"),
+])
+def test_family_key_of_another_kind_rejected(family, key):
+    with pytest.raises(ConfigurationError,
+                       match=f"unknown keys \\['{key}'\\] for kind"):
+        validate_config(minimal_config(families=[family]))
+
+
+@pytest.mark.parametrize("family", [{"kind": "constant", "degree": 3},
+                                    {"kind": "vertical", "zeros": 5}])
+def test_family_key_of_another_kind_exits_two(tmp_path, capsys, family):
+    cfg = minimal_config(points=[[[1.5, 0.0]]], families=[family])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert cli.main(["envelope", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.families[0]: unknown keys")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_unhashable_family_kind_rejected():
+    with pytest.raises(ConfigurationError, match="family kind"):
+        validate_config(minimal_config(families=[{"kind": ["constant"]}]))
+
+
 def test_obstacle_needs_exactly_one_source():
     with pytest.raises(ConfigurationError):
         validate_config(minimal_config(obstacle={}))
@@ -156,6 +194,9 @@ def test_partial_eps_range_checked():
     ({"points": [[[True, 0]]]}, "points"),
     ({"homotopy": {"steps": True}}, "homotopy.steps"),
     ({"cesaro": {"j_values": [8, True]}}, "cesaro.j_values"),
+    ({"starts": 0}, "starts"),
+    ({"budget": 0}, "budget"),
+    ({"budget": -3}, "budget"),
 ])
 def test_malformed_values_rejected(overrides, path):
     with pytest.raises(ConfigurationError, match=path):

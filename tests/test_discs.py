@@ -123,10 +123,37 @@ def test_circle_eval_matches_taylor_eval(coeff_shape):
     # decay like 1/j keeps the sums O(1) against the absolute tolerance
     c /= np.arange(1, coeff_shape[0] + 1).reshape(
         (-1,) + (1,) * (c.ndim - 1))
-    got = circle_eval(c, radii, n)
+    got = circle_eval(c[None], radii, n)
     points = radii[:, None] * roots_of_unity(n)[None, :]
-    assert got.shape == (radii.size, n) + c.shape[1:]
-    assert np.max(np.abs(got - taylor_eval(c, points))) <= 1e-13
+    assert got.shape == (1, radii.size, n) + c.shape[1:]
+    assert np.max(np.abs(got[0] - taylor_eval(c, points))) <= 1e-13
+
+
+def one_series_circle_eval(coeffs, radii, n):
+    """circle_eval of one series (K,) or (K, d), with the coefficient axis
+    first, as it was written before it took batches."""
+    k = coeffs.shape[0]
+    powers = np.asarray(radii)[:, None] ** np.arange(k)
+    scaled = coeffs * powers[(...,) + (None,) * (coeffs.ndim - 1)]
+    if k % n:
+        pad = [(0, 0), (0, -k % n)] + [(0, 0)] * (coeffs.ndim - 1)
+        scaled = np.pad(scaled, pad)
+    folded = scaled.reshape(
+        (len(radii), -1, n) + coeffs.shape[1:]).sum(axis=1)
+    return n * np.fft.ifft(folded, axis=1)
+
+
+@pytest.mark.parametrize("shape", [(5, 48), (3, 37, 2), (8, 256, 2),
+                                   (2, 64, 3)])
+def test_circle_eval_rows_equal_the_one_series_evaluation(shape):
+    """Each series of a batch evaluates to the same floats as the
+    one-series fold does for it alone."""
+    rng = np.random.default_rng(shape[1])
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    radii = (0.25, 0.5, 0.75, 0.95)
+    got = circle_eval(c, radii, 32)
+    for b in range(shape[0]):
+        assert np.array_equal(got[b], one_series_circle_eval(c[b], radii, 32))
 
 
 def test_cached_tables_are_read_only_and_bounded():
@@ -134,7 +161,7 @@ def test_cached_tables_are_read_only_and_bounded():
         roots_of_unity(16)[0] = 1.0
     c = np.ones(8, dtype=complex)
     for t in np.linspace(0.1, 0.9, 40):
-        circle_eval(c, (t, 1.0), 8)
+        circle_eval(c[None], (t, 1.0), 8)
     powers = discs._radius_powers
     assert powers.cache_info().currsize <= powers.cache_info().maxsize
     with pytest.raises(ValueError):

@@ -9,7 +9,9 @@ from discenv.errors import ConfigurationError, EvaluationError
 from discenv.expressions import obstacle_from_expression
 from discenv.functionals import (
     QuadratureGrid,
+    boundary_averages,
     partial_boundary_stats,
+    partial_stats,
     poisson_functional,
 )
 
@@ -119,3 +121,21 @@ def test_partial_mass_against_refined_grid():
     assert 0.0 <= mass <= 1.0
     sampled = disc.samples[w.margin(disc.samples) > 0]
     assert abs(integral) <= mass * np.max(np.abs(LOG_ABS(sampled))) + 1e-14
+
+
+def test_batched_stats_equal_the_one_disc_sums():
+    """Each disc of a batch sums phi over its own in-W nodes alone, as
+    one disc does; a zero-filled row would round differently."""
+    w, _ = planar_annulus_pair()
+    rng = np.random.default_rng(5)
+    centres = rng.uniform(-1.0, 1.0, 20) + 1j * rng.uniform(-1.0, 1.0, 20)
+    radii = rng.uniform(0.5, 1.5, 20)
+    samples = (centres[:, None] + radii[:, None] * roots_of_unity(256))
+    samples = samples[..., None]
+    mass, integral = partial_stats(samples, LOG_ABS, w)
+    averages = boundary_averages(samples, LOG_ABS)
+    for i, one in enumerate(samples):
+        inside = w.margin(one) > 0
+        assert mass[i] == np.count_nonzero(inside) / 256
+        assert integral[i] == np.sum(LOG_ABS(one[inside])) / 256
+        assert averages[i] == np.mean(LOG_ABS(one))
