@@ -106,12 +106,7 @@ def _oracle_values(cfg, points, w, x_spec, phi, hartogs, outdir):
     spacing = float(oracle.get("spacing", 1.0 / 128))
     probes = [complex(p[0]) for p in points]
     gcfg = GridConfig(bounds=bounds, spacing=spacing, probes=tuple(probes))
-    caps = oracle.get("caps")
-    if caps is None:
-        sample = phi(np.asarray(probes, dtype=complex)[:, None])
-        m = float(np.max(sample)) + 1.0
-        caps = [m + 1, m + 2, m + 4, m + 8]
-    field = grid_obstacle_solver((w, x_spec), phi, caps, gcfg)
+    field = grid_obstacle_solver((w, x_spec), phi, gcfg)
     field.to_csv(os.path.join(outdir, "grid_field.csv"))
     return [float(v) for v in field.interpolate(np.asarray(probes))]
 

@@ -221,7 +221,7 @@ def _validate_family(fam, path):
 
 
 def _validate_oracle(oracle):
-    _check_keys(oracle, {"kind", "spacing", "bounds", "caps", "expr"},
+    _check_keys(oracle, {"kind", "spacing", "bounds", "expr"},
                 "config.oracle")
     _require(oracle.get("kind") in {"kiselman", "grid", "closed_form"},
              "config.oracle.kind", f"unknown oracle {oracle.get('kind')!r}")
@@ -237,12 +237,6 @@ def _validate_oracle(oracle):
                  and all(_is_number(v) for v in b)
                  and b[0] < b[1] and b[2] < b[3], "config.oracle.bounds",
                  "expected [x_min, x_max, y_min, y_max] with min < max")
-    if "caps" in oracle:
-        caps = oracle["caps"]
-        _require(isinstance(caps, (list, tuple)) and len(caps) > 0
-                 and all(_is_number(c) for c in caps)
-                 and list(caps) == sorted(caps), "config.oracle.caps",
-                 "expected a nonempty increasing list of numbers")
 
 
 # ---------------------------------------------------------------------------

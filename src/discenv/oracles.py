@@ -2,13 +2,12 @@
 
 Three oracles: the fiberwise infimum of a rotation-invariant obstacle on
 a Hartogs pair, a planar grid solver for the largest subharmonic function
-below a capped obstacle, and a sampled sub-mean-value check of
+below an obstacle on W, and a sampled sub-mean-value check of
 (pluri)subharmonicity along complex lines.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -103,13 +102,15 @@ class GridField:
     Mask codes: 0 outside, 1 inside X only, 2 inside W.
     """
 
+    #: the end of a grid_field.csv row, by mask code
+    _ROW_ENDS = {m: f",{m}\r\n" for m in range(3)}
+
     def __init__(self, x0, y0, h, values, mask):
         self.x0 = x0
         self.y0 = y0
         self.h = h
         self.values = values
         self.mask = mask
-        self.per_cap_probe_values = {}
         self.richardson = {}
 
     def points(self):
@@ -138,18 +139,27 @@ class GridField:
                 + tx * ty * v[iy + 1, ix + 1])
 
     def to_csv(self, path):
+        """Rows x,y,value,mask per node, row by row of the grid, numbers
+        as repr and CRLF line ends: the bytes csv.writer would write, put
+        together as one string per grid row."""
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         xs, ys = self.points()
-        xr = [repr(x) for x in xs.tolist()]
+        xr = [repr(x) + "," for x in xs.tolist()]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "value", "mask"])
+            fh.write("x,y,value,mask\r\n")
             for y, vals, mask in zip(ys.tolist(), self.values, self.mask):
-                writer.writerows(zip(xr, itertools.repeat(repr(y)),
-                                     map(repr, vals.tolist()), mask.tolist()))
+                fh.write("".join(itertools.chain.from_iterable(zip(
+                    xr, itertools.repeat(repr(y) + ","),
+                    map(repr, vals.tolist()),
+                    map(self._ROW_ENDS.__getitem__, mask.tolist())))))
 
 
-def _build_grid(pair, phi, cap, cfg, h):
+def _build_grid(pair, phi, cfg, h):
+    """Nodes, mask, obstacle and top = max of phi over the W nodes at
+    spacing h.  The obstacle is phi on W and +inf on X \\ W; a node
+    outside X holds phi on the ghost ring where phi is finite and top
+    elsewhere, a finite value that keeps the multigrid defect free of
+    inf - inf."""
     w_spec, x_spec = pair
     x_min, x_max, y_min, y_max = cfg.bounds
     # enough nodes to reach the bounds, also where h does not divide them
@@ -163,14 +173,20 @@ def _build_grid(pair, phi, cap, cfg, h):
     mask = np.zeros((ny, nx), dtype=np.int8)
     mask[mx > 0] = 1
     mask[mw > 0] = 2
-    obst = np.full((ny, nx), cap, dtype=float)
     inside_w = mask == 2
-    obst[inside_w] = phi(zz[inside_w])
-    bad = inside_w & ~np.isfinite(obst)
+    if not inside_w.any():
+        raise ConfigurationError(
+            f"no grid node lies in W at spacing {h} within bounds "
+            f"{tuple(cfg.bounds)}")
+    phi_w = phi(zz[inside_w])
+    bad = ~np.isfinite(phi_w)
     if np.any(bad):
-        node = complex(zz[bad][0, 0])
+        node = complex(zz[inside_w][bad][0, 0])
         raise EvaluationError(
             f"obstacle not finite at grid node {node} (spacing {h})")
+    top = float(np.max(phi_w))
+    obst = np.where(mask == 1, np.inf, top)
+    obst[inside_w] = phi_w
     # ghost ring: outside-X nodes adjacent to inside nodes carry the
     # obstacle value there when it is finite (the obstacle is assumed
     # evaluable on a thin ring beyond the outer boundary)
@@ -184,9 +200,8 @@ def _build_grid(pair, phi, cap, cfg, h):
     if np.any(ghost):
         with np.errstate(divide="ignore", invalid="ignore"):
             gvals = phi(zz[ghost])
-        gvals = np.where(np.isfinite(gvals), gvals, cap)
-        obst[ghost] = gvals
-    return xs, ys, mask, obst
+        obst[ghost] = np.where(np.isfinite(gvals), gvals, top)
+    return xs, ys, mask, obst, top
 
 
 def _sweep(u, lo, hi, rhs=None):
@@ -298,14 +313,14 @@ def _relax(u, obst, active, tol):
         f"after {MAX_SWEEPS} cycles (last change {change:.3e} > {tol:.3e})")
 
 
-def _solve_level(pair, phi, cap, cfg, h, start=None):
-    """The field for one cap at spacing h, relaxed from the cap (start
-    None), from start as it is when it has this grid's shape, or else from
-    start prolonged from the grid of spacing 2h."""
-    xs, ys, mask, obst = _build_grid(pair, phi, cap, cfg, h)
+def _solve_level(pair, phi, cfg, h, start=None):
+    """The field at spacing h, relaxed from top (start None), from start
+    as it is when it has this grid's shape, or else from start prolonged
+    from the grid of spacing 2h."""
+    xs, ys, mask, obst, top = _build_grid(pair, phi, cfg, h)
     active = mask > 0
     if start is None:
-        start = cap
+        start = top
     elif start.shape != mask.shape:
         start = _prolong(start, mask.shape)
     u = obst.copy()
@@ -314,37 +329,24 @@ def _solve_level(pair, phi, cap, cfg, h, start=None):
     return GridField(xs[0], ys[0], h, u, mask)
 
 
-def grid_obstacle_solver(pair, phi, cap_sequence, cfg):
-    """Largest subharmonic minorant of the capped obstacle on a planar pair.
+def grid_obstacle_solver(pair, phi, cfg):
+    """Largest subharmonic function on the planar X that is at most phi on
+    W (the largest subextension), on grids of spacing h = cfg.spacing
+    and h/2.
 
-    For each cap n in the increasing ``cap_sequence`` the obstacle is phi
-    on W and n on X \\ W; the relaxation u <- min(obstacle, four-neighbour
-    mean) is iterated to a fixed point.  Beyond the point where the cap
-    exceeds sup phi the fixed points coincide, so the per-cap probe values
-    saturate.  At cfg.spacing the first cap starts from the cap itself
-    (multigrid needs no coarser warm start) and each later cap from the
-    previous cap's field; the field for the largest cap is returned,
-    solved once more at cfg.spacing / 2 from the prolonged cfg.spacing
-    field, with the probe-wise difference kept as an error estimate.
+    The obstacle is phi on W and +inf on X \\ W; the relaxation
+    u <- min(obstacle, four-neighbour mean) is iterated to a fixed point.
+    At h it starts from top, the largest W-node value of phi, which bounds
+    the solution by the maximum principle; at h/2 from the prolonged h
+    field.  The h/2 field is returned, with the probe-wise difference to
+    the h field kept as an error estimate.
     """
     w_spec, x_spec = pair
     if w_spec.n != 1 or x_spec.n != 1:
         raise UnsupportedDimensionError(
             "grid obstacle solver is planar only (one complex dimension)")
-    caps = list(cap_sequence)
-    if caps != sorted(caps):
-        raise ConfigurationError("cap sequence must be increasing")
-    per_cap = {}
-    coarse = None
-    for cap in caps:
-        coarse = _solve_level(pair, phi, cap, cfg, cfg.spacing,
-                              None if coarse is None else coarse.values)
-        if cfg.probes:
-            per_cap[cap] = [float(v) for v in
-                            coarse.interpolate(np.asarray(cfg.probes))]
-    fine = _solve_level(pair, phi, caps[-1], cfg, cfg.spacing / 2,
-                        coarse.values)
-    fine.per_cap_probe_values = per_cap
+    coarse = _solve_level(pair, phi, cfg, cfg.spacing)
+    fine = _solve_level(pair, phi, cfg, cfg.spacing / 2, coarse.values)
     if cfg.probes:
         pts = np.asarray(cfg.probes)
         fine.richardson = {

@@ -95,10 +95,8 @@ def annulus_field():
     pair = planar_annulus_pair()
     cfg = GridConfig(bounds=(-2.1, 2.1, -2.1, 2.1), spacing=1.0 / 128,
                      tol=1e-6, probes=(0.0 + 0.0j, 0.5 + 0.0j, 1.5 + 0.0j))
-    sup_phi = np.log(2.0)
-    caps = [sup_phi + 1, sup_phi + 2, sup_phi + 4, sup_phi + 8]
     t0 = time.perf_counter()
-    field = grid_obstacle_solver(pair, LOG_ABS, caps, cfg)
+    field = grid_obstacle_solver(pair, LOG_ABS, cfg)
     return field, time.perf_counter() - t0
 
 

@@ -111,8 +111,8 @@ def test_validation_failure_exits_two_without_outputs(tmp_path):
     {"families": [{"kind": "polynomial", "degree": "two"}]},
     {"penalty_weight": "big"},
     {"families": [{"kind": "blaschke", "s_range": [2.0]}]},
-    {"oracle": {"kind": "grid", "caps": "abc"}},
-    {"oracle": {"kind": "grid", "caps": []}},
+    {"oracle": {"kind": "grid", "caps": [1.0, 2.0]}},
+    {"oracle": {"kind": "grid", "caps": [2.0, 3.0, 5.0, 9.0]}},
     {"oracle": {"kind": "grid", "bounds": [1, 2]}},
     {"oracle": {"kind": "grid", "spacing": "x"}},
     {"oracle": {"kind": "grid", "spacing": -0.125}},
@@ -182,13 +182,28 @@ def test_non_finite_grid_obstacle_exits_two(tmp_path, capsys):
     # log|z1 - 1.5| is -inf at a node of the h/2 level
     cfg = dict(ANNULUS_CONFIG, points=[[[1.5, 0.0]]],
                obstacle={"expr": "log(abs(z1 - 1.5))"},
-               oracle={"kind": "grid", "spacing": 0.125, "caps": [1, 2]})
+               oracle={"kind": "grid", "spacing": 0.125})
     cfg_path = write_config(tmp_path, cfg)
     out = tmp_path / "run"
     assert run(["oracle", "--config", cfg_path, "--out", out,
                 "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: obstacle not finite at grid node")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_grid_with_no_node_in_w_exits_two(tmp_path, capsys):
+    # every node of the +-0.5 box lies in X but inside the annulus hole
+    cfg = dict(ANNULUS_CONFIG, points=[[[0.1, 0.0]]],
+               oracle={"kind": "grid", "spacing": 0.25,
+                       "bounds": [-0.5, 0.5, -0.5, 0.5]})
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert run(["oracle", "--config", cfg_path, "--out", out,
+                "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no grid node lies in W at spacing 0.25")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 

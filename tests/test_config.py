@@ -150,10 +150,13 @@ def test_partial_eps_range_checked():
     ({"families": [{"kind": "blaschke", "s_range": 1.0}]}, "s_range"),
     ({"penalty_weight": "big"}, "penalty_weight"),
     ({"penalty_weight": 0}, "penalty_weight"),
-    ({"oracle": {"kind": "grid", "caps": "abc"}}, "oracle.caps"),
-    ({"oracle": {"kind": "grid", "caps": []}}, "oracle.caps"),
-    ({"oracle": {"kind": "grid", "caps": [3.0, 1.0]}}, "oracle.caps"),
-    ({"oracle": {"kind": "grid", "caps": [1.0, "x"]}}, "oracle.caps"),
+    # the grid oracle has no caps: any caps value is an unknown key
+    ({"oracle": {"kind": "grid", "caps": "abc"}}, "oracle: unknown keys"),
+    ({"oracle": {"kind": "grid", "caps": []}}, "oracle: unknown keys"),
+    ({"oracle": {"kind": "grid", "caps": [1.0, 2.0]}},
+     "oracle: unknown keys"),
+    ({"oracle": {"kind": "grid", "caps": [2.0, 3.0, 5.0, 9.0]}},
+     "oracle: unknown keys"),
     ({"oracle": {"kind": "grid", "bounds": [1, 2]}}, "oracle.bounds"),
     ({"oracle": {"kind": "grid", "bounds": [1, 0, -1, 1]}}, "oracle.bounds"),
     ({"oracle": {"kind": "grid", "bounds": [-1, 1, 1, 1]}}, "oracle.bounds"),

@@ -5,10 +5,10 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from discenv.domains import Obstacle, ball, planar_annulus_pair
 from discenv.errors import (
-    ConfigurationError,
     EvaluationError,
     PreconditionError,
     UnsupportedDimensionError,
@@ -97,7 +97,7 @@ def annulus_grid_config(spacing=1.0 / 32, **overrides):
 def test_constant_obstacle_gives_constant_field():
     pair = planar_annulus_pair()
     phi = obstacle_from_expression("0.75", 1)
-    field = grid_obstacle_solver(pair, phi, [1.0, 2.0], annulus_grid_config())
+    field = grid_obstacle_solver(pair, phi, annulus_grid_config())
     inside = field.mask > 0
     assert np.max(np.abs(field.values[inside] - 0.75)) <= 1e-6
 
@@ -106,7 +106,7 @@ def test_harmonic_obstacle_extends_harmonically():
     # Re z is harmonic, so the maximal subharmonic minorant is Re z itself
     pair = planar_annulus_pair()
     phi = obstacle_from_expression("re(z1)", 1)
-    field = grid_obstacle_solver(pair, phi, [3.0],
+    field = grid_obstacle_solver(pair, phi,
                                  annulus_grid_config(spacing=1.0 / 64))
     xs, ys = field.points()
     zz = xs[None, :] + 1j * ys[:, None]
@@ -115,17 +115,15 @@ def test_harmonic_obstacle_extends_harmonically():
     assert np.max(err[interior]) <= 1e-2
 
 
-def test_cap_saturation_and_richardson():
+def test_richardson_difference_at_each_probe():
     pair = planar_annulus_pair()
     phi = obstacle_from_expression("log(abs(z1))", 1)
     cfg = annulus_grid_config()
-    field = grid_obstacle_solver(pair, phi, [1.0, 2.0, 4.0], cfg)
-    per_cap = field.per_cap_probe_values
-    last, prev = per_cap[4.0], per_cap[2.0]
-    assert np.max(np.abs(np.asarray(last) - np.asarray(prev))) <= 1e-6
-    assert len(field.richardson["probe_abs_diff"]) == len(cfg.probes)
-    # field values never exceed the obstacle cap
-    assert np.max(field.values) <= 4.0 + 1e-12
+    field = grid_obstacle_solver(pair, phi, cfg)
+    coarse = oracles._solve_level(pair, phi, cfg, cfg.spacing)
+    pts = np.asarray(cfg.probes)
+    expected = np.abs(coarse.interpolate(pts) - field.interpolate(pts))
+    assert field.richardson["probe_abs_diff"] == expected.tolist()
 
 
 def counting_relax(monkeypatch):
@@ -141,18 +139,37 @@ def counting_relax(monkeypatch):
     return cycles
 
 
-def test_later_cap_starts_from_the_previous_field(monkeypatch):
-    # bounds +-2.0625 put nodes on the edge of X, where a warm start that
-    # went through interpolation reset the field to the cap
-    sweeps = counting_relax(monkeypatch)
+def test_solver_relaxes_at_h_then_half_h(monkeypatch):
+    # bounds +-2.0625 put nodes on the edge of X
+    calls = []
+    relax = oracles._relax
+
+    def recording(u, obst, active, tol):
+        calls.append((u, u.copy(), obst, active))
+        return relax(u, obst, active, tol)
+
+    monkeypatch.setattr(oracles, "_relax", recording)
+    pair = planar_annulus_pair()
     cfg = GridConfig(bounds=(-2.0625, 2.0625, -2.0625, 2.0625),
                      spacing=1.0 / 16, tol=1e-10, probes=(1.5 + 0.0j,))
     phi = obstacle_from_expression("log(abs(z1))", 1)
-    caps = [2.0, 3.0]
-    grid_obstacle_solver(planar_annulus_pair(), phi, caps, cfg)
-    # one level per cap at h, then h/2
-    assert len(sweeps) == len(caps) + 1
-    assert sweeps[1] <= 2
+    field = grid_obstacle_solver(pair, phi, cfg)
+    assert [u.shape for u, *_ in calls] == [(67, 67), (133, 133)]
+    # h starts from top, the max of phi over the W nodes: phi on W, top on
+    # X \ W, where the obstacle is +inf
+    _, mask, obst, top = oracles._build_grid(pair, phi, cfg, cfg.spacing)[1:]
+    _, start, relax_obst, _ = calls[0]
+    assert np.array_equal(relax_obst, obst)
+    assert top == np.max(obst[mask == 2])
+    assert np.all(obst[mask == 1] == np.inf)
+    assert np.all(start[mask == 1] == top)
+    assert np.array_equal(start[mask == 2], obst[mask == 2])
+    # h/2 starts from the h field, prolonged and held below the obstacle
+    coarse = calls[0][0]
+    u, start, obst, active = calls[1]
+    assert u is field.values
+    assert np.array_equal(start[active], np.minimum(
+        obst, oracles._prolong(coarse, u.shape))[active])
 
 
 def test_prolongation_matches_bilinear_interpolation():
@@ -185,7 +202,7 @@ def test_prolongation_covers_a_fine_grid_one_node_longer():
                              -2.0625, 2.0625),
                      spacing=1.0 / 16, tol=1e-10, probes=(1.5 + 0.0j,))
     phi = obstacle_from_expression("log(abs(z1))", 1)
-    field = grid_obstacle_solver(planar_annulus_pair(), phi, [2.0], cfg)
+    field = grid_obstacle_solver(planar_annulus_pair(), phi, cfg)
     assert field.values.shape == (133, 134)
     assert abs(field.interpolate(np.array([1.5 + 0.0j]))[0]
                - np.log(1.5)) <= 1e-2
@@ -196,8 +213,8 @@ def test_prolonged_start_saves_cycles_at_half_spacing(monkeypatch):
     phi = obstacle_from_expression("log(abs(z1))", 1)
     cfg = annulus_grid_config(tol=1e-10)
     cycles = counting_relax(monkeypatch)
-    grid_obstacle_solver(pair, phi, [1.0], cfg)
-    oracles._solve_level(pair, phi, 1.0, cfg, cfg.spacing / 2)
+    grid_obstacle_solver(pair, phi, cfg)
+    oracles._solve_level(pair, phi, cfg, cfg.spacing / 2)
     # h cold, h/2 from the prolonged h field, h/2 cold
     assert len(cycles) == 3
     assert cycles[1] < cycles[2]
@@ -212,14 +229,13 @@ def test_multigrid_converges_below_the_obstacle(monkeypatch, expr):
     phi = obstacle_from_expression(expr, 1)
     cycles = counting_relax(monkeypatch)
     cfg = annulus_grid_config(tol=1e-10)
-    field = grid_obstacle_solver(pair, phi, [1.0], cfg)
+    field = grid_obstacle_solver(pair, phi, cfg)
     # a cycle count that grows with the grid, as sweeps do, fails this
     assert cycles[-1] <= 100
-    ref = grid_obstacle_solver(pair, phi, [1.0],
-                               annulus_grid_config(tol=1e-13))
+    ref = grid_obstacle_solver(pair, phi, annulus_grid_config(tol=1e-13))
     u = field.values
     assert np.max(np.abs(u - ref.values)) <= 1e-9
-    _, _, mask, obst = oracles._build_grid(pair, phi, 1.0, cfg, field.h)
+    _, _, mask, obst, _ = oracles._build_grid(pair, phi, cfg, field.h)
     active = mask > 0
     assert np.all(u[active] <= obst[active])
     # a cycle whose coarse correction undoes its sweeps stops on a small
@@ -235,14 +251,14 @@ def test_non_finite_obstacle_at_a_w_node_raises():
     cfg = GridConfig(bounds=(-2.0625, 2.0625, -2.0625, 2.0625),
                      spacing=0.125, probes=(1.5 + 0.0j,))
     with pytest.raises(EvaluationError, match=r"grid node \(1\.5\+0j\)"):
-        grid_obstacle_solver(planar_annulus_pair(), phi, [1.0, 2.0], cfg)
+        grid_obstacle_solver(planar_annulus_pair(), phi, cfg)
 
 
 def test_relaxation_at_the_sweep_cap_raises(monkeypatch):
     monkeypatch.setattr(oracles, "MAX_SWEEPS", 2)
     phi = obstacle_from_expression("log(abs(z1))", 1)
     with pytest.raises(EvaluationError, match="not converged after 2 cycles"):
-        grid_obstacle_solver(planar_annulus_pair(), phi, [1.0],
+        grid_obstacle_solver(planar_annulus_pair(), phi,
                              annulus_grid_config())
 
 
@@ -252,14 +268,14 @@ def test_relaxation_that_stalls_off_the_fixed_point_raises(monkeypatch):
     monkeypatch.setattr(oracles, "_sweep", lambda *args: None)
     phi = obstacle_from_expression("log(abs(z1))", 1)
     with pytest.raises(EvaluationError, match="stalled after 1 cycles"):
-        grid_obstacle_solver(planar_annulus_pair(), phi, [1.0],
+        grid_obstacle_solver(planar_annulus_pair(), phi,
                              annulus_grid_config())
 
 
 def test_relaxation_is_below_initial_cap():
     pair = planar_annulus_pair()
     phi = obstacle_from_expression("log(abs(z1))", 1)
-    field = grid_obstacle_solver(pair, phi, [1.0], annulus_grid_config())
+    field = grid_obstacle_solver(pair, phi, annulus_grid_config())
     inside_w = field.mask == 2
     xs, ys = field.points()
     zz = xs[None, :] + 1j * ys[:, None]
@@ -267,24 +283,37 @@ def test_relaxation_is_below_initial_cap():
                   <= np.log(np.abs(zz[inside_w])) + 1e-10)
 
 
+COEFFICIENT = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(a=COEFFICIENT, b=COEFFICIENT, c=COEFFICIENT, d=COEFFICIENT)
+def test_field_is_below_phi_on_w_and_below_top_on_x(a, b, c, d):
+    # the largest subextension is at most phi on W and, by the maximum
+    # principle, at most top = max of phi over the W nodes on all of X
+    pair = planar_annulus_pair()
+    phi = obstacle_from_expression(
+        f"{a!r} + {b!r} * re(z1) + {c!r} * im(z1) + {d!r} * log(abs(z1))", 1)
+    cfg = annulus_grid_config(spacing=1.0 / 16)
+    field = grid_obstacle_solver(pair, phi, cfg)
+    _, _, mask, obst, top = oracles._build_grid(pair, phi, cfg, field.h)
+    assert np.array_equal(mask, field.mask)
+    inside_w = mask == 2
+    assert np.all(field.values[inside_w] <= obst[inside_w] + 1e-12)
+    assert np.all(field.values[mask > 0] <= top + 1e-12)
+
+
 def test_solver_rejects_higher_dimensions():
     from discenv.domains import shell_pair
     phi = obstacle_from_expression("re(z1)", 2)
     with pytest.raises(UnsupportedDimensionError):
-        grid_obstacle_solver(shell_pair(2), phi, [1.0], annulus_grid_config())
-
-
-def test_solver_rejects_decreasing_caps():
-    pair = planar_annulus_pair()
-    phi = obstacle_from_expression("re(z1)", 1)
-    with pytest.raises(ConfigurationError):
-        grid_obstacle_solver(pair, phi, [2.0, 1.0], annulus_grid_config())
+        grid_obstacle_solver(shell_pair(2), phi, annulus_grid_config())
 
 
 def test_field_interpolation_and_csv_export(tmp_path):
     pair = planar_annulus_pair()
     phi = obstacle_from_expression("re(z1)", 1)
-    field = grid_obstacle_solver(pair, phi, [3.0], annulus_grid_config())
+    field = grid_obstacle_solver(pair, phi, annulus_grid_config())
     with pytest.raises(EvaluationError):
         field.interpolate(np.array([5.0 + 0.0j]))
     out = tmp_path / "field.csv"
@@ -297,21 +326,33 @@ def test_field_interpolation_and_csv_export(tmp_path):
 
 
 def test_csv_export_matches_the_per_node_rows(tmp_path):
-    values = np.array([[0.1, -2.0 / 3, 1e-300], [np.pi, 0.0, -1.5e17]])
-    mask = np.array([[0, 1, 2], [2, 1, 0]], dtype=np.int8)
-    field = oracles.GridField(-0.3, 1.0 / 3, 0.1, values, mask)
-    field.to_csv(tmp_path / "field.csv")
-    expected = tmp_path / "expected.csv"
-    xs, ys = field.points()
-    with open(expected, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "value", "mask"])
-        for iy, y in enumerate(ys):
-            for ix, x in enumerate(xs):
-                writer.writerow([repr(float(x)), repr(float(y)),
-                                 repr(float(values[iy, ix])),
-                                 int(mask[iy, ix])])
-    assert (tmp_path / "field.csv").read_bytes() == expected.read_bytes()
+    # signed zero, the smallest subnormal, a float repr switches to
+    # exponent form, infinities, and grids of one row and one column
+    cases = [
+        ([[0.1, -2.0 / 3, 1e-300], [np.pi, 0.0, -1.5e17]],
+         [[0, 1, 2], [2, 1, 0]]),
+        ([[-0.0, 5e-324, 1e22], [np.inf, -np.inf, 1e16]],
+         [[2, 2, 1], [0, 0, 2]]),
+        ([[-0.0, 5e-324, 1e22, np.inf]], [[1, 2, 2, 0]]),
+        ([[1e22], [-0.0], [5e-324], [np.inf]], [[0], [0], [0], [0]]),
+    ]
+    for values, mask in cases:
+        values = np.array(values)
+        mask = np.array(mask, dtype=np.int8)
+        field = oracles.GridField(-0.3, 1.0 / 3, 0.1, values, mask)
+        field.to_csv(tmp_path / "field.csv")
+        expected = tmp_path / "expected.csv"
+        xs, ys = field.points()
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "y", "value", "mask"])
+            for iy, y in enumerate(ys):
+                for ix, x in enumerate(xs):
+                    writer.writerow([repr(float(x)), repr(float(y)),
+                                     repr(float(values[iy, ix])),
+                                     int(mask[iy, ix])])
+        assert (tmp_path / "field.csv").read_bytes() \
+            == expected.read_bytes()
 
 
 # ---------------------------------------------------------------------------
