@@ -4,9 +4,7 @@ from .discs import (
     AnalyticDisc,
     DiscLoop,
     cesaro_mean,
-    diagonal_disc,
     outer_function,
-    select_theta0,
     winding_number,
 )
 from .domains import (
@@ -50,8 +48,8 @@ from .oracles import (
 )
 
 __all__ = [
-    "AnalyticDisc", "DiscLoop", "cesaro_mean", "diagonal_disc",
-    "outer_function", "select_theta0", "winding_number",
+    "AnalyticDisc", "DiscLoop", "cesaro_mean", "outer_function",
+    "winding_number",
     "DomainSpec", "Obstacle", "ball", "counterexample_pair",
     "planar_annulus_pair", "shell_disc", "shell_pair",
     "EnvelopeRequest", "EnvelopeResult", "minimize_envelope",

@@ -13,15 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DegenerateInputError,
-    NonHolomorphicError,
-    UndersampledError,
-)
-
-#: Default tolerance on the negative-frequency residual of a valid disc.
-TAU_HOL = 1e-8
+from .errors import ConfigurationError, DegenerateInputError, UndersampledError
 
 
 def _is_pow2(m):
@@ -125,9 +117,6 @@ class AnalyticDisc:
         """Value at 0, the frequency-0 coefficient."""
         return self.coeffs[0].copy()
 
-    def is_valid(self, tau=TAU_HOL):
-        return self.holomorphy_residual <= tau
-
     def evaluate(self, z):
         """Holomorphic extension at interior points z (any shape).
 
@@ -139,27 +128,6 @@ class AnalyticDisc:
     def component(self, i):
         """Boundary samples of component i as a flat array."""
         return self.samples[:, i].copy()
-
-    def shrink(self, s=None):
-        """The disc zeta -> f(s*zeta), computed by Abel (Poisson) damping.
-
-        Damps coefficient k by s^|k|, so rough imported boundary data is
-        smoothed while already-holomorphic data is simply precomposed
-        with multiplication by s.  Default s = 1 - 1/M.
-        """
-        if s is None:
-            s = 1.0 - 1.0 / self.M
-        if not 0 < s <= 1:
-            raise ConfigurationError("shrink factor must lie in (0, 1]")
-        m = self.M
-        freqs = np.fft.fftfreq(m, 1.0 / m)
-        damped = self.coeffs * (s ** np.abs(freqs))[:, None]
-        return AnalyticDisc(np.fft.ifft(damped * m, axis=0))
-
-
-def constant_disc(point, m=64):
-    point = np.atleast_1d(np.asarray(point, dtype=complex))
-    return AnalyticDisc(np.tile(point, (m, 1)))
 
 
 def winding_number(samples):
@@ -255,13 +223,6 @@ class DiscLoop:
     def n(self):
         return self.samples.shape[2]
 
-    def slice(self, j):
-        return AnalyticDisc(self.samples[j])
-
-    def max_residual(self):
-        c = np.fft.fft(self.samples, axis=1) / self.M
-        return float(np.max(np.abs(c[:, self.M // 2:, :])))
-
 
 def cesaro_mean(F, h, j):
     """Fejer-smoothed loop: weights (j+1-|k|)/(j+1) on the w-frequencies
@@ -332,64 +293,3 @@ def cesaro_convergence(m=64, m_w=2048, j_values=(8, 16, 32, 64, 128, 256),
         err = float(np.max(np.abs(smoothed.samples - loop.samples)))
         out.append((int(j), err))
     return out
-
-
-def _torus_coeffs(G, tau=TAU_HOL):
-    """2-D Fourier coefficients of torus samples G[a, b] = G(zeta_a, zeta_b).
-
-    Raises if there is significant mass outside the nonnegative quadrant.
-    """
-    G = np.asarray(G, dtype=complex)
-    if G.ndim == 2:
-        G = G[:, :, None]
-    m = G.shape[0]
-    if G.shape[1] != m or not _is_pow2(m):
-        raise ConfigurationError("torus grid must be square with power-of-two side")
-    c = np.fft.fft2(G, axes=(0, 1)) / m ** 2
-    bad = np.abs(c.copy())
-    bad[:m // 2, :m // 2, :] = 0.0  # nonnegative quadrant is allowed
-    if np.max(bad) > tau:
-        raise NonHolomorphicError(
-            f"torus samples carry mass {np.max(bad):.3e} outside the "
-            "nonnegative frequency quadrant")
-    return c[:m // 2, :m // 2, :]
-
-
-def diagonal_disc(G, theta0, tau=TAU_HOL):
-    """The disc z -> G(e^{i*theta0} z, z) for bidisc-holomorphic torus data G."""
-    c = _torus_coeffs(G, tau)
-    k, _, n = c.shape
-    m = 2 * k
-    # the frequency-f coefficient of g is the sum over p + q = f of
-    # c[p, q] e^{i p theta0}; f <= 2k - 2 < m, so every term fits
-    phase = np.exp(1j * theta0 * np.arange(k))
-    cp = c * phase[:, None, None]
-    gcoeff = np.zeros((m, n), dtype=complex)
-    for p in range(k):
-        gcoeff[p:p + k] += cp[p]
-    return AnalyticDisc(taylor_eval(gcoeff, roots_of_unity(m)))
-
-
-def select_theta0(G, objective, tau=TAU_HOL):
-    """Scan theta0 over the sample grid and keep the disc minimising
-    ``objective(disc)``.
-
-    The minimum over the grid is no larger than the grid average, which
-    equals the double torus average of the integrand; ties go to the
-    smallest grid index.
-
-    Returns (theta0, value, disc).
-    """
-    G = np.asarray(G, dtype=complex)
-    if G.ndim == 2:
-        G = G[:, :, None]
-    _torus_coeffs(G, tau)  # validate once
-    m = G.shape[0]
-    best = None
-    for p in range(m):
-        rows = (np.arange(m) + p) % m
-        disc = AnalyticDisc(G[rows, np.arange(m), :])
-        val = objective(disc)
-        if best is None or val < best[1]:
-            best = (2 * np.pi * p / m, val, disc)
-    return best

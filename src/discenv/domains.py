@@ -228,26 +228,3 @@ def counterexample_pair(delta=0.3, tau=0.05, rho_u=0.05, eps_moll=0.01):
 
     phi = Obstacle(phi_eval, description="counterexample step obstacle")
     return w, x, phi
-
-
-def counterexample_projection_interval(delta=0.3, tau=0.05, samples=20001):
-    """Probe the real-axis interval (a, b) cut out by the tube projection.
-
-    Takes ``samples`` points of the joining curve whose z1 lies within tau
-    of the real axis, and reports the extent on the real axis of their
-    radius-tau discs in the z1-plane.  Used to document the probed values
-    of a and b rather than assuming them.
-    """
-    t = np.linspace(0.0, 1.0, samples)
-    z1, _ = _curve_points(delta, t)
-    # a point x on the real axis is in the projection iff some curve point
-    # has |z1 - x| <= tau in the z1-plane (the tube is a C^2 ball, so this
-    # is a slight overestimate; adequate for documentation probes)
-    reachable = np.abs(np.imag(z1)) <= tau
-    if not np.any(reachable):
-        return None
-    lo = np.min(np.real(z1[reachable]) - np.sqrt(
-        np.maximum(tau ** 2 - np.imag(z1[reachable]) ** 2, 0.0)))
-    hi = np.max(np.real(z1[reachable]) + np.sqrt(
-        np.maximum(tau ** 2 - np.imag(z1[reachable]) ** 2, 0.0)))
-    return float(lo), float(hi)

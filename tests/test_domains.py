@@ -13,7 +13,6 @@ from discenv.domains import (
     _dist_to_curve,
     ball,
     counterexample_pair,
-    counterexample_projection_interval,
     planar_annulus_pair,
     shell_disc,
     shell_pair,
@@ -291,12 +290,6 @@ def test_tube_distance_non_finite_coordinates(delta):
     assert np.isnan(d[:2]).all()
     assert np.isposinf(d[2:4]).all()
     assert np.isfinite(d[4])
-
-
-def test_counterexample_projection_interval_brackets_two():
-    # the tube's projection meets the real axis in (a, b) with 1 < a < 2 < b
-    a, b = counterexample_projection_interval()
-    assert 1.0 < a < 2.0 < b
 
 
 def test_obstacle_rotation_invariance_flag():

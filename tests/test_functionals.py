@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from discenv.discs import AnalyticDisc, constant_disc, roots_of_unity
+from conftest import constant_disc
+from discenv.discs import AnalyticDisc, roots_of_unity
 from discenv.domains import Obstacle, planar_annulus_pair, shell_disc
 from discenv.errors import ConfigurationError, EvaluationError
 from discenv.expressions import obstacle_from_expression
