@@ -223,24 +223,31 @@ def emit_plot_data(report_path, kind, outdir):
         raise ConfigurationError(f"{report_path}: {exc}") from exc
     buf = io.StringIO()
     writer = csv.writer(buf)
-    if kind == "profile":
-        buf.write("# columns: x, envelope, oracle, gap\n")
-        for row in report.get("rows", []):
-            x = row["point"].split(" ")[0] if row["point"] else ""
-            writer.writerow([x, row.get("envelope"), row.get("oracle"),
-                             row.get("gap")])
-    elif kind == "convergence":
-        buf.write("# columns: point_index, iteration, best_value\n")
-        for i, row in enumerate(report.get("rows", [])):
-            for it, v in enumerate(row.get("trace", [])):
-                writer.writerow([i, it, repr(v)])
-    elif kind == "homotopy":
-        buf.write("# columns: t, min_margin, winding\n")
-        for row in report.get("homotopy", []):
-            writer.writerow([repr(row["t"]), repr(row["min_margin"]),
-                             row["winding"]])
-    else:
-        raise ConfigurationError(f"emit-plot: unknown kind {kind!r}")
+    try:
+        if kind == "profile":
+            buf.write("# columns: x, envelope, oracle, gap\n")
+            for row in report.get("rows", []):
+                x = row["point"].split(" ")[0] if row["point"] else ""
+                writer.writerow([x, row.get("envelope"), row.get("oracle"),
+                                 row.get("gap")])
+        elif kind == "convergence":
+            buf.write("# columns: point_index, iteration, best_value\n")
+            for i, row in enumerate(report.get("rows", [])):
+                for it, v in enumerate(row.get("trace", [])):
+                    writer.writerow([i, it, repr(v)])
+        elif kind == "homotopy":
+            buf.write("# columns: t, min_margin, winding\n")
+            for row in report.get("homotopy", []):
+                writer.writerow([repr(row["t"]), repr(row["min_margin"]),
+                                 row["winding"]])
+        else:
+            raise ConfigurationError(f"emit-plot: unknown kind {kind!r}")
+    except (AttributeError, KeyError, TypeError) as exc:
+        # the report is outside input: a missing key or a value of the
+        # wrong type is a malformed report, not an internal error
+        raise ConfigurationError(
+            f"{report_path}: malformed report: {type(exc).__name__}: {exc}"
+        ) from exc
     _atomic_write(os.path.join(outdir, f"plot_{kind}.csv"), buf.getvalue())
     return 0
 

@@ -117,6 +117,8 @@ def validate_config(raw):
                  and all(_is_coordinate(c) for c in point),
                  f"config.points[{i}]", "expected [re, im] number pairs")
     cfg.setdefault("families", [])
+    _require(isinstance(cfg["families"], list), "config.families",
+             "expected list")
     for i, fam in enumerate(cfg["families"]):
         _validate_family(fam, f"config.families[{i}]")
     cfg.setdefault("quadrature_m", 512)
@@ -152,6 +154,7 @@ def _validate_homotopy(spec):
     for key in ("winding", "steps"):
         _require_int(spec, key, "config.homotopy", 1)
     _require_number(spec, "s", "config.homotopy")
+    _require("z_prime" in spec, "config.homotopy.z_prime", "required")
 
 
 def _validate_cesaro(spec):

@@ -22,22 +22,45 @@ _FUNCS = {
     "max": np.maximum,
 }
 
+#: Deepest syntax tree accepted.  Evaluation recurses once per level, so
+#: a tree near the interpreter's recursion limit that compiles could
+#: still fail when evaluated from deep inside a search.
+_MAX_DEPTH = 100
+
+
+def _depth(tree):
+    """Levels of the syntax tree, counted without recursion."""
+    depth, level = 0, [tree]
+    while level:
+        depth += 1
+        level = [c for node in level for c in ast.iter_child_nodes(node)]
+    return depth
+
 
 def _compile_node(node, n):
     if isinstance(node, ast.Expression):
         return _compile_node(node.body, n)
     if isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        if type(node.value) not in (int, float):  # bool is an int subclass
             raise ConfigurationError(
                 f"obstacle expression: unsupported constant {node.value!r}")
-        v = float(node.value)
+        try:
+            v = float(node.value)
+        except OverflowError as exc:
+            raise ConfigurationError(
+                f"obstacle expression: constant too large: {exc}") from exc
         return lambda pts: v
     if isinstance(node, ast.Name):
         name = node.id
         if not (name.startswith("z") and name[1:].isdigit()):
             raise ConfigurationError(
                 f"obstacle expression: unknown name {name!r}")
-        idx = int(name[1:]) - 1
+        try:
+            idx = int(name[1:]) - 1
+        except ValueError as exc:  # past the integer digit limit
+            raise ConfigurationError(
+                f"obstacle expression: coordinate {name[:12]}... out of "
+                f"range for C^{n}") from exc
         if not 0 <= idx < n:
             raise ConfigurationError(
                 f"obstacle expression: coordinate {name} out of range for C^{n}")
@@ -86,8 +109,12 @@ def compile_expression(text, n):
     """Compile an expression string into a vectorised points -> real function."""
     try:
         tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
+    except (SyntaxError, ValueError, RecursionError) as exc:
+        # Python 3.10 raises ValueError for a null byte in the source
         raise ConfigurationError(f"obstacle expression: {exc}") from exc
+    if _depth(tree) > _MAX_DEPTH:
+        raise ConfigurationError(
+            f"obstacle expression: nested deeper than {_MAX_DEPTH} levels")
     fn = _compile_node(tree, n)
 
     def evaluate(pts):

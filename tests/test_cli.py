@@ -136,6 +136,8 @@ def test_validation_failure_exits_two_without_outputs(tmp_path):
     {"tolerances": {"gap": True}},
     {"starts": True},
     {"points": [[[True, 0]]]},
+    {"families": 5},
+    {"pair": {"variant": "hartogs"}, "homotopy": {"s": 0.5}},
 ])
 def test_malformed_value_exits_two_with_one_line(tmp_path, capsys, overrides):
     # run the subcommand that reads the malformed value
@@ -353,6 +355,18 @@ def test_emit_plot_unknown_kind_exits_two(tmp_path):
                 "--quiet"]) == 0
     assert run(["emit-plot", "--report", out / "report.json",
                 "--kind", "surface", "--out", out]) == 2
+
+
+@pytest.mark.parametrize("report", [{"rows": [{}]}, {"rows": 5}, [1, 2]])
+def test_emit_plot_malformed_report_exits_two(tmp_path, capsys, report):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert run(["emit-plot", "--report", path, "--kind", "profile",
+                "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: malformed report")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "plot_profile.csv").exists()
 
 
 def test_seed_override_changes_metadata(tmp_path):

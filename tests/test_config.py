@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from discenv import cli
 from discenv.config import build_families, build_pair, parse_point, \
@@ -46,10 +47,32 @@ def test_unary_minus():
     "q1",                           # unknown name
     "'text'",                       # non-numeric constant
     "z1 if z2 else z1",             # no control flow
+    "True",                         # booleans are not numbers
+    "False",
+    "9" * 400,                      # too large for a float
+    "z" + "9" * 5000,               # index past the integer digit limit
+    "-" * 3000 + "z1",              # past the parser's recursion limit
+    "z1" + " + z1" * 200,           # nested past the depth limit
+    "z1" + " + z1" * 1200,
 ])
 def test_rejected_expressions(text):
     with pytest.raises(ConfigurationError):
         compile_expression(text, 2)
+
+
+EXPRESSION_TOKENS = ["z1", "z2", "z3", "re(", "abs(", "log(", "max(", "(",
+                     ")", ",", " + ", "-", "*", "/", "0.5", "1e999",
+                     "9" * 400, "True", "'s'"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.one_of(
+    st.text(), st.lists(st.sampled_from(EXPRESSION_TOKENS)).map("".join)))
+def test_any_text_compiles_or_is_rejected(text):
+    try:
+        compile_expression(text, 2)
+    except ConfigurationError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +223,8 @@ def test_partial_eps_range_checked():
     ({"starts": 0}, "starts"),
     ({"budget": 0}, "budget"),
     ({"budget": -3}, "budget"),
+    ({"families": 5}, "families"),
+    ({"homotopy": {"s": 0.5}}, "homotopy.z_prime"),
 ])
 def test_malformed_values_rejected(overrides, path):
     with pytest.raises(ConfigurationError, match=path):

@@ -18,11 +18,8 @@ from discenv.discs import (
     taylor_eval,
     winding_number,
 )
-from discenv.errors import (
-    ConfigurationError,
-    DegenerateInputError,
-    UndersampledError,
-)
+from discenv.errors import ConfigurationError, DegenerateInputError, \
+    UndersampledError
 
 
 def blaschke(zeta, a):

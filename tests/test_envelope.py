@@ -32,7 +32,8 @@ from discenv.errors import ConfigurationError, InfeasibleEnvelope, \
 from discenv.expressions import obstacle_from_expression
 from discenv.families import ZERO_CAP, BlaschkeFamily, ConstantFamily, \
     PolynomialFamily, ShellFamily, VerticalFamily
-from discenv.functionals import QuadratureGrid, poisson_functional
+from discenv.functionals import QuadratureGrid, boundary_averages, \
+    poisson_functional
 
 LOG_ABS = obstacle_from_expression("log(abs(z1))", 1)
 
@@ -210,6 +211,10 @@ def test_family_build_keeps_centre(kind, centre, degree, winding, params, m):
         fam = ShellFamily(centre)
     disc = fam.build(np.asarray(params[:fam.n_params]), m)
     assert np.max(np.abs(disc.centre - fam.centre)) <= 1e-12
+    # mean-value identity: re(z1) is harmonic, so its boundary average
+    # is its value at the centre
+    mean = boundary_averages(disc.samples[None], lambda p: np.real(p[..., 0]))
+    assert abs(mean[0] - centre[0].real) <= 1e-12
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -540,3 +545,11 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_package_exports_resolve():
+    # Python checks __all__ only at `from discenv import *`
+    assert len(set(discenv.__all__)) == len(discenv.__all__)
+    missing = [name for name in discenv.__all__
+               if not hasattr(discenv, name)]
+    assert missing == []
