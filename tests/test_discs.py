@@ -314,13 +314,13 @@ def test_cesaro_uniform_convergence_on_smooth_loop():
 
 
 def test_cesaro_preserves_slice_holomorphy():
-    def max_residual(loop):
+    def negative_frequency_residual(loop):
         # largest negative-frequency z-coefficient over all w-slices
         c = np.fft.fft(loop.samples, axis=1) / loop.M
         return float(np.max(np.abs(c[:, loop.M // 2:, :])))
 
     F, h = random_smooth_loop(m=32, m_w=512, seed=7, amplitude=0.05)
-    before = max_residual(F)
-    after = max_residual(cesaro_mean(F, h, 16))
+    before = negative_frequency_residual(F)
+    after = negative_frequency_residual(cesaro_mean(F, h, 16))
     assert before <= 1e-8
     assert after <= before + 1e-12
