@@ -102,10 +102,9 @@ def _oracle_values(cfg, points, w, x_spec, phi, hartogs, outdir):
             raise ConfigurationError(
                 "config.oracle: kiselman oracle needs a hartogs pair")
         return [float(kiselman_psi(hartogs, phi, p[:-1])) for p in points]
-    bounds = tuple(oracle.get("bounds", (-2.0625, 2.0625, -2.0625, 2.0625)))
-    spacing = float(oracle.get("spacing", 1.0 / 128))
     probes = [complex(p[0]) for p in points]
-    gcfg = GridConfig(bounds=bounds, spacing=spacing, probes=tuple(probes))
+    gcfg = GridConfig(**cfgmod.given(oracle, cfgmod.ORACLE_KINDS["grid"]),
+                      probes=tuple(probes))
     field = grid_obstacle_solver((w, x_spec), phi, gcfg)
     field.to_csv(os.path.join(outdir, "grid_field.csv"))
     return [float(v) for v in field.interpolate(np.asarray(probes))]
@@ -185,9 +184,9 @@ def run_homotopy(cfg, outdir, quiet=False):
     zp = cfgmod.parse_point(spec["z_prime"], hartogs.n - 1,
                             "config.homotopy.z_prime")
     disc = vertical_disc(hartogs, zp, float(spec.get("s", 0.5)),
-                         k=int(spec.get("winding", 1)),
-                         m=cfg["quadrature_m"])
-    trace = homotopy_trace(hartogs, disc, steps=int(spec.get("steps", 32)))
+                         m=cfg["quadrature_m"],
+                         **cfgmod.given(spec, {"winding": "k"}))
+    trace = homotopy_trace(hartogs, disc, **cfgmod.given(spec, ["steps"]))
     _atomic_write(os.path.join(outdir, "homotopy_trace.json"),
                   trace.to_json() + "\n")
     rows = [_row(_point_label(zp),
@@ -198,11 +197,8 @@ def run_homotopy(cfg, outdir, quiet=False):
 
 
 def run_cesaro(cfg, outdir, quiet=False):
-    spec = cfg.get("cesaro") or {}
-    result = cesaro_convergence(
-        m=int(spec.get("m", 64)), m_w=int(spec.get("m_w", 2048)),
-        j_values=spec.get("j_values", [8, 16, 32, 64, 128, 256]),
-        seed=cfg["seed"], amplitude=float(spec.get("amplitude", 0.02)))
+    result = cesaro_convergence(seed=cfg["seed"], **cfgmod.given(
+        cfg.get("cesaro", {}), ["m", "m_w", "j_values", "amplitude"]))
     buf = io.StringIO()
     buf.write("# columns: j, sup_error\n")
     writer = csv.writer(buf)

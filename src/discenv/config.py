@@ -33,6 +33,31 @@ BUILTIN_OBSTACLES = {
     "re_first": "re(z1)",
 }
 
+
+def _hartogs_pair(n=2, base_radius=1.0, r=0.25, R=1.0):
+    """The Hartogs pair over a ball; a number radius is a constant
+    expression (repr writes a float exactly)."""
+    hp = HartogsPair(ball(base_radius, n - 1),
+                     *(compile_expression(v if isinstance(v, str)
+                                          else repr(float(v)), n - 1)
+                       for v in (r, R)))
+    return hp.W, hp.X, None, hp
+
+
+#: Each pair variant's builder, which returns (W, X[, phi[, hartogs]]),
+#: and the config keys it takes as keywords.
+PAIR_VARIANTS = {
+    "planar_annulus": (planar_annulus_pair, ()),
+    "shell": (shell_pair, ("n",)),
+    "counterexample": (counterexample_pair,
+                       ("delta", "tau", "rho_u", "eps_moll")),
+    "hartogs": (_hartogs_pair, ("n", "base_radius", "r", "R")),
+}
+
+#: The keys each oracle kind reads besides ``kind`` (GridConfig fields).
+ORACLE_KINDS = {"kiselman": (), "grid": ("spacing", "bounds"),
+                "closed_form": ("expr",)}
+
 #: Each family kind's class, and the config keys it takes under their
 #: keyword names; a key the config leaves out keeps the class default.
 FAMILY_KINDS = {
@@ -78,16 +103,23 @@ def _require_int(obj, key, path, low):
                  f"{path}.{key}", f"expected integer >= {low}")
 
 
+def given(block, keys):
+    """The ``keys`` that ``block`` sets, by parameter name (a dict maps each
+    key to its name); a key left out keeps the callee's default."""
+    names = keys if isinstance(keys, dict) else dict(zip(keys, keys))
+    return {arg: block[key] for key, arg in names.items() if key in block}
+
+
 def _require_number(obj, key, path):
     """An optional key of ``obj``, if present, must be a number."""
     if key in obj:
         _require(_is_number(obj[key]), f"{path}.{key}", "expected a number")
 
 
-def _check_keys(obj, allowed, path):
+def _check_keys(obj, allowed, path, of=""):
     _require(isinstance(obj, dict), path, "expected an object")
     unknown = set(obj) - set(allowed)
-    _require(not unknown, path, f"unknown keys {sorted(unknown)}")
+    _require(not unknown, path, f"unknown keys {sorted(unknown)}{of}")
 
 
 def load_config(path):
@@ -170,23 +202,18 @@ def _validate_cesaro(spec):
 
 
 def _validate_pair(pair):
-    _check_keys(pair, {"variant", "n", "delta", "tau", "rho_u", "eps_moll",
-                       "base_radius", "r", "R"}, "config.pair")
+    _require(isinstance(pair, dict), "config.pair", "expected an object")
     variant = pair.get("variant")
-    _require(variant in {"planar_annulus", "shell", "hartogs",
-                         "counterexample"},
+    _require(isinstance(variant, str) and variant in PAIR_VARIANTS,
              "config.pair.variant", f"unknown variant {variant!r}")
+    _check_keys(pair, {"variant", *PAIR_VARIANTS[variant][1]}, "config.pair",
+                f" for variant {variant!r}")
     for key in ("delta", "tau", "rho_u", "eps_moll", "base_radius"):
         _require_number(pair, key, "config.pair")
-    if variant in ("shell", "hartogs"):
-        _require(_is_int(pair.get("n", 2)) and pair.get("n", 2) >= 2,
-                 "config.pair.n", f"{variant} needs integer n >= 2")
-    if variant == "hartogs":
-        for key in ("r", "R"):
-            value = pair.get(key, 1.0)
-            _require(_is_number(value) or isinstance(value, str),
-                     f"config.pair.{key}",
-                     "expected a number or expression over z1..")
+    _require_int(pair, "n", "config.pair", 2)
+    for key in ("r", "R"):
+        _require(_is_number(pair.get(key, 0)) or isinstance(pair[key], str),
+                 f"config.pair.{key}", "expected a number or expression")
 
 
 def _validate_obstacle(obst):
@@ -209,9 +236,8 @@ def _validate_family(fam, path):
     kind = fam.get("kind")
     _require(isinstance(kind, str) and kind in FAMILY_KINDS,
              f"{path}.kind", f"unknown family kind {kind!r}")
-    unknown = set(fam) - {"kind"} - set(FAMILY_KINDS[kind][1])
-    _require(not unknown, path,
-             f"unknown keys {sorted(unknown)} for kind {kind!r}")
+    _check_keys(fam, {"kind", *FAMILY_KINDS[kind][1]}, path,
+                f" for kind {kind!r}")
     for key in ("degree", "zeros", "winding"):
         _require_int(fam, key, path, 1)
     _require_number(fam, "scale", path)
@@ -224,13 +250,14 @@ def _validate_family(fam, path):
 
 
 def _validate_oracle(oracle):
-    _check_keys(oracle, {"kind", "spacing", "bounds", "expr"},
-                "config.oracle")
-    _require(oracle.get("kind") in {"kiselman", "grid", "closed_form"},
-             "config.oracle.kind", f"unknown oracle {oracle.get('kind')!r}")
-    if oracle.get("kind") == "closed_form":
-        _require(isinstance(oracle.get("expr"), str),
-                 "config.oracle.expr", "closed_form oracle needs 'expr'")
+    _require(isinstance(oracle, dict), "config.oracle", "expected an object")
+    kind = oracle.get("kind")
+    _require(isinstance(kind, str) and kind in ORACLE_KINDS,
+             "config.oracle.kind", f"unknown oracle {kind!r}")
+    _check_keys(oracle, {"kind", *ORACLE_KINDS[kind]}, "config.oracle",
+                f" for kind {kind!r}")
+    _require(kind != "closed_form" or isinstance(oracle.get("expr"), str),
+             "config.oracle.expr", "closed_form oracle needs 'expr'")
     if "spacing" in oracle:
         _require(_is_number(oracle["spacing"]) and oracle["spacing"] > 0,
                  "config.oracle.spacing", "expected a positive number")
@@ -248,33 +275,8 @@ def _validate_oracle(oracle):
 
 def build_pair(cfg):
     """Returns (W, X, phi_or_None, hartogs_pair_or_None)."""
-    pair = cfg["pair"]
-    variant = pair["variant"]
-    if variant == "planar_annulus":
-        w, x = planar_annulus_pair()
-        return w, x, None, None
-    if variant == "shell":
-        w, x = shell_pair(pair.get("n", 2))
-        return w, x, None, None
-    if variant == "counterexample":
-        w, x, phi = counterexample_pair(
-            delta=pair.get("delta", 0.3), tau=pair.get("tau", 0.05),
-            rho_u=pair.get("rho_u", 0.05),
-            eps_moll=pair.get("eps_moll", 0.01))
-        return w, x, phi, None
-    n = pair.get("n", 2)
-    base = ball(pair.get("base_radius", 1.0), n - 1)
-    hp = HartogsPair(base, _radius_fn(pair.get("r", 0.25), n - 1),
-                     _radius_fn(pair.get("R", 1.0), n - 1))
-    return hp.W, hp.X, None, hp
-
-
-def _radius_fn(value, n_base):
-    if isinstance(value, str):
-        fn = compile_expression(value, n_base)
-        return fn
-    v = float(value)
-    return lambda zp: np.full(np.asarray(zp).shape[:-1], v)
+    builder, keys = PAIR_VARIANTS[cfg["pair"]["variant"]]
+    return (*builder(**given(cfg["pair"], keys)), None, None)[:4]
 
 
 def build_obstacle(cfg, n):
@@ -302,7 +304,7 @@ def build_families(cfg, centre, hartogs=None):
     fams = []
     for spec in cfg["families"]:
         cls, keys = FAMILY_KINDS[spec["kind"]]
-        kwargs = {arg: spec[key] for key, arg in keys.items() if key in spec}
+        kwargs = given(spec, keys)
         if "s_range" in kwargs:
             kwargs["s_range"] = tuple(kwargs["s_range"])
         fams.append(cls(centre, **kwargs))

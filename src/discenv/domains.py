@@ -57,7 +57,7 @@ def ball(r, n):
     return DomainSpec(f"ball(r={r}, n={n})", n, margin)
 
 
-def shell_pair(n):
+def shell_pair(n=2):
     """W = (ball of radius 4) minus (closed ball of radius 1), X = ball of radius 4."""
     def w_margin(p):
         nr = np.linalg.norm(p, axis=-1)

@@ -84,13 +84,14 @@ COARSE_SWEEPS = 3
 
 @dataclass
 class GridConfig:
-    """Settings for the planar obstacle relaxation.
+    """Settings for the planar obstacle relaxation on the box ``bounds`` =
+    (x_min, x_max, y_min, y_max).
 
     ``spacing`` is the coarse spacing h; the solver also runs at h/2 and
     returns the finer field, recording the probe-wise difference as a
     Richardson-style error estimate.
     """
-    bounds: tuple  # (x_min, x_max, y_min, y_max)
+    bounds: tuple = (-2.0625, 2.0625, -2.0625, 2.0625)
     spacing: float = 1.0 / 128
     tol: float = 1e-10
     probes: tuple = ()

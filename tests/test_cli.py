@@ -155,6 +155,33 @@ def test_malformed_value_exits_two_with_one_line(tmp_path, capsys, overrides):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides, command, prefix", [
+    ({"pair": {"variant": "planar_annulus", "delta": 0.2}}, "envelope",
+     "error: config.pair: unknown keys ['delta']"),
+    ({"pair": {"variant": "shell", "r": 0.5}}, "envelope",
+     "error: config.pair: unknown keys ['r']"),
+    ({"pair": {"variant": "counterexample", "n": 2}}, "envelope",
+     "error: config.pair: unknown keys ['n']"),
+    ({"pair": {"variant": "hartogs", "tau": 0.05}}, "envelope",
+     "error: config.pair: unknown keys ['tau']"),
+    ({"oracle": {"kind": "closed_form", "expr": "re(z1)", "spacing": 0.5}},
+     "oracle", "error: config.oracle: unknown keys ['spacing']"),
+    ({"oracle": {"kind": "kiselman", "bounds": [-1, 1, -1, 1]}}, "oracle",
+     "error: config.oracle: unknown keys ['bounds']"),
+    ({"oracle": {"kind": "grid", "expr": "nonsense(("}}, "oracle",
+     "error: config.oracle: unknown keys ['expr']"),
+])
+def test_key_the_variant_or_kind_does_not_read_exits_two(
+        tmp_path, capsys, overrides, command, prefix):
+    cfg_path = write_config(tmp_path, dict(ANNULUS_CONFIG, **overrides))
+    out = tmp_path / "run"
+    assert run([command, "--config", cfg_path, "--out", out,
+                "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_closed_form_oracle_of_a_constant(tmp_path):
     cfg = dict(ANNULUS_CONFIG, oracle={"kind": "closed_form",
                                        "expr": "0.405"})

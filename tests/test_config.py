@@ -1,6 +1,7 @@
 """Obstacle expression grammar and JSON config validation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,29 @@ def test_family_key_of_another_kind_exits_two(tmp_path, capsys, family):
     assert err.startswith("error: config.families[0]: unknown keys")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"pair": {"variant": "planar_annulus", "delta": 0.2}},
+     "config.pair: unknown keys ['delta'] for variant 'planar_annulus'"),
+    ({"pair": {"variant": "planar_annulus", "delta": 0.2, "n": 7}},
+     "config.pair: unknown keys ['delta', 'n'] for variant"),
+    ({"pair": {"variant": "shell", "r": 0.5}},
+     "config.pair: unknown keys ['r'] for variant 'shell'"),
+    ({"pair": {"variant": "counterexample", "n": 2}},
+     "config.pair: unknown keys ['n'] for variant 'counterexample'"),
+    ({"pair": {"variant": "hartogs", "tau": 0.05}},
+     "config.pair: unknown keys ['tau'] for variant 'hartogs'"),
+    ({"oracle": {"kind": "closed_form", "expr": "re(z1)", "spacing": 0.5}},
+     "config.oracle: unknown keys ['spacing'] for kind 'closed_form'"),
+    ({"oracle": {"kind": "kiselman", "bounds": [-1, 1, -1, 1]}},
+     "config.oracle: unknown keys ['bounds'] for kind 'kiselman'"),
+    ({"oracle": {"kind": "grid", "expr": "nonsense(("}},
+     "config.oracle: unknown keys ['expr'] for kind 'grid'"),
+])
+def test_pair_and_oracle_keys_of_another_kind_rejected(overrides, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        validate_config(minimal_config(**overrides))
 
 
 def test_unhashable_family_kind_rejected():
