@@ -96,11 +96,15 @@ def _is_coordinate(value):
         and all(_is_number(v) for v in value)
 
 
-def _require_int(obj, key, path, low):
-    """An optional key of ``obj``, if present, must be an integer >= low."""
+def _require_int(obj, key, path, low, m=None):
+    """An optional key of ``obj``, if present, must be an integer >= low,
+    and below m/2 when m is given: a winding k on m nodes needs k < m/2."""
     if key in obj:
         _require(_is_int(obj[key]) and obj[key] >= low,
                  f"{path}.{key}", f"expected integer >= {low}")
+        if m is not None:
+            _require(obj[key] < m / 2, f"{path}.{key}",
+                     f"expected < quadrature_m / 2 = {m // 2}")
 
 
 def given(block, keys):
@@ -148,11 +152,6 @@ def validate_config(raw):
         _require(isinstance(point, list)
                  and all(_is_coordinate(c) for c in point),
                  f"config.points[{i}]", "expected [re, im] number pairs")
-    cfg.setdefault("families", [])
-    _require(isinstance(cfg["families"], list), "config.families",
-             "expected list")
-    for i, fam in enumerate(cfg["families"]):
-        _validate_family(fam, f"config.families[{i}]")
     cfg.setdefault("quadrature_m", 512)
     cfg.setdefault("seed", 0)
     cfg.setdefault("starts", 8)
@@ -167,6 +166,11 @@ def validate_config(raw):
     m = cfg["quadrature_m"]
     _require(m >= 8 and (m & (m - 1)) == 0, "config.quadrature_m",
              "expected a power of two >= 8")
+    cfg.setdefault("families", [])
+    _require(isinstance(cfg["families"], list), "config.families",
+             "expected list")
+    for i, fam in enumerate(cfg["families"]):
+        _validate_family(fam, f"config.families[{i}]", m)
     _require(_is_number(cfg["penalty_weight"]) and cfg["penalty_weight"] > 0,
              "config.penalty_weight", "expected a positive number")
     if cfg.get("oracle") is not None:
@@ -175,16 +179,16 @@ def validate_config(raw):
         _check_keys(cfg["tolerances"], {"gap"}, "config.tolerances")
         _require_number(cfg["tolerances"], "gap", "config.tolerances")
     if "homotopy" in cfg:
-        _validate_homotopy(cfg["homotopy"])
+        _validate_homotopy(cfg["homotopy"], m)
     if "cesaro" in cfg:
         _validate_cesaro(cfg["cesaro"])
     return cfg
 
 
-def _validate_homotopy(spec):
+def _validate_homotopy(spec, m):
     _check_keys(spec, {"z_prime", "s", "winding", "steps"}, "config.homotopy")
-    for key in ("winding", "steps"):
-        _require_int(spec, key, "config.homotopy", 1)
+    _require_int(spec, "winding", "config.homotopy", 1, m)
+    _require_int(spec, "steps", "config.homotopy", 1)
     _require_number(spec, "s", "config.homotopy")
     _require("z_prime" in spec, "config.homotopy.z_prime", "required")
 
@@ -214,6 +218,9 @@ def _validate_pair(pair):
     for key in ("r", "R"):
         _require(_is_number(pair.get(key, 0)) or isinstance(pair[key], str),
                  f"config.pair.{key}", "expected a number or expression")
+    r, R = pair.get("r"), pair.get("R")
+    _require(not (_is_number(r) and _is_number(R)) or r < R,
+             "config.pair.r", f"expected r < R, got r = {r} >= R = {R}")
 
 
 def _validate_obstacle(obst):
@@ -222,7 +229,9 @@ def _validate_obstacle(obst):
     _require(("expr" in obst) != ("builtin" in obst), "config.obstacle",
              "exactly one of 'expr' or 'builtin' required")
     if "builtin" in obst:
-        _require(obst["builtin"] in BUILTIN_OBSTACLES, "config.obstacle.builtin",
+        _require(isinstance(obst["builtin"], str)
+                 and obst["builtin"] in BUILTIN_OBSTACLES,
+                 "config.obstacle.builtin",
                  f"unknown builtin {obst['builtin']!r}")
     else:
         _require(isinstance(obst["expr"], str), "config.obstacle.expr",
@@ -231,7 +240,7 @@ def _validate_obstacle(obst):
              "config.obstacle.rotation_invariant", "expected true or false")
 
 
-def _validate_family(fam, path):
+def _validate_family(fam, path, m):
     _require(isinstance(fam, dict), path, "expected an object")
     kind = fam.get("kind")
     _require(isinstance(kind, str) and kind in FAMILY_KINDS,
@@ -239,7 +248,7 @@ def _validate_family(fam, path):
     _check_keys(fam, {"kind", *FAMILY_KINDS[kind][1]}, path,
                 f" for kind {kind!r}")
     for key in ("degree", "zeros", "winding"):
-        _require_int(fam, key, path, 1)
+        _require_int(fam, key, path, 1, m)
     _require_number(fam, "scale", path)
     if "s_range" in fam:
         lo_hi = fam["s_range"]

@@ -185,6 +185,8 @@ def counterexample_pair(delta=0.3, tau=0.05, rho_u=0.05, eps_moll=0.01):
         raise ConfigurationError("delta must lie in (0, 1/2)")
     if not 0 < tau < 0.2:
         raise ConfigurationError("tube radius out of range")
+    if not eps_moll > 0:
+        raise ConfigurationError("mollifier width eps_moll must be positive")
     table = _curve_table(delta)
 
     def m1(p):

@@ -106,6 +106,8 @@ class VerticalFamily(DiscFamily):
         self.s_range = s_range
 
     def build_many(self, P, m):
+        if m // 2 <= self.k:
+            raise ConfigurationError("sample grid too small for winding")
         s = np.exp(P[:, 0])
         samples = np.tile(self.centre, (len(P), m, 1))
         samples[:, :, -1] = s[:, None] * roots_of_unity(m) ** self.k

@@ -45,6 +45,9 @@ def kiselman_psi(pair, phi, zp, return_spacing=False):
     if not np.all(pair.base.margin(zp) > 0):
         raise PreconditionError("base point outside Y")
     r, R = pair.radii(zp)
+    if not r < R:
+        raise PreconditionError(
+            f"empty fiber: r = {r} >= R = {R} at the base point")
 
     def values(svals):
         pts = np.concatenate(

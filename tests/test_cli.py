@@ -138,6 +138,13 @@ def test_validation_failure_exits_two_without_outputs(tmp_path):
     {"points": [[[True, 0]]]},
     {"families": 5},
     {"pair": {"variant": "hartogs"}, "homotopy": {"s": 0.5}},
+    {"pair": {"variant": ["x"]}},
+    {"oracle": {"kind": {}}},
+    {"obstacle": {"builtin": [1]}},
+    {"quadrature_m": 64, "families": [{"kind": "vertical", "winding": 64}]},
+    {"pair": {"variant": "hartogs"}, "quadrature_m": 64,
+     "homotopy": {"z_prime": [[0.1, 0.0]], "winding": 64}},
+    {"pair": {"variant": "hartogs", "r": 0.9, "R": 0.5}, "points": C2_POINT},
 ])
 def test_malformed_value_exits_two_with_one_line(tmp_path, capsys, overrides):
     # run the subcommand that reads the malformed value

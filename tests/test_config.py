@@ -1,5 +1,6 @@
 """Obstacle expression grammar and JSON config validation."""
 
+import contextlib
 import json
 import re
 
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from discenv import cli
-from discenv.config import build_families, build_pair, parse_point, \
-    validate_config
-from discenv.errors import ConfigurationError
+from discenv.config import build_families, build_obstacle, build_pair, \
+    parse_point, validate_config
+from discenv.errors import ConfigurationError, DiscenvError
 from discenv.expressions import compile_expression
 from discenv.families import BlaschkeFamily, PolynomialFamily, VerticalFamily
 
@@ -249,10 +250,108 @@ def test_partial_eps_range_checked():
     ({"budget": -3}, "budget"),
     ({"families": 5}, "families"),
     ({"homotopy": {"s": 0.5}}, "homotopy.z_prime"),
+    # unhashable names
+    ({"pair": {"variant": ["x"]}}, "pair.variant"),
+    ({"oracle": {"kind": {}}}, "oracle.kind"),
+    ({"obstacle": {"builtin": [1]}}, "obstacle.builtin"),
+    # a winding, degree or zero count k on m nodes needs k < m/2
+    ({"quadrature_m": 64, "families": [{"kind": "vertical", "winding": 64}]},
+     r"families\[0\]\.winding"),
+    ({"quadrature_m": 8, "families": [{"kind": "vertical", "winding": 4}]},
+     r"families\[0\]\.winding"),
+    ({"quadrature_m": 8, "families": [{"kind": "polynomial", "degree": 4}]},
+     r"families\[0\]\.degree"),
+    ({"quadrature_m": 8, "families": [{"kind": "blaschke", "zeros": 4}]},
+     r"families\[0\]\.zeros"),
+    ({"quadrature_m": 8, "homotopy": {"z_prime": [[0.1, 0.0]],
+                                      "winding": 4}}, "homotopy.winding"),
+    # an empty Hartogs fiber
+    ({"pair": {"variant": "hartogs", "r": 0.9, "R": 0.5}}, "pair.r"),
+    ({"pair": {"variant": "hartogs", "r": 0.5, "R": 0.5}}, "pair.r"),
 ])
 def test_malformed_values_rejected(overrides, path):
     with pytest.raises(ConfigurationError, match=path):
         validate_config(minimal_config(**overrides))
+
+
+def test_sizes_below_half_the_nodes_accepted():
+    cfg = validate_config(minimal_config(
+        quadrature_m=8, homotopy={"z_prime": [[0.1, 0.0]], "winding": 3},
+        families=[{"kind": "vertical", "winding": 3},
+                  {"kind": "polynomial", "degree": 3},
+                  {"kind": "blaschke", "zeros": 3}]))
+    assert [f["kind"] for f in cfg["families"]] \
+        == ["vertical", "polynomial", "blaschke"]
+
+
+#: Every key of every block, each offered to every variant and kind
+FUZZ_KEYS = {
+    "pair": ["variant", "n", "delta", "tau", "rho_u", "eps_moll",
+             "base_radius", "r", "R"],
+    "obstacle": ["expr", "builtin", "rotation_invariant"],
+    "family": ["kind", "degree", "scale", "winding", "zeros", "s_range"],
+    "oracle": ["kind", "spacing", "bounds", "expr"],
+    "homotopy": ["z_prime", "s", "winding", "steps"],
+    "cesaro": ["m", "m_w", "j_values", "amplitude"],
+    "tolerances": ["gap"],
+}
+FUZZ_VALUES = st.sampled_from([
+    -1, 0, 1, 2, 3, 4, 7, 8, 64, 0.01, 0.05, 0.25, 0.3, 0.5, 0.9, 1.0, 1.5,
+    -0.5, 1e300, True, False, None,
+    "planar_annulus", "shell", "hartogs", "counterexample", "constant",
+    "polynomial", "vertical", "blaschke", "grid", "kiselman", "closed_form",
+    "log_abs", "re_first", "re(z1)", "abs(z1) + 0.5", "z2", "nonsense((", "",
+    [], [1], [0.25, 1.0], [2.0, 1.0], [-2.0, 2.0, -2.0, 2.0], [[0.1, 0.0]],
+    [[0.1, 0.0], [0.0, 0.0]], ["x"], [8, 64], {}, {"kind": "grid"},
+])
+
+
+def _block(name, head=None, names=()):
+    """Up to two keys of the block, values from the pool, over ``head`` set
+    to one of ``names`` when given (a pool value can replace it)."""
+    keys = st.dictionaries(st.sampled_from(FUZZ_KEYS[name]), FUZZ_VALUES,
+                           max_size=2)
+    if head is None:
+        return keys
+    return st.builds(lambda value, rest: {head: value, **rest},
+                     st.sampled_from(names), keys)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(pair=_block("pair", "variant", ["planar_annulus", "shell", "hartogs",
+                                       "counterexample"]),
+       optional=st.fixed_dictionaries({}, optional={
+           "obstacle": st.one_of(
+               _block("obstacle", "builtin", ["log_abs", "re_first"]),
+               _block("obstacle", "expr", ["re(z1)", "abs(z1) + 0.5"])),
+           "families": st.lists(_block("family", "kind", [
+               "constant", "polynomial", "shell", "vertical", "blaschke"]),
+               max_size=2),
+           "oracle": _block("oracle", "kind",
+                            ["kiselman", "grid", "closed_form"]),
+           "homotopy": _block("homotopy", "z_prime", [[[0.1, 0.0]]]),
+           "cesaro": _block("cesaro"),
+           "tolerances": _block("tolerances"),
+           "quadrature_m": st.sampled_from([8, 16, 64, 100, 512, True]),
+           "points": st.sampled_from([[], [[[0.5, 0.0]]], "x",
+                                      [[[0.5, 0.0], [0.0, 0.0]]]]),
+       }))
+def test_any_config_validates_or_is_rejected(pair, optional):
+    """validate_config returns or raises ConfigurationError; on a config it
+    returns, building the pair, obstacle and families raises nothing but
+    DiscenvError.  No search runs."""
+    try:
+        cfg = validate_config(minimal_config(pair=pair, **optional))
+    except ConfigurationError:
+        return
+    try:
+        n = build_pair(cfg)[1].n
+    except DiscenvError:
+        n = 2
+    with contextlib.suppress(DiscenvError):
+        build_obstacle(cfg, n)
+    with contextlib.suppress(DiscenvError):
+        build_families(cfg, np.zeros(n, dtype=complex))
 
 
 def test_parse_point_shape():

@@ -167,6 +167,9 @@ def test_counterexample_parameter_validation():
         counterexample_pair(delta=0.6)
     with pytest.raises(ConfigurationError):
         counterexample_pair(tau=0.5)
+    for eps_moll in (0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="eps_moll"):
+            counterexample_pair(eps_moll=eps_moll)
 
 
 @pytest.mark.parametrize("tau", [0.05, 0.1, 0.15, 0.19])

@@ -187,6 +187,15 @@ def test_polynomial_family_keeps_centre():
     assert disc.holomorphy_residual <= 1e-10
 
 
+@pytest.mark.parametrize("family", [PolynomialFamily([0.0], degree=4),
+                                    VerticalFamily([0.1, 0.0], winding=4)])
+def test_family_refuses_a_size_its_nodes_alias(family):
+    """A degree or winding k on m nodes needs k < m/2."""
+    with pytest.raises(ConfigurationError, match="sample grid too small"):
+        family.build(np.zeros(family.n_params), 8)
+    family.build(np.zeros(family.n_params), 16)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(["constant", "polynomial", "vertical", "shell"]),
        centre=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=2,

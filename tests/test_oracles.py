@@ -81,6 +81,9 @@ def test_psi_preconditions():
     phi = rotation_invariant(lambda p: np.abs(p[..., 1]))
     with pytest.raises(PreconditionError):
         kiselman_psi(pair, phi, [1.5])
+    for r, R in [(0.9, 0.5), (0.5, 0.5)]:  # an empty fiber has no infimum
+        with pytest.raises(PreconditionError, match="empty fiber"):
+            kiselman_psi(hartogs_pair(r, R), phi, [0.0])
 
 
 # ---------------------------------------------------------------------------
