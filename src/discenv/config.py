@@ -37,10 +37,9 @@ BUILTIN_OBSTACLES = {
 def _hartogs_pair(n=2, base_radius=1.0, r=0.25, R=1.0):
     """The Hartogs pair over a ball; a number radius is a constant
     expression (repr writes a float exactly)."""
-    hp = HartogsPair(ball(base_radius, n - 1),
-                     *(compile_expression(v if isinstance(v, str)
-                                          else repr(float(v)), n - 1)
-                       for v in (r, R)))
+    radii = [compile_expression(v if isinstance(v, str) else repr(float(v)),
+                                n - 1) for v in (r, R)]
+    hp = HartogsPair(ball(base_radius, n - 1), *radii)
     return hp.W, hp.X, None, hp
 
 
@@ -105,13 +104,6 @@ def _require_int(obj, key, path, low, m=None):
         if m is not None:
             _require(obj[key] < m / 2, f"{path}.{key}",
                      f"expected < quadrature_m / 2 = {m // 2}")
-
-
-def given(block, keys):
-    """The ``keys`` that ``block`` sets, by parameter name (a dict maps each
-    key to its name); a key left out keeps the callee's default."""
-    names = keys if isinstance(keys, dict) else dict(zip(keys, keys))
-    return {arg: block[key] for key, arg in names.items() if key in block}
 
 
 def _require_number(obj, key, path):
@@ -281,6 +273,13 @@ def _validate_oracle(oracle):
 # ---------------------------------------------------------------------------
 # Construction from a validated config
 # ---------------------------------------------------------------------------
+
+def given(block, keys):
+    """The ``keys`` that ``block`` sets, by parameter name (a dict maps each
+    key to its name); a key left out keeps the callee's default."""
+    names = keys if isinstance(keys, dict) else dict(zip(keys, keys))
+    return {arg: block[key] for key, arg in names.items() if key in block}
+
 
 def build_pair(cfg):
     """Returns (W, X, phi_or_None, hartogs_pair_or_None)."""
