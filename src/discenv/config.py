@@ -6,8 +6,10 @@ before anything is run, so a failed run never leaves partial outputs.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -85,9 +87,11 @@ def _is_int(value):
 
 
 def _is_number(value):
-    """An int or a finite float (JSON's NaN and Infinity are not)."""
-    return _is_int(value) \
-        or (isinstance(value, float) and math.isfinite(value))
+    """An int that fits in a float, or a finite float (JSON's NaN and
+    Infinity are not numbers, and a 400-digit int overflows a float)."""
+    if _is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
 
 
 def _is_coordinate(value):
@@ -210,9 +214,12 @@ def _validate_pair(pair):
     for key in ("r", "R"):
         _require(_is_number(pair.get(key, 0)) or isinstance(pair[key], str),
                  f"config.pair.{key}", "expected a number or expression")
-    r, R = pair.get("r"), pair.get("R")
-    _require(not (_is_number(r) and _is_number(R)) or r < R,
-             "config.pair.r", f"expected r < R, got r = {r} >= R = {R}")
+    if variant == "hartogs":
+        # a radius left out is _hartogs_pair's default
+        params = inspect.signature(_hartogs_pair).parameters
+        r, R = (pair.get(key, params[key].default) for key in ("r", "R"))
+        _require(not (_is_number(r) and _is_number(R)) or r < R,
+                 "config.pair.r", f"expected r < R, got r = {r} >= R = {R}")
 
 
 def _validate_obstacle(obst):

@@ -145,6 +145,12 @@ def test_validation_failure_exits_two_without_outputs(tmp_path):
     {"pair": {"variant": "hartogs"}, "quadrature_m": 64,
      "homotopy": {"z_prime": [[0.1, 0.0]], "winding": 64}},
     {"pair": {"variant": "hartogs", "r": 0.9, "R": 0.5}, "points": C2_POINT},
+    {"pair": {"variant": "hartogs", "r": 1.5}, "points": C2_POINT},
+    {"pair": {"variant": "hartogs", "R": 0.2}, "points": C2_POINT},
+    {"pair": {"variant": "hartogs", "r": 10 ** 400}, "points": C2_POINT,
+     "obstacle": {"expr": "abs(z2)", "rotation_invariant": True},
+     "oracle": {"kind": "kiselman"}},
+    {"oracle": {"kind": "grid", "spacing": 10 ** 400}},
 ])
 def test_malformed_value_exits_two_with_one_line(tmp_path, capsys, overrides):
     # run the subcommand that reads the malformed value

@@ -268,6 +268,12 @@ def test_partial_eps_range_checked():
     # an empty Hartogs fiber
     ({"pair": {"variant": "hartogs", "r": 0.9, "R": 0.5}}, "pair.r"),
     ({"pair": {"variant": "hartogs", "r": 0.5, "R": 0.5}}, "pair.r"),
+    # a radius left out is the builder's default, r = 0.25 or R = 1.0
+    ({"pair": {"variant": "hartogs", "r": 1.5}}, "pair.r"),
+    ({"pair": {"variant": "hartogs", "R": 0.2}}, "pair.r"),
+    # an int too large for a float
+    ({"pair": {"variant": "hartogs", "r": 10 ** 400}}, "pair.r"),
+    ({"oracle": {"kind": "grid", "spacing": 10 ** 400}}, "oracle.spacing"),
 ])
 def test_malformed_values_rejected(overrides, path):
     with pytest.raises(ConfigurationError, match=path):

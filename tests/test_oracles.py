@@ -211,6 +211,33 @@ def test_prolongation_covers_a_fine_grid_one_node_longer():
                - np.log(1.5)) <= 1e-2
 
 
+def test_coarse_free_set_is_the_fine_five_point_stencil(monkeypatch):
+    # 11 x 11 fine nodes, free inside the rim; coarse node (i, j) is fine
+    # node (2i, 2j).  Fine (3, 3) is a diagonal neighbour of coarse (1, 1),
+    # (1, 2), (2, 1) and (2, 2); fine (4, 7) a cross neighbour of (2, 3)
+    # and (2, 4)
+    free = np.zeros((11, 11), dtype=bool)
+    free[1:-1, 1:-1] = True
+    free[3, 3] = free[4, 7] = False
+    expected = np.zeros((6, 6), dtype=bool)
+    expected[1:-1, 1:-1] = True
+    expected[2, 3] = expected[2, 4] = False
+    coarse_sets = []
+    correction = oracles._correction
+
+    def recording(d, coarse):
+        coarse_sets.append(coarse)
+        return 0.0
+
+    monkeypatch.setattr(oracles, "_correction", recording)
+    d = np.random.default_rng(5).standard_normal(free.shape)
+    e = correction(d, free)
+    assert np.array_equal(coarse_sets[0], expected)
+    assert np.all(e[~free] == 0.0)
+    # the defect off free does not reach the correction
+    assert np.array_equal(correction(np.where(free, d, 7.0), free), e)
+
+
 def test_prolonged_start_saves_cycles_at_half_spacing(monkeypatch):
     pair = planar_annulus_pair()
     phi = obstacle_from_expression("log(abs(z1))", 1)
@@ -223,11 +250,24 @@ def test_prolonged_start_saves_cycles_at_half_spacing(monkeypatch):
     assert cycles[1] < cycles[2]
 
 
-@pytest.mark.parametrize("expr", ["log(abs(z1))", "-abs(z1)"])
+def test_multigrid_cycles_per_level(monkeypatch):
+    # coarse free sets eroded by their 3x3 neighbourhood take 46 and 41
+    pair = planar_annulus_pair()
+    phi = obstacle_from_expression("log(abs(z1))", 1)
+    cycles = counting_relax(monkeypatch)
+    grid_obstacle_solver(pair, phi, annulus_grid_config(tol=1e-10))
+    assert len(cycles) == 2
+    assert max(cycles) <= 35
+
+
+@pytest.mark.parametrize("expr", [
+    "log(abs(z1))", "-abs(z1)", "abs(z1 - 1.5)",
+    "0.3 + 0.7 * re(z1) - 0.4 * im(z1) + 1.3 * log(abs(z1))"])
 def test_multigrid_converges_below_the_obstacle(monkeypatch, expr):
     # log|z1| is harmonic in W, so its contact set there is a fine-grained
     # mix of contact and free nodes; -|z1| is superharmonic, so its
-    # contact set has a free boundary inside W
+    # contact set has a free boundary inside W; |z1 - 1.5| has its kink
+    # inside W, and the affine + log mix has no symmetry
     pair = planar_annulus_pair()
     phi = obstacle_from_expression(expr, 1)
     cycles = counting_relax(monkeypatch)
