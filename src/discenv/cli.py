@@ -102,12 +102,10 @@ def _oracle_values(cfg, points, w, x_spec, phi, hartogs, outdir):
             raise ConfigurationError(
                 "config.oracle: kiselman oracle needs a hartogs pair")
         return [float(kiselman_psi(hartogs, phi, p[:-1])) for p in points]
-    probes = [complex(p[0]) for p in points]
-    gcfg = GridConfig(**cfgmod.given(oracle, cfgmod.ORACLE_KINDS["grid"]),
-                      probes=tuple(probes))
+    gcfg = GridConfig(**cfgmod.given(oracle, cfgmod.ORACLE_KINDS["grid"]))
     field = grid_obstacle_solver((w, x_spec), phi, gcfg)
     field.to_csv(os.path.join(outdir, "grid_field.csv"))
-    return [float(v) for v in field.interpolate(np.asarray(probes))]
+    return [float(v) for v in field.interpolate(np.asarray([p[0] for p in points]))]
 
 
 def _row(point, envelope=None, oracle=None, feasible=True,

@@ -79,7 +79,7 @@ def kiselman_psi(pair, phi, zp, return_spacing=False):
 # Planar grid obstacle solver
 # ---------------------------------------------------------------------------
 
-#: Multigrid cycle cap per grid level, and sweeps per coarse level of a
+#: Multigrid cycle cap per solve, and sweeps per coarse level of a
 #: V-cycle.
 MAX_SWEEPS = 1_000
 COARSE_SWEEPS = 3
@@ -90,14 +90,11 @@ class GridConfig:
     """Settings for the planar obstacle relaxation on the box ``bounds`` =
     (x_min, x_max, y_min, y_max).
 
-    ``spacing`` is the coarse spacing h; the solver also runs at h/2 and
-    returns the finer field, recording the probe-wise difference as a
-    Richardson-style error estimate.
+    ``spacing`` is h; the solver relaxes and returns the field at h/2.
     """
     bounds: tuple = (-2.0625, 2.0625, -2.0625, 2.0625)
     spacing: float = 1.0 / 128
     tol: float = 1e-10
-    probes: tuple = ()
 
 
 class GridField:
@@ -115,7 +112,6 @@ class GridField:
         self.h = h
         self.values = values
         self.mask = mask
-        self.richardson = {}
 
     def points(self):
         ny, nx = self.values.shape
@@ -272,16 +268,11 @@ def _correction(d, free):
 
 def _prolong(e, shape):
     """Bilinear prolongation of e to the grid of half its spacing with the
-    same first node, cut to shape; rows or columns beyond the prolonged
-    grid (one short when the bounds lie just within 1e-9 above a whole
-    number of coarse spacings) repeat its last one."""
+    same first node, cut to shape."""
     fine = np.zeros((2 * e.shape[0] - 1, 2 * e.shape[1] - 1))
     fine[::2, ::2] = e
     fine[1::2, ::2] = 0.5 * (e[:-1] + e[1:])
     fine[:, 1::2] = 0.5 * (fine[:, :-2:2] + fine[:, 2::2])
-    short = [(0, max(n - m, 0)) for n, m in zip(shape, fine.shape)]
-    if any(pad for _, pad in short):
-        fine = np.pad(fine, short, mode="edge")
     return fine[:shape[0], :shape[1]]
 
 
@@ -324,47 +315,25 @@ def _relax(u, obst, active, tol):
         f"after {MAX_SWEEPS} cycles (last change {change:.3e} > {tol:.3e})")
 
 
-def _solve_level(pair, phi, cfg, h, start=None):
-    """The field at spacing h, relaxed from top (start None), from start
-    as it is when it has this grid's shape, or else from start prolonged
-    from the grid of spacing 2h."""
-    xs, ys, mask, obst, top = _build_grid(pair, phi, cfg, h)
-    active = mask > 0
-    if start is None:
-        start = top
-    elif start.shape != mask.shape:
-        start = _prolong(start, mask.shape)
-    u = obst.copy()
-    u[active] = np.minimum(obst, start)[active]
-    _relax(u, obst, active, cfg.tol)
-    return GridField(xs[0], ys[0], h, u, mask)
-
-
 def grid_obstacle_solver(pair, phi, cfg):
     """Largest subharmonic function on the planar X that is at most phi on
-    W (the largest subextension), on grids of spacing h = cfg.spacing
-    and h/2.
+    W (the largest subextension), on the grid of spacing cfg.spacing / 2.
 
     The obstacle is phi on W and +inf on X \\ W; the relaxation
-    u <- min(obstacle, four-neighbour mean) is iterated to a fixed point.
-    At h it starts from top, the largest W-node value of phi, which bounds
-    the solution by the maximum principle; at h/2 from the prolonged h
-    field.  The h/2 field is returned, with the probe-wise difference to
-    the h field kept as an error estimate.
+    u <- min(obstacle, four-neighbour mean) is iterated to a fixed point
+    from top, the largest W-node value of phi, which bounds the solution
+    by the maximum principle.
     """
     w_spec, x_spec = pair
     if w_spec.n != 1 or x_spec.n != 1:
         raise UnsupportedDimensionError(
             "grid obstacle solver is planar only (one complex dimension)")
-    coarse = _solve_level(pair, phi, cfg, cfg.spacing)
-    fine = _solve_level(pair, phi, cfg, cfg.spacing / 2, coarse.values)
-    if cfg.probes:
-        pts = np.asarray(cfg.probes)
-        fine.richardson = {
-            "probe_abs_diff": [float(abs(a - b)) for a, b in
-                               zip(coarse.interpolate(pts),
-                                   fine.interpolate(pts))]}
-    return fine
+    h = cfg.spacing / 2
+    xs, ys, mask, obst, top = _build_grid(pair, phi, cfg, h)
+    active = mask > 0
+    u = np.where(active, np.minimum(obst, top), obst)
+    _relax(u, obst, active, cfg.tol)
+    return GridField(xs[0], ys[0], h, u, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ def test_grid_with_no_node_in_w_exits_two(tmp_path, capsys):
     assert run(["oracle", "--config", cfg_path, "--out", out,
                 "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: no grid node lies in W at spacing 0.25")
+    assert err.startswith("error: no grid node lies in W at spacing 0.125")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 
