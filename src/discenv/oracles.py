@@ -31,7 +31,7 @@ from .errors import (
 KISELMAN_SAMPLES = 512
 
 
-def kiselman_psi(pair, phi, zp, return_spacing=False):
+def kiselman_psi(pair, phi, zp):
     """Fiberwise infimum of a rotation-invariant obstacle over a Hartogs shell.
 
     psi(z') = inf over r(z') < s < R(z') of phi(z', s), found on a hybrid
@@ -67,12 +67,7 @@ def kiselman_psi(pair, phi, zp, return_spacing=False):
     lo = s[max(i - 1, 0)]
     hi = s[min(i + 1, s.size - 1)]
     fine = np.linspace(lo, hi, KISELMAN_SAMPLES)
-    fvals = values(fine)
-    spacing = (hi - lo) / (KISELMAN_SAMPLES - 1)
-    best = float(min(vals[i], np.min(fvals)))
-    if return_spacing:
-        return best, float(spacing)
-    return best
+    return float(min(vals[i], np.min(values(fine))))
 
 
 # ---------------------------------------------------------------------------
