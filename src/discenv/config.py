@@ -59,6 +59,10 @@ PAIR_VARIANTS = {
 ORACLE_KINDS = {"kiselman": (), "grid": ("spacing", "bounds"),
                 "closed_form": ("expr",)}
 
+#: The largest quadrature_m: a lockstep batch of the default 8 starts has
+#: 8 x 2**16 boundary samples, about 17 MB per complex array in C^2.
+MAX_QUADRATURE_M = 2 ** 16
+
 #: Each family kind's class, and the config keys it takes under their
 #: keyword names; a key the config leaves out keeps the class default.
 FAMILY_KINDS = {
@@ -160,8 +164,9 @@ def validate_config(raw):
         _require(_is_int(cfg[key]) and cfg[key] >= 1,
                  f"config.{key}", "expected integer >= 1")
     m = cfg["quadrature_m"]
-    _require(m >= 8 and (m & (m - 1)) == 0, "config.quadrature_m",
-             "expected a power of two >= 8")
+    _require(8 <= m <= MAX_QUADRATURE_M and (m & (m - 1)) == 0,
+             "config.quadrature_m",
+             f"expected a power of two from 8 to {MAX_QUADRATURE_M}")
     cfg.setdefault("families", [])
     _require(isinstance(cfg["families"], list), "config.families",
              "expected list")

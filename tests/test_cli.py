@@ -151,6 +151,8 @@ def test_validation_failure_exits_two_without_outputs(tmp_path):
      "obstacle": {"expr": "abs(z2)", "rotation_invariant": True},
      "oracle": {"kind": "kiselman"}},
     {"oracle": {"kind": "grid", "spacing": 10 ** 400}},
+    {"quadrature_m": 2 ** 70},
+    {"quadrature_m": 2 ** 1100},
 ])
 def test_malformed_value_exits_two_with_one_line(tmp_path, capsys, overrides):
     # run the subcommand that reads the malformed value

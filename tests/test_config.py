@@ -274,6 +274,9 @@ def test_partial_eps_range_checked():
     # an int too large for a float
     ({"pair": {"variant": "hartogs", "r": 10 ** 400}}, "pair.r"),
     ({"oracle": {"kind": "grid", "spacing": 10 ** 400}}, "oracle.spacing"),
+    # powers of two beyond the node cap
+    ({"quadrature_m": 2 ** 70}, "quadrature_m"),
+    ({"quadrature_m": 2 ** 1100}, "quadrature_m"),
 ])
 def test_malformed_values_rejected(overrides, path):
     with pytest.raises(ConfigurationError, match=path):
