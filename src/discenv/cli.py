@@ -121,19 +121,21 @@ def _row(point, envelope=None, oracle=None, feasible=True,
 def run_envelope(cfg, outdir, compare=False, quiet=False):
     w, x_spec, phi, hartogs, points = _problem(cfg)
     grid = QuadratureGrid(cfg["quadrature_m"])
+    # every point's families are built, and checked, before any search
+    requests = [EnvelopeRequest(pair=(w, x_spec), phi=phi, x=point,
+                                families=cfgmod.build_families(cfg, point,
+                                                               hartogs),
+                                penalty_weight=cfg["penalty_weight"],
+                                starts=cfg["starts"], budget=cfg["budget"],
+                                seed=cfg["seed"], grid=grid)
+                for point in points]
     oracle_vals = [None] * len(points)
     if compare and cfg.get("oracle") is not None:
         oracle_vals = _oracle_values(cfg, points, w, x_spec, phi, hartogs,
                                      outdir)
 
     rows = []
-    for point, oracle_val in zip(points, oracle_vals):
-        fams = cfgmod.build_families(cfg, point, hartogs)
-        req = EnvelopeRequest(pair=(w, x_spec), phi=phi, x=point,
-                              families=fams,
-                              penalty_weight=cfg["penalty_weight"],
-                              starts=cfg["starts"], budget=cfg["budget"],
-                              seed=cfg["seed"], grid=grid)
+    for point, req, oracle_val in zip(points, requests, oracle_vals):
         t0 = time.perf_counter()
         res = minimize_envelope(req)
         runtime = time.perf_counter() - t0

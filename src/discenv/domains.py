@@ -75,6 +75,18 @@ def planar_annulus_pair():
     return w, ball(2.0, 1)
 
 
+def shell_centre(x):
+    """x as a complex vector, checked to be a centre shell_disc takes: of
+    dimension >= 2 and in the open ball of radius 2."""
+    x = np.atleast_1d(np.asarray(x, dtype=complex))
+    if x.size < 2:
+        raise PreconditionError("shell disc needs dimension >= 2")
+    if np.linalg.norm(x) >= 2.0:
+        raise PreconditionError(f"centre {tuple(x.tolist())} must lie in "
+                                f"the ball of radius 2")
+    return x
+
+
 def shell_disc(x, m=256):
     """The radius-3 sphere disc through a centre x in the ball of radius 2.
 
@@ -84,12 +96,7 @@ def shell_disc(x, m=256):
     constant.  The boundary lies exactly on the sphere of radius 3 and
     the centre is exactly x.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=complex))
-    n = x.size
-    if n < 2:
-        raise PreconditionError("shell disc needs dimension >= 2")
-    if np.linalg.norm(x) >= 2.0:
-        raise PreconditionError("centre must lie in the ball of radius 2")
+    x = shell_centre(x)
     rho = np.sqrt(9.0 - np.sum(np.abs(x[1:]) ** 2))
     zeta = roots_of_unity(m)
     samples = np.tile(x, (m, 1))

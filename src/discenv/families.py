@@ -16,8 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from .discs import AnalyticDisc, roots_of_unity
-from .domains import shell_disc
-from .errors import ConfigurationError, InfeasibleParameters
+from .domains import shell_centre, shell_disc
+from .errors import (ConfigurationError, InfeasibleParameters,
+                     PreconditionError)
 
 ZERO_CAP = 1.0 - 1e-6  # Blaschke zeros stay strictly inside the unit disc
 
@@ -208,7 +209,10 @@ class ShellFamily(DiscFamily):
     n_params = 0
 
     def __init__(self, centre):
-        self.centre = np.atleast_1d(np.asarray(centre, dtype=complex))
+        try:
+            self.centre = shell_centre(centre)
+        except PreconditionError as exc:
+            raise PreconditionError(f"{self.name} family: {exc}") from None
 
     def build_many(self, P, m):
         samples = shell_disc(self.centre, m=m).samples

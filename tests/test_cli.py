@@ -275,6 +275,31 @@ def test_shell_pair_with_shell_family(tmp_path):
     assert report["rows"][0]["family"] == "shell"
 
 
+def test_shell_family_outside_the_ball_exits_before_any_search(
+        tmp_path, capsys, monkeypatch):
+    # the second point lies outside the ball of radius 2 that the shell
+    # disc's centre must lie in
+    searches = []
+    monkeypatch.setattr(cli, "minimize_envelope", searches.append)
+    cfg = {
+        "experiment": "shell",
+        "pair": {"variant": "shell", "n": 2},
+        "obstacle": {"expr": "re(z1)"},
+        "points": [[[0.5, 0.0], [0.0, 0.0]], [[3.0, 0.0], [0.0, 0.0]]],
+        "families": [{"kind": "shell"}],
+        "quadrature_m": 128,
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert run(["envelope", "--config", cfg_path, "--out", out,
+                "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: shell family: centre ((3+0j), 0j) must lie in "
+                   "the ball of radius 2\n")
+    assert searches == []
+    assert not out.exists()
+
+
 def test_hartogs_pair_with_vertical_family(tmp_path):
     # criterion 1's pair: the envelope is the Kiselman psi, re z1 + 1/16
     cfg = {
