@@ -105,7 +105,8 @@ def _oracle_values(cfg, points, w, x_spec, phi, hartogs, outdir):
     gcfg = GridConfig(**cfgmod.given(oracle, cfgmod.ORACLE_KINDS["grid"]))
     field = grid_obstacle_solver((w, x_spec), phi, gcfg)
     field.to_csv(os.path.join(outdir, "grid_field.csv"))
-    return [float(v) for v in field.interpolate(np.asarray([p[0] for p in points]))]
+    probes = np.asarray([p[0] for p in points])
+    return [float(v) for v in field.interpolate(probes)]
 
 
 def _row(point, envelope=None, oracle=None, feasible=True,
