@@ -102,7 +102,7 @@ def _oracle_values(cfg, points, w, x_spec, phi, hartogs, outdir):
             raise ConfigurationError(
                 "config.oracle: kiselman oracle needs a hartogs pair")
         return [float(kiselman_psi(hartogs, phi, p[:-1])) for p in points]
-    gcfg = GridConfig(**cfgmod.given(oracle, cfgmod.ORACLE_KINDS["grid"]))
+    gcfg = GridConfig(**cfgmod.given(oracle, cfgmod.ORACLE_KINDS["grid"][1]))
     field = grid_obstacle_solver((w, x_spec), phi, gcfg)
     field.to_csv(os.path.join(outdir, "grid_field.csv"))
     probes = np.asarray([p[0] for p in points])
@@ -199,7 +199,7 @@ def run_homotopy(cfg, outdir, quiet=False):
 
 def run_cesaro(cfg, outdir, quiet=False):
     result = cesaro_convergence(seed=cfg["seed"], **cfgmod.given(
-        cfg.get("cesaro", {}), ["m", "m_w", "j_values", "amplitude"]))
+        cfg.get("cesaro", {}), list(cfgmod.CESARO_RULES)))
     buf = io.StringIO()
     buf.write("# columns: j, sup_error\n")
     writer = csv.writer(buf)

@@ -29,6 +29,7 @@ from .families import (
     VerticalFamily,
 )
 from .hartogs import HartogsPair
+from .oracles import GridConfig
 
 BUILTIN_OBSTACLES = {
     "log_abs": "log(abs(z1))",
@@ -55,9 +56,11 @@ PAIR_VARIANTS = {
     "hartogs": (_hartogs_pair, ("n", "base_radius", "r", "R")),
 }
 
-#: The keys each oracle kind reads besides ``kind`` (GridConfig fields).
-ORACLE_KINDS = {"kiselman": (), "grid": ("spacing", "bounds"),
-                "closed_form": ("expr",)}
+#: Each oracle kind's config class, if it has one, and the keys it reads
+#: besides ``kind``.
+ORACLE_KINDS = {"kiselman": (None, ()),
+                "grid": (GridConfig, ("spacing", "bounds")),
+                "closed_form": (None, ("expr",))}
 
 #: The largest quadrature_m: a lockstep batch of the default 8 starts has
 #: 8 x 2**16 boundary samples, about 17 MB per complex array in C^2.
@@ -71,12 +74,6 @@ FAMILY_KINDS = {
     "shell": (ShellFamily, {}),
     "vertical": (VerticalFamily, {"winding": "winding", "s_range": "s_range"}),
     "blaschke": (BlaschkeFamily, {"zeros": "n_zeros", "s_range": "s_range"}),
-}
-
-_TOP_KEYS = {
-    "experiment", "pair", "obstacle", "points", "families", "quadrature_m",
-    "seed", "starts", "budget", "penalty_weight", "oracle", "tolerances",
-    "homotopy", "cesaro", "output",
 }
 
 
@@ -98,32 +95,156 @@ def _is_number(value):
     return isinstance(value, float) and math.isfinite(value)
 
 
-def _is_coordinate(value):
-    return isinstance(value, list) and len(value) == 2 \
+def _is_numbers(value, size):
+    return isinstance(value, (list, tuple)) and len(value) == size \
         and all(_is_number(v) for v in value)
 
 
-def _require_int(obj, key, path, low, m=None):
-    """An optional key of ``obj``, if present, must be an integer >= low,
-    and below m/2 when m is given: a winding k on m nodes needs k < m/2."""
-    if key in obj:
-        _require(_is_int(obj[key]) and obj[key] >= low,
-                 f"{path}.{key}", f"expected integer >= {low}")
-        if m is not None:
-            _require(obj[key] < m / 2, f"{path}.{key}",
+def _is_coordinate(value):
+    return isinstance(value, list) and _is_numbers(value, 2)
+
+
+def _at_least(low, message=None):
+    """The rule of an integer >= low."""
+    return (lambda value: _is_int(value) and value >= low,
+            message or f"expected integer >= {low}")
+
+
+def _named(table, noun):
+    """The rule of a name in ``table`` (an unhashable value is none)."""
+    return (lambda value: isinstance(value, str) and value in table,
+            f"unknown {noun} {{!r}}")
+
+
+def _check(block, path, rules, m=None, kinds=None, first=None):
+    """Check a config block against its rules, in table order.  A rule is
+    (test, message), or a function of the value, its path and the block;
+    ``first(block)`` runs after the key check and before the rules."""
+    _require(isinstance(block, dict), path, "expected an object")
+    allowed, of = rules, ""
+    if kinds is not None:
+        # the table's first key names the kind, which picks the keys
+        head = next(iter(rules))
+        kind, (test, message) = block.get(head), rules[head]
+        _require(test(kind), f"{path}.{head}", message.format(kind))
+        allowed, of = {head, *kinds[kind][1]}, f" for {head} {kind!r}"
+    unknown = set(block) - set(allowed)
+    _require(not unknown, path, f"unknown keys {sorted(unknown)}{of}")
+    if first is not None:
+        first(block)
+    for key, rule in rules.items():
+        if key in block and callable(rule):
+            rule(block[key], f"{path}.{key}", block)
+        elif key in block and not rule[0](block[key]):
+            _require(False, f"{path}.{key}", rule[1].format(block[key]))
+        if key in ("degree", "zeros", "winding") and key in block:
+            _require(2 * block[key] < m, f"{path}.{key}",
                      f"expected < quadrature_m / 2 = {m // 2}")
 
 
-def _require_number(obj, key, path):
-    """An optional key of ``obj``, if present, must be a number."""
-    if key in obj:
-        _require(_is_number(obj[key]), f"{path}.{key}", "expected a number")
+def _pair(pair, path, cfg):
+    _require(pair is not _REQUIRED, path, "required")
+    _check(pair, path, PAIR_RULES, kinds=PAIR_VARIANTS)
+    if pair["variant"] == "hartogs":
+        # a radius left out is _hartogs_pair's default
+        params = inspect.signature(_hartogs_pair).parameters
+        r, R = (pair.get(key, params[key].default) for key in ("r", "R"))
+        _require(not (_is_number(r) and _is_number(R)) or r < R,
+                 f"{path}.r", f"expected r < R, got r = {r} >= R = {R}")
 
 
-def _check_keys(obj, allowed, path, of=""):
-    _require(isinstance(obj, dict), path, "expected an object")
-    unknown = set(obj) - set(allowed)
-    _require(not unknown, path, f"unknown keys {sorted(unknown)}{of}")
+def _points(points, path, cfg):
+    _require(isinstance(points, list), path, "expected list")
+    for i, point in enumerate(points):
+        _require(isinstance(point, list)
+                 and all(_is_coordinate(c) for c in point),
+                 f"{path}[{i}]", "expected [re, im] number pairs")
+
+
+def _families(families, path, cfg):
+    # the sizes need quadrature_m, which is checked after budget
+    m = cfg["quadrature_m"]
+    _require(8 <= m <= MAX_QUADRATURE_M and (m & (m - 1)) == 0,
+             "config.quadrature_m",
+             f"expected a power of two from 8 to {MAX_QUADRATURE_M}")
+    _require(isinstance(families, list), path, "expected list")
+    for i, fam in enumerate(families):
+        _check(fam, f"{path}[{i}]", FAMILY_RULES, m, FAMILY_KINDS)
+
+
+def _homotopy(spec, path, cfg):
+    _check(spec, path, HOMOTOPY_RULES, cfg["quadrature_m"])
+    _require("z_prime" in spec, f"{path}.z_prime", "required")
+
+
+_REQUIRED = object()  # the default of a key that a config must set
+_ANY = (lambda value: True, "")
+_NUMBER = (_is_number, "expected a number")
+_NONNEGATIVE = _at_least(0, "expected nonnegative integer")
+_POSITIVE = (lambda value: _is_number(value) and value > 0,
+             "expected a positive number")
+_RADIUS = (lambda value: _is_number(value) or isinstance(value, str),
+           "expected a number or expression")
+
+#: The value rule of each key of each config block, in the order they are
+#: checked; a block with kinds has its kind's name as its first key.
+TOP_RULES = {
+    "experiment": (lambda value: isinstance(value, str), "required string"),
+    "pair": _pair,
+    "obstacle": lambda obst, path, cfg: _check(
+        obst, path, OBSTACLE_RULES, first=lambda o: _require(
+            ("expr" in o) != ("builtin" in o), path,
+            "exactly one of 'expr' or 'builtin' required")),
+    "points": _points,
+    "quadrature_m": _NONNEGATIVE, "seed": _NONNEGATIVE,
+    "starts": _at_least(1), "budget": _at_least(1),
+    "families": _families,
+    "penalty_weight": _POSITIVE,
+    "oracle": lambda oracle, path, cfg: oracle is None or _check(
+        oracle, path, ORACLE_RULES, kinds=ORACLE_KINDS, first=lambda o:
+        _require(o["kind"] != "closed_form" or "expr" in o,
+                 f"{path}.expr", ORACLE_RULES["expr"][1])),
+    "tolerances": lambda tol, path, cfg: _check(tol, path, TOLERANCES_RULES),
+    "homotopy": _homotopy,
+    "cesaro": lambda spec, path, cfg: _check(spec, path, CESARO_RULES),
+    "output": _ANY,
+}
+PAIR_RULES = {
+    "variant": _named(PAIR_VARIANTS, "variant"),
+    "delta": _NUMBER, "tau": _NUMBER, "rho_u": _NUMBER, "eps_moll": _NUMBER,
+    "base_radius": _NUMBER, "n": _at_least(2), "r": _RADIUS, "R": _RADIUS,
+}
+OBSTACLE_RULES = {
+    "builtin": _named(BUILTIN_OBSTACLES, "builtin"),
+    "expr": (lambda value: isinstance(value, str), "expected a string"),
+    "rotation_invariant": (lambda value: isinstance(value, bool),
+                           "expected true or false"),
+}
+FAMILY_RULES = {
+    "kind": _named(FAMILY_KINDS, "family kind"),
+    "degree": _at_least(1), "zeros": _at_least(1), "winding": _at_least(1),
+    "scale": _NUMBER,
+    "s_range": (lambda v: _is_numbers(v, 2) and 0 < v[0] < v[1],
+                "expected [lo, hi] with 0 < lo < hi"),
+}
+ORACLE_RULES = {
+    "kind": _named(ORACLE_KINDS, "oracle"),
+    "expr": (lambda value: isinstance(value, str),
+             "closed_form oracle needs 'expr'"),
+    "spacing": _POSITIVE,
+    "bounds": (lambda b: _is_numbers(b, 4) and b[0] < b[1] and b[2] < b[3],
+               "expected [x_min, x_max, y_min, y_max] with min < max"),
+}
+TOLERANCES_RULES = {"gap": _NUMBER}
+HOMOTOPY_RULES = {"winding": _at_least(1), "steps": _at_least(1),
+                  "s": _NUMBER, "z_prime": _ANY}
+CESARO_RULES = {
+    "m": _at_least(1), "m_w": _at_least(1),
+    "j_values": (lambda js: isinstance(js, (list, tuple))
+                 and all(_is_int(j) and j >= 0 for j in js),
+                 "expected a list of integers >= 0"),
+    "amplitude": _NUMBER,
+}
 
 
 def load_config(path):
@@ -138,148 +259,12 @@ def load_config(path):
 def validate_config(raw):
     """Validate the raw document and fill defaults; returns the effective
     config dict (round-trippable through JSON)."""
-    _check_keys(raw, _TOP_KEYS, "config")
-    cfg = dict(raw)
-    _require("experiment" in cfg and isinstance(cfg["experiment"], str),
-             "config.experiment", "required string")
-    _require("pair" in cfg, "config.pair", "required")
-    _validate_pair(cfg["pair"])
-    if "obstacle" in cfg:
-        _validate_obstacle(cfg["obstacle"])
-    cfg.setdefault("points", [])
-    _require(isinstance(cfg["points"], list), "config.points", "expected list")
-    for i, point in enumerate(cfg["points"]):
-        _require(isinstance(point, list)
-                 and all(_is_coordinate(c) for c in point),
-                 f"config.points[{i}]", "expected [re, im] number pairs")
-    cfg.setdefault("quadrature_m", 512)
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("starts", 8)
-    cfg.setdefault("budget", 400)
-    cfg.setdefault("penalty_weight", 1e3)
-    for key in ("quadrature_m", "seed"):
-        _require(_is_int(cfg[key]) and cfg[key] >= 0,
-                 f"config.{key}", "expected nonnegative integer")
-    for key in ("starts", "budget"):
-        _require(_is_int(cfg[key]) and cfg[key] >= 1,
-                 f"config.{key}", "expected integer >= 1")
-    m = cfg["quadrature_m"]
-    _require(8 <= m <= MAX_QUADRATURE_M and (m & (m - 1)) == 0,
-             "config.quadrature_m",
-             f"expected a power of two from 8 to {MAX_QUADRATURE_M}")
-    cfg.setdefault("families", [])
-    _require(isinstance(cfg["families"], list), "config.families",
-             "expected list")
-    for i, fam in enumerate(cfg["families"]):
-        _validate_family(fam, f"config.families[{i}]", m)
-    _require(_is_number(cfg["penalty_weight"]) and cfg["penalty_weight"] > 0,
-             "config.penalty_weight", "expected a positive number")
-    if cfg.get("oracle") is not None:
-        _validate_oracle(cfg["oracle"])
-    if "tolerances" in cfg:
-        _check_keys(cfg["tolerances"], {"gap"}, "config.tolerances")
-        _require_number(cfg["tolerances"], "gap", "config.tolerances")
-    if "homotopy" in cfg:
-        _validate_homotopy(cfg["homotopy"], m)
-    if "cesaro" in cfg:
-        _validate_cesaro(cfg["cesaro"])
+    cfg = raw if not isinstance(raw, dict) else {
+        "experiment": _REQUIRED, "pair": _REQUIRED, "points": [],
+        "quadrature_m": 512, "seed": 0, "starts": 8, "budget": 400,
+        "penalty_weight": 1e3, "families": [], **raw}
+    _check(cfg, "config", TOP_RULES)
     return cfg
-
-
-def _validate_homotopy(spec, m):
-    _check_keys(spec, {"z_prime", "s", "winding", "steps"}, "config.homotopy")
-    _require_int(spec, "winding", "config.homotopy", 1, m)
-    _require_int(spec, "steps", "config.homotopy", 1)
-    _require_number(spec, "s", "config.homotopy")
-    _require("z_prime" in spec, "config.homotopy.z_prime", "required")
-
-
-def _validate_cesaro(spec):
-    _check_keys(spec, {"m", "m_w", "j_values", "amplitude"}, "config.cesaro")
-    for key in ("m", "m_w"):
-        _require_int(spec, key, "config.cesaro", 1)
-    if "j_values" in spec:
-        js = spec["j_values"]
-        _require(isinstance(js, (list, tuple))
-                 and all(_is_int(j) and j >= 0 for j in js),
-                 "config.cesaro.j_values", "expected a list of integers >= 0")
-    _require_number(spec, "amplitude", "config.cesaro")
-
-
-def _validate_pair(pair):
-    _require(isinstance(pair, dict), "config.pair", "expected an object")
-    variant = pair.get("variant")
-    _require(isinstance(variant, str) and variant in PAIR_VARIANTS,
-             "config.pair.variant", f"unknown variant {variant!r}")
-    _check_keys(pair, {"variant", *PAIR_VARIANTS[variant][1]}, "config.pair",
-                f" for variant {variant!r}")
-    for key in ("delta", "tau", "rho_u", "eps_moll", "base_radius"):
-        _require_number(pair, key, "config.pair")
-    _require_int(pair, "n", "config.pair", 2)
-    for key in ("r", "R"):
-        _require(_is_number(pair.get(key, 0)) or isinstance(pair[key], str),
-                 f"config.pair.{key}", "expected a number or expression")
-    if variant == "hartogs":
-        # a radius left out is _hartogs_pair's default
-        params = inspect.signature(_hartogs_pair).parameters
-        r, R = (pair.get(key, params[key].default) for key in ("r", "R"))
-        _require(not (_is_number(r) and _is_number(R)) or r < R,
-                 "config.pair.r", f"expected r < R, got r = {r} >= R = {R}")
-
-
-def _validate_obstacle(obst):
-    _check_keys(obst, {"expr", "builtin", "rotation_invariant"},
-                "config.obstacle")
-    _require(("expr" in obst) != ("builtin" in obst), "config.obstacle",
-             "exactly one of 'expr' or 'builtin' required")
-    if "builtin" in obst:
-        _require(isinstance(obst["builtin"], str)
-                 and obst["builtin"] in BUILTIN_OBSTACLES,
-                 "config.obstacle.builtin",
-                 f"unknown builtin {obst['builtin']!r}")
-    else:
-        _require(isinstance(obst["expr"], str), "config.obstacle.expr",
-                 "expected a string")
-    _require(isinstance(obst.get("rotation_invariant", False), bool),
-             "config.obstacle.rotation_invariant", "expected true or false")
-
-
-def _validate_family(fam, path, m):
-    _require(isinstance(fam, dict), path, "expected an object")
-    kind = fam.get("kind")
-    _require(isinstance(kind, str) and kind in FAMILY_KINDS,
-             f"{path}.kind", f"unknown family kind {kind!r}")
-    _check_keys(fam, {"kind", *FAMILY_KINDS[kind][1]}, path,
-                f" for kind {kind!r}")
-    for key in ("degree", "zeros", "winding"):
-        _require_int(fam, key, path, 1, m)
-    _require_number(fam, "scale", path)
-    if "s_range" in fam:
-        lo_hi = fam["s_range"]
-        _require(isinstance(lo_hi, (list, tuple)) and len(lo_hi) == 2
-                 and all(_is_number(v) for v in lo_hi)
-                 and 0 < lo_hi[0] < lo_hi[1],
-                 f"{path}.s_range", "expected [lo, hi] with 0 < lo < hi")
-
-
-def _validate_oracle(oracle):
-    _require(isinstance(oracle, dict), "config.oracle", "expected an object")
-    kind = oracle.get("kind")
-    _require(isinstance(kind, str) and kind in ORACLE_KINDS,
-             "config.oracle.kind", f"unknown oracle {kind!r}")
-    _check_keys(oracle, {"kind", *ORACLE_KINDS[kind]}, "config.oracle",
-                f" for kind {kind!r}")
-    _require(kind != "closed_form" or isinstance(oracle.get("expr"), str),
-             "config.oracle.expr", "closed_form oracle needs 'expr'")
-    if "spacing" in oracle:
-        _require(_is_number(oracle["spacing"]) and oracle["spacing"] > 0,
-                 "config.oracle.spacing", "expected a positive number")
-    if "bounds" in oracle:
-        b = oracle["bounds"]
-        _require(isinstance(b, (list, tuple)) and len(b) == 4
-                 and all(_is_number(v) for v in b)
-                 and b[0] < b[1] and b[2] < b[3], "config.oracle.bounds",
-                 "expected [x_min, x_max, y_min, y_max] with min < max")
 
 
 # ---------------------------------------------------------------------------
