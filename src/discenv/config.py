@@ -119,15 +119,17 @@ def _named(table, noun):
 def _check(block, path, rules, m=None, kinds=None, first=None):
     """Check a config block against its rules, in table order.  A rule is
     (test, message), or a function of the value, its path and the block;
-    ``first(block)`` runs after the key check and before the rules."""
+    ``first(block)`` runs after the key check and before the rules.  A
+    size k of a loop on m nodes needs 2k < m, also at its default."""
     _require(isinstance(block, dict), path, "expected an object")
-    allowed, of = rules, ""
+    allowed, of, callee = rules, "", None
     if kinds is not None:
         # the table's first key names the kind, which picks the keys
         head = next(iter(rules))
         kind, (test, message) = block.get(head), rules[head]
         _require(test(kind), f"{path}.{head}", message.format(kind))
-        allowed, of = {head, *kinds[kind][1]}, f" for {head} {kind!r}"
+        callee, keys = kinds[kind]
+        allowed, of = {head, *keys}, f" for {head} {kind!r}"
     unknown = set(block) - set(allowed)
     _require(not unknown, path, f"unknown keys {sorted(unknown)}{of}")
     if first is not None:
@@ -137,8 +139,12 @@ def _check(block, path, rules, m=None, kinds=None, first=None):
             rule(block[key], f"{path}.{key}", block)
         elif key in block and not rule[0](block[key]):
             _require(False, f"{path}.{key}", rule[1].format(block[key]))
-        if key in ("degree", "zeros", "winding") and key in block:
-            _require(2 * block[key] < m, f"{path}.{key}",
+        if key in ("degree", "zeros", "winding") \
+                and (key in block or callee and key in keys):
+            # a size left out is checked at the kind's default
+            k = block[key] if key in block else \
+                inspect.signature(callee).parameters[keys[key]].default
+            _require(2 * k < m, f"{path}.{key}",
                      f"expected < quadrature_m / 2 = {m // 2}")
 
 

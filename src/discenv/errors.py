@@ -33,15 +33,6 @@ class EvaluationError(DiscenvError):
     """Obstacle or field evaluation failed at a specific point."""
 
 
-class InfeasibleParameters(DiscenvError):
-    """A family's parameter vector gives no disc with the prescribed centre;
-    ``excess`` > 0 says how far it lies outside the admissible set."""
-
-    def __init__(self, excess):
-        super().__init__(f"parameters infeasible by {excess:.3e}")
-        self.excess = excess
-
-
 class InfeasibleEnvelope(DiscenvError):
     """No disc of the searched families has a finite boundary average
     at the point, so the search gives no bound there."""

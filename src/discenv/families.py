@@ -1,24 +1,22 @@
 """Parametric families of analytic discs with structurally exact centres.
 
-Each family maps a real parameter vector to an AnalyticDisc whose value
-at 0 equals the prescribed centre by construction (never by penalty).
-``build_many(P, m)`` is the one construction: it maps the rows of P to
-boundary samples at m nodes, shape (B, m, n), and to each row's
-infeasibility excess, which is positive where a row cannot realise the
-centre (a free or solved-for Blaschke zero falls outside the unit disc)
-and 0 elsewhere.  The samples of such a row are unspecified; the search
-gives it a barrier.  ``build`` is the one-row view that raises
-InfeasibleParameters instead.
+Each family maps a real parameter vector to the boundary samples of a
+disc whose value at 0 equals the prescribed centre by construction
+(never by penalty).  ``build_many(P, m)`` is the one construction: it
+maps the rows of P to boundary samples at m nodes, shape (B, m, n), and
+to each row's infeasibility excess, which is positive where a row cannot
+realise the centre (a free or solved-for Blaschke zero falls outside the
+unit disc) and 0 elsewhere.  The samples of such a row are unspecified;
+the search gives it a barrier.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .discs import AnalyticDisc, roots_of_unity
+from .discs import roots_of_unity
 from .domains import shell_centre, shell_disc
-from .errors import (ConfigurationError, InfeasibleParameters,
-                     PreconditionError)
+from .errors import ConfigurationError, PreconditionError
 
 ZERO_CAP = 1.0 - 1e-6  # Blaschke zeros stay strictly inside the unit disc
 
@@ -31,15 +29,6 @@ class DiscFamily:
         """Boundary samples (B, m, n) of the rows of P, shape
         (B, n_params), and each row's infeasibility excess (B,)."""
         raise NotImplementedError
-
-    def build(self, params, m):
-        """The AnalyticDisc for ``params`` sampled at m boundary nodes;
-        raises InfeasibleParameters when ``params`` admit no such disc."""
-        P = np.asarray(params, dtype=float).reshape(1, self.n_params)
-        samples, excess = self.build_many(P, m)
-        if excess[0] > 0:
-            raise InfeasibleParameters(float(excess[0]))
-        return AnalyticDisc(samples[0])
 
     def initial(self, rng, start_index=0):
         return np.zeros(self.n_params)
@@ -100,7 +89,8 @@ class VerticalFamily(DiscFamily):
         self.centre = np.atleast_1d(np.asarray(centre, dtype=complex))
         if abs(self.centre[-1]) > 1e-14:
             raise ConfigurationError(
-                "vertical family needs a centre with last coordinate 0")
+                f"{self.name} family: centre {tuple(self.centre.tolist())} "
+                f"must have last coordinate 0")
         if winding < 1:
             raise ConfigurationError("winding must be >= 1")
         self.k = winding

@@ -1,11 +1,16 @@
 """End-to-end runs of the command line interface."""
 
+import contextlib
 import csv
+import io
 import json
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from discenv import cli
 from discenv.cli import main
@@ -249,6 +254,50 @@ def test_grid_with_no_node_in_w_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: no grid node lies in W at spacing 0.125")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_default_degree_too_large_exits_before_any_search(
+        tmp_path, capsys, monkeypatch):
+    # a polynomial family without a degree has the class default, 4,
+    # which 8 nodes cannot resolve
+    searches = []
+    monkeypatch.setattr(cli, "minimize_envelope", searches.append)
+    cfg = dict(ANNULUS_CONFIG, points=[[[1.5, 0.0]], [[0.5, 0.0]]],
+               families=[{"kind": "polynomial"}], quadrature_m=8)
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert run(["envelope", "--config", cfg_path, "--out", out,
+                "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: config.families[0].degree: expected < "
+                   "quadrature_m / 2 = 4\n")
+    assert searches == []
+    assert not out.exists()
+
+
+def test_vertical_family_off_the_axis_exits_before_any_search(
+        tmp_path, capsys, monkeypatch):
+    # the second point's last coordinate is not 0, so no vertical disc
+    # is centred there
+    searches = []
+    monkeypatch.setattr(cli, "minimize_envelope", searches.append)
+    cfg = {
+        "experiment": "vertical",
+        "pair": {"variant": "hartogs", "n": 2},
+        "obstacle": {"expr": "re(z1)"},
+        "points": [[[0.3, 0.0], [0.0, 0.0]], [[0.3, 0.0], [0.5, 0.0]]],
+        "families": [{"kind": "vertical"}],
+        "quadrature_m": 64,
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert run(["envelope", "--config", cfg_path, "--out", out,
+                "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: vertical family: centre ((0.3+0j), (0.5+0j)) "
+                   "must have last coordinate 0\n")
+    assert searches == []
     assert not out.exists()
 
 
@@ -537,3 +586,73 @@ def test_non_finite_obstacle_exits_three(tmp_path, capsys):
     assert "finite boundary average" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+#: Mostly valid pieces of an envelope config for the command line fuzz test
+FUZZ_FAMILY = st.one_of(
+    st.sampled_from([{"kind": "constant"}, {"kind": "shell"},
+                     {"kind": "polynomial"}, {"kind": "vertical"},
+                     {"kind": "blaschke"}]),
+    st.builds(lambda k: {"kind": "polynomial", "degree": k},
+              st.integers(1, 6)),
+    st.builds(lambda k: {"kind": "vertical", "winding": k},
+              st.integers(1, 6)),
+    st.builds(lambda k, s_range: {"kind": "blaschke", "zeros": k,
+                                  "s_range": s_range},
+              st.integers(1, 3), st.sampled_from([[1.0, 2.0], [0.1, 1.0]])))
+#: Each pair variant with points mostly in its own dimension
+FUZZ_PAIRS = {
+    "planar_annulus": [[[0.5, 0.0]], [[1.5, 0.0]], [[1.2, 0.3]],
+                       [[0.3, 0.0], [0.0, 0.0]]],
+    "shell": [[[0.5, 0.0], [0.3, 0.2]], [[0.3, 0.0], [0.0, 0.0]],
+              [[3.0, 0.0], [0.0, 0.0]], [[0.5, 0.0]]],
+    "hartogs": [[[0.3, 0.0], [0.0, 0.0]], [[0.5, 0.0], [0.3, 0.2]],
+                [[0.3, 0.0], [0.5, 0.0]], [[0.5, 0.0]]],
+    "counterexample": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.2, 0.0]],
+                       [[1.5, 0.0]]],
+}
+FUZZ_CONFIG = st.sampled_from(sorted(FUZZ_PAIRS)).flatmap(
+    lambda variant: st.fixed_dictionaries({
+        "experiment": st.just("fuzz"),
+        "pair": st.just({"variant": variant}),
+        "obstacle": st.sampled_from([
+            {"builtin": "log_abs"}, {"builtin": "re_first"},
+            {"expr": "re(z1)"}, {"expr": "abs(z1) + 0.5"},
+            {"expr": "log(abs(z1 - 1.5))"}, {"expr": "re(z2)"}]),
+        "points": st.lists(st.sampled_from(FUZZ_PAIRS[variant]),
+                           min_size=1, max_size=2),
+        "families": st.lists(FUZZ_FAMILY, min_size=1, max_size=2),
+        "quadrature_m": st.sampled_from([8, 16, 64, 128, 256]),
+        "seed": st.integers(0, 3),
+        "starts": st.just(1),
+        "budget": st.just(4),
+    })).flatmap(lambda cfg: st.sampled_from([{}] * 12 + [
+        {"starts": 0}, {"families": 5}, {"bogus": 1}, {"quadrature_m": 100},
+        {"pair": {"variant": "cube"}},
+    ]).map(lambda change: {**cfg, **change}))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cfg=FUZZ_CONFIG)
+def test_small_envelope_runs_exit_with_a_documented_code(cfg):
+    """An envelope run exits 0, 2 or 3.  Exit 2, and an exit 3 that comes
+    from an exception, print one error: line; exit 2 writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(pathlib.Path(tmp), cfg)
+        out = pathlib.Path(tmp) / "run"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = run(["envelope", "--config", path, "--out", out,
+                        "--quiet"])
+        wrote = out.exists()
+    lines = err.getvalue().splitlines()
+    errors = [line for line in lines if line.startswith("error:")]
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(errors) == 1 and not wrote
+    elif code == 3:
+        assert len(errors) == (0 if wrote else 1)
+    else:
+        assert errors == []

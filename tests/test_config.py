@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from discenv import cli
+from discenv import cli, config
 from discenv.config import build_families, build_obstacle, build_pair, \
     parse_point, validate_config
 from discenv.errors import ConfigurationError, DiscenvError
@@ -277,6 +277,9 @@ def test_partial_eps_range_checked():
     # powers of two beyond the node cap
     ({"quadrature_m": 2 ** 70}, "quadrature_m"),
     ({"quadrature_m": 2 ** 1100}, "quadrature_m"),
+    # a size left out is checked at its default: degree 4 on 8 nodes
+    ({"quadrature_m": 8, "families": [{"kind": "polynomial"}]},
+     r"families\[0\]\.degree"),
 ])
 def test_malformed_values_rejected(overrides, path):
     with pytest.raises(ConfigurationError, match=path):
@@ -304,6 +307,27 @@ FUZZ_KEYS = {
     "cesaro": ["m", "m_w", "j_values", "amplitude"],
     "tolerances": ["gap"],
 }
+
+
+@pytest.mark.parametrize("block, rules, kinds", [
+    ("pair", config.PAIR_RULES, config.PAIR_VARIANTS),
+    ("obstacle", config.OBSTACLE_RULES, None),
+    ("family", config.FAMILY_RULES, config.FAMILY_KINDS),
+    ("oracle", config.ORACLE_RULES, config.ORACLE_KINDS),
+    ("homotopy", config.HOMOTOPY_RULES, None),
+    ("cesaro", config.CESARO_RULES, None),
+    ("tolerances", config.TOLERANCES_RULES, None),
+])
+def test_rule_tables_kind_tables_and_fuzz_keys_agree(block, rules, kinds):
+    """Each block's rule table names the keys the fuzz test offers and,
+    for a block with kinds, its head and the keys of all its kinds."""
+    assert set(rules) == set(FUZZ_KEYS[block])
+    if kinds is not None:
+        head = next(iter(rules))
+        assert set(rules) == {head}.union(*(keys for _, keys in
+                                            kinds.values()))
+
+
 FUZZ_VALUES = st.sampled_from([
     -1, 0, 1, 2, 3, 4, 7, 8, 64, 0.01, 0.05, 0.25, 0.3, 0.5, 0.9, 1.0, 1.5,
     -0.5, 1e300, True, False, None,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import discenv
-from discenv.discs import roots_of_unity
+from discenv.discs import AnalyticDisc, roots_of_unity
 from discenv.domains import Obstacle, ball, planar_annulus_pair, shell_pair
 from discenv.envelope import (
     BARRIER,
@@ -24,11 +24,12 @@ from discenv.envelope import (
     minimize_envelope,
     nelder_mead,
     partial_envelope,
+    sample_feasible_values,
 )
 from hypothesis import assume, given, settings, strategies as st
 
-from discenv.errors import ConfigurationError, InfeasibleEnvelope, \
-    InfeasibleParameters, PreconditionError
+from discenv.errors import ConfigurationError, EvaluationError, \
+    InfeasibleEnvelope, PreconditionError
 from discenv.expressions import obstacle_from_expression
 from discenv.families import ZERO_CAP, BlaschkeFamily, ConstantFamily, \
     PolynomialFamily, ShellFamily, VerticalFamily
@@ -44,6 +45,15 @@ def assert_recorded_disc(res):
     assert res.value == poisson_functional(res.disc, LOG_ABS)
     assert res.max_violation == \
         _violation(*_margins(w, x_spec, res.disc.samples[None]))[0][0]
+
+
+def build_one(family, params, m):
+    """One parameter row through ``build_many``: (its disc, or None when
+    the row is infeasible, and its excess)."""
+    samples, excess = family.build_many(
+        np.asarray(params, dtype=float).reshape(1, family.n_params), m)
+    return (AnalyticDisc(samples[0]) if excess[0] == 0 else None,
+            float(excess[0]))
 
 
 def annulus_request(x, families, **overrides):
@@ -182,7 +192,7 @@ def test_trace_is_nonincreasing():
 def test_polynomial_family_keeps_centre():
     fam = PolynomialFamily([1.5], degree=3, scale=0.2)
     rng = np.random.default_rng(0)
-    disc = fam.build(fam.initial(rng), 128)
+    disc, _ = build_one(fam, fam.initial(rng), 128)
     assert abs(disc.centre[0] - 1.5) <= 1e-12
     assert disc.holomorphy_residual <= 1e-10
 
@@ -192,8 +202,28 @@ def test_polynomial_family_keeps_centre():
 def test_family_refuses_a_size_its_nodes_alias(family):
     """A degree or winding k on m nodes needs k < m/2."""
     with pytest.raises(ConfigurationError, match="sample grid too small"):
-        family.build(np.zeros(family.n_params), 8)
-    family.build(np.zeros(family.n_params), 16)
+        build_one(family, np.zeros(family.n_params), 8)
+    build_one(family, np.zeros(family.n_params), 16)
+
+
+@pytest.mark.parametrize("make", [
+    lambda centre: PolynomialFamily(centre, degree=0),
+    lambda centre: VerticalFamily(centre, winding=0),
+    lambda centre: BlaschkeFamily(centre, n_zeros=0),
+])
+def test_family_refuses_a_size_below_one(make):
+    with pytest.raises(ConfigurationError):
+        make([0.1, 0.0])
+
+
+def test_sampled_feasible_disc_with_a_non_finite_average_raises():
+    # the constant disc at 1.5 is strictly feasible on the annulus, and
+    # the obstacle is -inf at each of its boundary samples
+    phi = obstacle_from_expression("log(abs(z1 - 1.5))", 1)
+    req = annulus_request(1.5, [ConstantFamily([1.5])], phi=phi)
+    with pytest.raises(EvaluationError,
+                       match="not finite along a feasible disc"):
+        sample_feasible_values(req, 4)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -218,7 +248,7 @@ def test_family_build_keeps_centre(kind, centre, degree, winding, params, m):
         fam = VerticalFamily(centre, winding=winding)
     else:
         fam = ShellFamily(centre)
-    disc = fam.build(np.asarray(params[:fam.n_params]), m)
+    disc, _ = build_one(fam, params[:fam.n_params], m)
     assert np.max(np.abs(disc.centre - fam.centre)) <= 1e-12
     # mean-value identity: re(z1) is harmonic, so its boundary average
     # is its value at the centre
@@ -237,8 +267,8 @@ def test_family_build_keeps_centre(kind, centre, degree, winding, params, m):
 def test_blaschke_build_keeps_centre_or_raises(target, n_zeros, log_s,
                                                theta, free):
     """Target 0 pins a zero at the origin; otherwise the last zero is
-    solved.  Either the zeros exceed ZERO_CAP and build raises with that
-    excess, or the disc's centre is the target."""
+    solved.  Either the zeros exceed ZERO_CAP and the row's excess is by
+    how far, or the disc's centre is the target."""
     centre = np.array([0.1 - 0.2j, target])
     fam = BlaschkeFamily(centre, n_zeros=n_zeros)
     zeros = [complex(r * np.cos(a), r * np.sin(a))
@@ -246,13 +276,11 @@ def test_blaschke_build_keeps_centre_or_raises(target, n_zeros, log_s,
     params = [log_s, theta] + [v for z in zeros for v in (z.real, z.imag)]
     free_max = max([abs(z) for z in zeros], default=0.0)
     solved = abs(target) / (np.exp(log_s) * np.prod([abs(z) for z in zeros]))
-    try:
-        disc = fam.build(np.asarray(params), 1024)
-    except InfeasibleParameters as exc:
+    disc, excess = build_one(fam, params, 1024)
+    if excess > 0:
         expected = free_max if free_max > ZERO_CAP else solved
-        assert exc.excess > 0
-        assert exc.excess == pytest.approx(expected - ZERO_CAP, rel=1e-12,
-                                           abs=1e-12)
+        assert excess == pytest.approx(expected - ZERO_CAP, rel=1e-12,
+                                       abs=1e-12)
         return
     assert max(free_max, solved) <= ZERO_CAP
     # zeros nearer the circle alias on 1024 nodes: the node average then
@@ -271,7 +299,7 @@ def test_blaschke_build_keeps_centre_or_raises(target, n_zeros, log_s,
 def test_margins_probe_the_disc_at_interior_probe_points(family, pair):
     w, x_spec = pair
     rng = np.random.default_rng(0)
-    disc = family.build(family.initial(rng, 1), 512)
+    disc, _ = build_one(family, family.initial(rng, 1), 512)
     bm, im = _margins(w, x_spec, disc.samples[None])
     assert np.array_equal(bm[0], w.margin(disc.samples))
     expected = x_spec.margin(disc.evaluate(interior_probe_points()))
@@ -288,8 +316,8 @@ def test_margins_probe_the_disc_at_interior_probe_points(family, pair):
     ShellFamily([0.3, 0.2j]),
 ])
 def test_build_many_rows_are_single_builds(family):
-    """Each row of a batch builds the disc, or raises the excess, that
-    ``build`` gives for that row alone."""
+    """Each row of a batch has the samples, or the excess, that the row
+    gets when built alone."""
     rng = np.random.default_rng(4)
     P = np.array([family.initial(rng, i) for i in range(12)])
     if isinstance(family, BlaschkeFamily):
@@ -298,13 +326,10 @@ def test_build_many_rows_are_single_builds(family):
     samples, excess = family.build_many(P, 128)
     assert samples.shape == (len(P), 128, 2)
     for row, row_samples, row_excess in zip(P, samples, excess):
-        try:
-            disc = family.build(row, 128)
-        except InfeasibleParameters as exc:
-            assert row_excess == exc.excess > 0
-            continue
-        assert row_excess == 0
-        assert np.array_equal(row_samples, disc.samples)
+        disc, alone_excess = build_one(family, row, 128)
+        assert row_excess == alone_excess
+        if alone_excess == 0:
+            assert np.array_equal(row_samples, disc.samples)
 
 
 def one_row_blaschke(family, params, m):
@@ -382,10 +407,9 @@ def test_batched_rows_equal_single_row_calls(rows, partial, x):
         for got, ref in zip(batch, alone):
             assert np.array_equal(got[i:i + 1], ref, equal_nan=True)
         obj, value = batch[0][i], batch[1][i]
-        try:
-            disc = family.build(row, req.grid.M)
-        except InfeasibleParameters as exc:
-            assert obj == BARRIER * (1.0 + exc.excess) and np.isnan(value)
+        disc, excess = build_one(family, row, req.grid.M)
+        if excess > 0:
+            assert obj == BARRIER * (1.0 + excess) and np.isnan(value)
             continue
         values = CAPPED_LOG(disc.samples)
         if partial:  # the partial search reads phi inside W only

@@ -130,6 +130,16 @@ def counting_relax(monkeypatch):
     return cycles
 
 
+def test_relax_without_an_active_interior_node_returns_zero():
+    # only the boundary ring is active, so no node has four neighbours
+    u = np.arange(25.0).reshape(5, 5)
+    active = np.ones((5, 5), dtype=bool)
+    active[1:-1, 1:-1] = False
+    before = u.copy()
+    assert oracles._relax(u, np.full((5, 5), 100.0), active, 1e-12) == 0
+    assert np.array_equal(u, before)
+
+
 def test_solver_relaxes_once_at_half_h(monkeypatch):
     # bounds +-2.0625 put nodes on the edge of X
     calls = []
