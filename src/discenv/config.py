@@ -168,7 +168,7 @@ def _points(points, path, cfg):
 
 
 def _families(families, path, cfg):
-    # the sizes need quadrature_m, which is checked after budget
+    # quadrature_m, which the sizes need, is checked here, after budget
     m = cfg["quadrature_m"]
     _require(8 <= m <= MAX_QUADRATURE_M and (m & (m - 1)) == 0,
              "config.quadrature_m",
