@@ -47,7 +47,8 @@ def taylor_eval(coeffs, z):
 @lru_cache(maxsize=16)
 def _radius_powers(radii, k):
     """The read-only table r**j, j = 0..k-1, one row per r in ``radii``
-    (a tuple); bounded, since the homotopy's radii vary with t."""
+    (a tuple); bounded, since a homotopy trace asks for one radii tuple
+    per t-grid batch, and so per ``steps``."""
     powers = np.asarray(radii)[:, None] ** np.arange(k)
     powers.flags.writeable = False
     return powers
@@ -137,21 +138,22 @@ def winding_number(samples):
     a disc component with no zeros on the circle this equals the number
     of zeros in the open disc, with multiplicity.  Adjacent samples must
     subtend a phase increment below pi, otherwise the loop is declared
-    undersampled.
+    undersampled.  Loops run along the last axis; a batch gives an int array.
     """
-    s = np.asarray(samples, dtype=complex).ravel()
+    s = np.asarray(samples, dtype=complex)
     if np.min(np.abs(s)) <= 1e-12:
         raise DegenerateInputError("sample too close to 0 for winding number")
-    dtheta = np.angle(np.roll(s, -1) / s)
+    dtheta = np.angle(np.roll(s, -1, axis=-1) / s)
     if np.max(np.abs(dtheta)) >= np.pi - 1e-9:
         raise UndersampledError(
             "phase increment >= pi between adjacent samples; oversample")
-    total = float(np.sum(dtheta))
-    w = total / (2 * np.pi)
-    k = int(round(w))
-    if abs(w - k) > 1e-6:
-        raise UndersampledError(f"total phase change {w} is not an integer")
-    return k
+    w = np.sum(dtheta, axis=-1) / (2 * np.pi)
+    k = np.rint(w).astype(int)
+    off = np.extract(np.abs(w - k) > 1e-6, w)
+    if off.size:
+        raise UndersampledError(
+            f"total phase change {off[0]} is not an integer")
+    return int(k) if k.ndim == 0 else k
 
 
 def _analytic_log_coeffs(samples):

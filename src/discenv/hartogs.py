@@ -23,10 +23,13 @@ from .discs import (
 from .domains import DomainSpec
 from .errors import (
     ConfigurationError,
-    DegenerateInputError,
     NonHolomorphicError,
     PreconditionError,
 )
+
+#: The most boundary nodes one batch of a homotopy trace holds, so that
+#: memory does not grow with steps x M; 33 steps x 256 nodes make one batch.
+TRACE_BATCH_NODES = 2 ** 14
 
 
 class HartogsPair:
@@ -84,6 +87,21 @@ def vertical_disc(pair, zp, s, k=1, m=256):
     return AnalyticDisc(samples)
 
 
+def _homotopy_samples(f, t_values):
+    """Boundary samples (T, M, n) of f^t at each of T values of t: one
+    ``circle_eval`` for the base, one for log H at every t and at 1."""
+    if f.n < 2:
+        raise ConfigurationError("homotopy needs dimension >= 2")
+    fn = f.component(f.n - 1)
+    m, t_values = f.M, tuple(t_values)
+    # raises DegenerateInputError where the last component vanishes
+    a = _analytic_log_coeffs(fn)[:m // 2 + 1]
+    base = circle_eval(f.coeffs[None, :m // 2, :-1], t_values, m)[0]
+    logs = circle_eval(a[None], t_values + (1.0,), m)[0]
+    ratio = np.exp(logs[:-1] - logs[-1])
+    return np.concatenate([base, (fn * ratio)[..., None]], axis=-1)
+
+
 def hartogs_homotopy(f, t):
     """The disc f^t(zeta) = (f'(t zeta), f_n(zeta) H(t zeta) / H(zeta)).
 
@@ -92,31 +110,20 @@ def hartogs_homotopy(f, t):
     and f^0 is of vertical type: constant base, last component a constant
     modulus times a Blaschke factor per zero of f_n.
     """
-    if f.n < 2:
-        raise ConfigurationError("homotopy needs dimension >= 2")
     if not 0.0 <= t <= 1.0:
         raise ConfigurationError("homotopy parameter must lie in [0, 1]")
-    fn = f.component(f.n - 1)
-    if np.min(np.abs(fn)) <= 1e-12:
-        raise DegenerateInputError("last component vanishes on the circle")
-    m = f.M
-    a = _analytic_log_coeffs(fn)[:m // 2 + 1]
-
-    base = circle_eval(f.coeffs[None, :m // 2, :-1], t, m)[0, 0]
-    log_t, log_1 = circle_eval(a[None], (t, 1.0), m)[0]
-    ratio = np.exp(log_t - log_1)
-    samples = np.concatenate([base, (fn * ratio)[:, None]], axis=1)
-    return AnalyticDisc(samples)
+    return AnalyticDisc(_homotopy_samples(f, [t])[0])
 
 
 def classify_component(f):
     """Winding number of the last component; labels the connected component
-    of the space of boundary-in-W discs that f belongs to."""
-    k = winding_number(f.component(f.n - 1))
-    if k < 0:
+    of the space of boundary-in-W discs that f belongs to.  Boundary
+    samples (..., M, n) in place of a disc give one label per disc."""
+    k = winding_number(getattr(f, "samples", f)[..., -1])
+    if np.min(k) < 0:
         raise NonHolomorphicError(
-            f"negative winding {k}: last component is not a holomorphic "
-            "disc component without zeros on the circle")
+            f"negative winding {np.min(k)}: last component is not a "
+            "holomorphic disc component without zeros on the circle")
     return k
 
 
@@ -143,13 +150,15 @@ class HomotopyTrace:
 
 def homotopy_trace(pair, f, steps=32):
     """Run the homotopy over a uniform t-grid and record boundary margins,
-    centre drift, and the winding label at each step."""
-    centre = f.centre
+    centre drift, and the winding label at each step.  Each batch of at
+    most TRACE_BATCH_NODES nodes is one margin call, FFT and winding pass."""
     t_values = np.linspace(0.0, 1.0, steps + 1)
-    margins, deviations, windings = [], [], []
-    for t in t_values:
-        ft = hartogs_homotopy(f, t)
-        margins.append(float(np.min(pair.W.margin(ft.samples))))
-        deviations.append(float(np.max(np.abs(ft.centre - centre))))
-        windings.append(classify_component(ft))
-    return HomotopyTrace(t_values, margins, deviations, windings)
+    per_batch = max(1, TRACE_BATCH_NODES // f.M)
+    rows = []
+    for i in range(0, t_values.size, per_batch):
+        samples = _homotopy_samples(f, t_values[i:i + per_batch].tolist())
+        centres = np.fft.fft(samples, axis=1)[:, 0] / f.M
+        rows.append((np.min(pair.W.margin(samples), axis=1),
+                     np.max(np.abs(centres - f.centre), axis=1),
+                     classify_component(samples)))
+    return HomotopyTrace(t_values, *map(np.concatenate, zip(*rows)))

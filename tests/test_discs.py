@@ -187,6 +187,25 @@ def test_winding_rejects_undersampled_loop():
         winding_number(zeta ** 4)
 
 
+def test_winding_of_a_batch_is_one_int_per_loop():
+    zeta = roots_of_unity(64)
+    loops = np.stack([np.full(64, 2.0 - 1.0j), zeta, zeta ** 3,
+                      1.5 * zeta * blaschke(zeta, 0.3)])
+    k = winding_number(loops)
+    assert k.dtype.kind == "i" and k.tolist() == [0, 1, 3, 2]
+    assert winding_number(np.stack([loops, loops[::-1]])).tolist() \
+        == [[0, 1, 3, 2], [2, 3, 1, 0]]
+    assert type(winding_number(loops[2])) is int
+
+
+def test_winding_of_a_batch_rejects_any_failing_loop():
+    zeta = roots_of_unity(64)
+    with pytest.raises(DegenerateInputError):
+        winding_number(np.stack([zeta, zeta - 1.0]))
+    with pytest.raises(UndersampledError):
+        winding_number(np.stack([zeta, zeta ** 32]))
+
+
 def test_winding_additivity_random_blaschke():
     rng = np.random.default_rng(3)
     zeta = roots_of_unity(512)
