@@ -86,7 +86,8 @@ def _problem(cfg):
     w, x_spec, builtin_phi, hartogs = cfgmod.build_pair(cfg)
     phi = builtin_phi if cfg.get("obstacle") is None and builtin_phi \
         else cfgmod.build_obstacle(cfg, x_spec.n)
-    points = [cfgmod.parse_point(p, x_spec.n) for p in cfg["points"]]
+    points = [cfgmod.parse_point(p, x_spec.n, f"config.points[{i}]")
+              for i, p in enumerate(cfg["points"])]
     return w, x_spec, phi, hartogs, points
 
 

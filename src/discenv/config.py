@@ -65,6 +65,7 @@ ORACLE_KINDS = {"kiselman": (None, ()),
 #: The largest quadrature_m: a lockstep batch of the default 8 starts has
 #: 8 x 2**16 boundary samples, about 17 MB per complex array in C^2.
 MAX_QUADRATURE_M = 2 ** 16
+MAX_HOMOTOPY_STEPS = 2 ** 16  # a trace allocates its whole t-grid
 
 #: Each family kind's class, and the config keys it takes under their
 #: keyword names; a key the config leaves out keeps the class default.
@@ -104,10 +105,11 @@ def _is_coordinate(value):
     return isinstance(value, list) and _is_numbers(value, 2)
 
 
-def _at_least(low, message=None):
-    """The rule of an integer >= low."""
-    return (lambda value: _is_int(value) and value >= low,
-            message or f"expected integer >= {low}")
+def _at_least(low, message=None, high=math.inf):
+    """The rule of an integer >= low (and <= high)."""
+    return (lambda value: _is_int(value) and low <= value <= high,
+            message or f"expected integer >= {low}"
+            + (f" and <= {high}" if high < math.inf else ""))
 
 
 def _named(table, noun):
@@ -242,7 +244,8 @@ ORACLE_RULES = {
                "expected [x_min, x_max, y_min, y_max] with min < max"),
 }
 TOLERANCES_RULES = {"gap": _NUMBER}
-HOMOTOPY_RULES = {"winding": _at_least(1), "steps": _at_least(1),
+HOMOTOPY_RULES = {"winding": _at_least(1),
+                  "steps": _at_least(1, high=MAX_HOMOTOPY_STEPS),
                   "s": _NUMBER, "z_prime": _ANY}
 CESARO_RULES = {
     "m": _at_least(1), "m_w": _at_least(1),

@@ -158,6 +158,8 @@ def test_validation_failure_exits_two_without_outputs(tmp_path):
     {"oracle": {"kind": "grid", "spacing": 10 ** 400}},
     {"quadrature_m": 2 ** 70},
     {"quadrature_m": 2 ** 1100},
+    {"pair": {"variant": "hartogs"},
+     "homotopy": {"z_prime": [[0.0, 0.0]], "steps": 10 ** 30}},
 ])
 def test_malformed_value_exits_two_with_one_line(tmp_path, capsys, overrides):
     # run the subcommand that reads the malformed value
@@ -346,6 +348,20 @@ def test_shell_family_outside_the_ball_exits_before_any_search(
     assert err == ("error: shell family: centre ((3+0j), 0j) must lie in "
                    "the ball of radius 2\n")
     assert searches == []
+    assert not out.exists()
+
+
+def test_point_of_the_wrong_dimension_is_named_by_its_index(tmp_path,
+                                                            capsys):
+    cfg = dict(ANNULUS_CONFIG, points=[[[0.5, 0.0]], [[1.5, 0.0]],
+                                       [[0.3, 0.0], [0.0, 0.0]]])
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert run(["envelope", "--config", cfg_path, "--out", out,
+                "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: config.points[2]: point must list 1 coordinates "
+                   "as [re, im] pairs\n")
     assert not out.exists()
 
 
@@ -656,3 +672,63 @@ def test_small_envelope_runs_exit_with_a_documented_code(cfg):
         assert len(errors) == (0 if wrote else 1)
     else:
         assert errors == []
+
+
+#: Base points z' for the homotopy fuzz test, by the dimension of the pair;
+#: the last one lies outside the base ball
+FUZZ_Z_PRIMES = {2: [[[0.0, 0.0]], [[0.3, -0.2]], [[0.6, 0.1]], [[1.5, 0.0]]],
+                 3: [[[0.1, 0.0], [0.2, 0.1]], [[0.5, 0.0], [0.0, -0.4]],
+                     [[0.9, 0.0], [0.9, 0.0]]]}
+#: Mostly valid homotopy configs on Hartogs pairs, then one change in three
+#: that puts a value out of range
+FUZZ_HOMOTOPY = st.sampled_from([
+    {"variant": "hartogs"}, {"variant": "hartogs", "n": 3},
+    {"variant": "hartogs", "r": 0.1, "R": 0.8},
+    {"variant": "hartogs", "r": "0.2 + 0.1 * abs(z1)"}]).flatmap(
+    lambda pair: st.fixed_dictionaries({
+        "experiment": st.just("fuzz-homotopy"),
+        "pair": st.just(pair),
+        "quadrature_m": st.sampled_from([8, 16, 64, 128, 256]),
+        "homotopy": st.fixed_dictionaries(
+            {"z_prime": st.sampled_from(FUZZ_Z_PRIMES[pair.get("n", 2)])},
+            optional={"s": st.sampled_from([0.3, 0.4, 0.5, 0.7, 0.25, 1.0]),
+                      "winding": st.integers(1, 3),
+                      "steps": st.integers(1, 64)}),
+    })).flatmap(lambda cfg: st.sampled_from([({}, {})] * 20 + [
+        ({}, {"steps": 0}), ({}, {"steps": 2 ** 16 + 1}),
+        ({}, {"steps": 10 ** 30}), ({}, {"steps": "x"}),
+        ({}, {"winding": 0}), ({}, {"winding": 200}), ({}, {"s": -1.0}),
+        ({}, {"z_prime": [[0.1, 0.0]] * 4}),
+        ({"pair": {"variant": "planar_annulus"}}, {}),
+        ({"quadrature_m": 100}, {}),
+    ]).map(lambda change: {**cfg, **change[0],
+                           "homotopy": {**cfg["homotopy"], **change[1]}}))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=FUZZ_HOMOTOPY)
+def test_homotopy_runs_exit_with_a_documented_code(cfg):
+    """A homotopy run exits 0 or 2 (3 is allowed too); exit 2 prints one
+    error: line and writes nothing, exit 0 writes one row per step."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(pathlib.Path(tmp), cfg)
+        out = pathlib.Path(tmp) / "run"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = run(["homotopy", "--config", path, "--out", out,
+                        "--quiet"])
+        wrote = out.exists()
+        trace = json.loads((out / "homotopy_trace.json").read_text()) \
+            if code == 0 else None
+    errors = [line for line in err.getvalue().splitlines()
+              if line.startswith("error:")]
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(errors) == 1 and not wrote
+    elif code == 0:
+        assert errors == []
+        spec = cfg["homotopy"]
+        assert len(trace) == spec.get("steps", 32) + 1
+        assert all(row["winding"] == spec.get("winding", 1) for row in trace)

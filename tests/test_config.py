@@ -244,6 +244,9 @@ def test_partial_eps_range_checked():
     ({"starts": True}, "starts"),
     ({"points": [[[True, 0]]]}, "points"),
     ({"homotopy": {"steps": True}}, "homotopy.steps"),
+    # more steps than the cap, and more than np.linspace can allocate
+    ({"homotopy": {"steps": 2 ** 16 + 1}}, "homotopy.steps"),
+    ({"homotopy": {"steps": 10 ** 30}}, "homotopy.steps"),
     ({"cesaro": {"j_values": [8, True]}}, "cesaro.j_values"),
     ({"starts": 0}, "starts"),
     ({"budget": 0}, "budget"),

@@ -5,7 +5,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from discenv import hartogs
 from discenv.discs import AnalyticDisc, _analytic_log_coeffs, \
     outer_interior, roots_of_unity, taylor_eval
 from discenv.domains import Obstacle, ball
@@ -45,6 +47,27 @@ def admissible_disc(seed, k, m=256):
     fn = fn * np.exp(0.08 * (rng.standard_normal()
                              + 1j * rng.standard_normal()) * zeta)
     return AnalyticDisc(np.stack([fp, fn], axis=1))
+
+
+@st.composite
+def admissible_discs(draw, m=256):
+    """(f, k): an admissible_disc-style disc with boundary in the standard
+    Hartogs shell and k zeros, each of modulus at most 0.8, in its last
+    component."""
+    def point(radius):
+        return draw(st.floats(0.0, radius)) \
+            * np.exp(2j * np.pi * draw(st.floats(0.0, 1.0)))
+
+    zeta = roots_of_unity(m)
+    k = draw(st.integers(0, 2))
+    fp = point(0.6) + point(0.1) * zeta
+    fn = np.full(m, 0.55 + 0.0j)
+    for _ in range(k):
+        a = point(0.8)
+        fn = fn * (zeta - a) / (1.0 - np.conj(a) * zeta)
+    # |fn| stays within 0.55 * exp(+-0.2), inside (1/4, 1)
+    fn = fn * np.exp(point(0.2) * zeta)
+    return AnalyticDisc(np.stack([fp, fn], axis=1)), k
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +183,16 @@ def test_classify_constructed_blaschke_factorization():
     assert classify_component(f) == 2
 
 
+def test_classify_a_batch_gives_one_label_per_disc():
+    zeta = roots_of_unity(64)
+    batch = np.stack([np.stack([np.zeros(64), 0.5 * zeta ** k], axis=1)
+                      for k in (0, 1, 3)])
+    assert classify_component(batch).tolist() == [0, 1, 3]
+    batch[1, :, 1] = 0.5 * np.conj(zeta)
+    with pytest.raises(NonHolomorphicError, match="negative winding -1"):
+        classify_component(batch)
+
+
 def test_classify_rejects_negative_winding():
     zeta = roots_of_unity(64)
     samples = np.stack([np.zeros(64), 0.5 * np.conj(zeta)], axis=1)
@@ -199,3 +232,39 @@ def test_trace_json_round_trip():
     rows = json.loads(trace.to_json())
     assert len(rows) == 5
     assert set(rows[0]) == {"t", "min_margin", "centre_deviation", "winding"}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(disc=admissible_discs(), steps=st.integers(1, 40))
+def test_trace_keeps_centre_and_winding_and_matches_the_one_t_view(disc,
+                                                                    steps):
+    """Every row of a trace holds the centre and the winding, and is what
+    the one-t view hartogs_homotopy(f, t) gives at its t, bit for bit."""
+    f, k = disc
+    pair = hartogs_pair()
+    trace = homotopy_trace(pair, f, steps=steps)
+    assert trace.t_values.size == steps + 1
+    assert np.max(trace.centre_deviations) <= 1e-10
+    assert np.all(trace.windings == k)
+    for t, margin, deviation, winding in zip(
+            trace.t_values, trace.min_margins, trace.centre_deviations,
+            trace.windings):
+        ft = hartogs_homotopy(f, t)
+        assert margin == np.min(pair.W.margin(ft.samples))
+        assert deviation == np.max(np.abs(ft.centre - f.centre))
+        assert winding == classify_component(ft)
+
+
+@pytest.mark.parametrize("nodes, batches", [(5 * 256, 7), (100, 34)])
+def test_trace_in_several_batches_equals_one_batch(monkeypatch, nodes,
+                                                   batches):
+    pair = hartogs_pair()
+    f = admissible_disc(14, 2)
+    one = homotopy_trace(pair, f, steps=33).to_json()
+    calls = []
+    kernel = hartogs._homotopy_samples
+    monkeypatch.setattr(hartogs, "_homotopy_samples",
+                        lambda f, ts: calls.append(ts) or kernel(f, ts))
+    monkeypatch.setattr(hartogs, "TRACE_BATCH_NODES", nodes)
+    assert homotopy_trace(pair, f, steps=33).to_json() == one
+    assert len(calls) == batches
