@@ -47,8 +47,8 @@ def taylor_eval(coeffs, z):
 @lru_cache(maxsize=16)
 def _radius_powers(radii, k):
     """The read-only table r**j, j = 0..k-1, one row per r in ``radii``
-    (a tuple); bounded, since a homotopy trace asks for one radii tuple
-    per t-grid batch, and so per ``steps``."""
+    (a tuple); bounded, though a homotopy trace asks for the same radii
+    tuples, one per t-grid batch, for every disc traced at one ``steps``."""
     powers = np.asarray(radii)[:, None] ** np.arange(k)
     powers.flags.writeable = False
     return powers
