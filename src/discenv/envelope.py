@@ -5,20 +5,22 @@ hinge penalties on the signed margins (with a small feasibility slack so
 reported optima sit strictly inside), while the centre constraint is
 structural in every disc family.  Each (family, start) pair is minimised
 independently by adaptive Nelder-Mead (``nelder_mead``) from seeded
-initial parameters.  The starts of a family run in lockstep: each round
-takes the next point of every live start and evaluates them as one batch
-of discs.  Recorded discs rank by (not strictly feasible, violation,
-value); ties keep the first recorded, then the lowest (family, start)
-index.
+initial parameters.  The starts of every family at the point run in
+lockstep: each round scores the next point of every live start as one
+batch of discs, of all families.  Recorded discs rank by (not strictly
+feasible, violation, value); ties keep the first recorded, then the
+lowest (family, start) index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
+from . import hartogs
 from .discs import AnalyticDisc, circle_eval
 from .errors import ConfigurationError, EvaluationError, \
     InfeasibleEnvelope, PreconditionError
@@ -36,9 +38,8 @@ BARRIER = 1e6
 FEAS_MARGIN = 1e-5  # slack inside the penalty hinge
 
 #: Sampling scores its draws in batches of at most this many boundary
-#: nodes, which bounds the working memory of a batch (the search's own
-#: batches, one disc per live start, stay below it at the default 8
-#: starts and M = 512).
+#: nodes, which bounds the working memory of a batch (the search cuts
+#: its rounds at ``hartogs.TRACE_BATCH_NODES`` nodes instead).
 SAMPLE_BATCH_NODES = 4096
 
 
@@ -225,8 +226,9 @@ def _no_disc(req):
         f"no disc centred at {point} had a finite boundary average")
 
 
-def _evaluate(req, family, P, boundary, objective):
-    """Build and score the disc of each row of P as one batch.
+def _evaluate(req, groups, boundary, objective):
+    """Build and score the disc of each row of each (family, P) group as
+    one batch, rows in group order.
 
     ``objective(samples, bm, im)`` maps the built discs' samples and
     margins (boundary nodes in ``boundary``, interior probes in X) to
@@ -236,13 +238,14 @@ def _evaluate(req, family, P, boundary, objective):
     row whose objective is not finite gets BARRIER, and both get the
     value NaN: they record no disc.
     """
-    samples, excess = family.build_many(P, req.grid.M)
+    samples, excess = map(np.concatenate, zip(*(
+        family.build_many(P, req.grid.M) for family, P in groups)))
     built = excess == 0
     with np.errstate(over="ignore"):  # a huge excess: an infinite barrier
         obj = BARRIER * (1.0 + excess)
-    value = np.full(len(P), np.nan)
-    violation = np.full(len(P), np.inf)
-    strict = np.zeros(len(P), dtype=bool)
+    value = np.full(len(excess), np.nan)
+    violation = np.full(len(excess), np.inf)
+    strict = np.zeros(len(excess), dtype=bool)
     if built.any():
         rows = samples if built.all() else samples[built]
         o, v, violation[built], strict[built] = objective(
@@ -269,14 +272,14 @@ class _Start:
         self.record = None
         self.trace = []
 
-    def tell(self, params, samples, obj, value, violation, strict):
-        """Record the evaluated point and send its objective to the
-        search; False once the search has stopped."""
+    def tell(self, samples, obj, value, violation, strict):
+        """Record the pending point, now evaluated, and send its
+        objective to the search; False once the search has stopped."""
         if not math.isnan(value):
             # a strict disc's violation is 0.0, so strict discs rank by value
             key = (not strict, violation, value)
             if self.record is None or key < self.record[0]:
-                self.record = (key, params, samples.copy())
+                self.record = (key, self.point, samples.copy())
             self.trace.append(min(self.trace[-1], obj) if self.trace else obj)
         try:
             self.point = self.search.send(obj)
@@ -289,30 +292,40 @@ def _search(req, boundary, objective):
     """The least-keyed record over every (family, start):
     (key, f_idx, s_idx, params, samples, trace).
 
-    The starts of a family advance in lockstep, one point each per
-    batch, and each keeps its own budget, record and trace.  Records are
-    then merged in (family, start) order and only a smaller key replaces
-    the best, so ties keep the lowest (family, start) index."""
-    best = None
+    Every live start of every family advances in lockstep: each round
+    scores the pending point of each as one batch, in (family, start)
+    order, cut into consecutive batches of at most
+    ``hartogs.TRACE_BATCH_NODES`` boundary nodes (at least one row each).
+    Each start keeps its own budget, record and trace.  Records are then
+    merged in (family, start) order and only a smaller key replaces the
+    best, so ties keep the lowest (family, start) index."""
+    starts = []  # (f_idx, s_idx, start), in (family, start) order
     for f_idx, family in enumerate(req.families):
-        starts = []
         for s_idx in range(req.starts if family.n_params > 0 else 1):
             rng = np.random.default_rng([req.seed, f_idx, s_idx])
             p0 = family.initial(rng, s_idx)
-            starts.append(_Start(nelder_mead(p0, req.budget)
-                                 if family.n_params > 0 else _once(p0)))
-        live = starts
-        while live:
-            P = np.array([start.point for start in live])
+            starts.append((f_idx, s_idx, _Start(
+                nelder_mead(p0, req.budget) if family.n_params > 0
+                else _once(p0))))
+    per_batch = max(1, hartogs.TRACE_BATCH_NODES // req.grid.M)
+    live = starts
+    while live:
+        todo, live = live, []
+        for lo in range(0, len(todo), per_batch):
+            batch = todo[lo:lo + per_batch]
+            groups = [(req.families[f_idx],
+                       np.array([start.point for *_, start in rows]))
+                      for f_idx, rows in groupby(batch, lambda e: e[0])]
             obj, value, violation, strict, samples = _evaluate(
-                req, family, P, boundary, objective)
-            live = [start for start, *row in zip(
-                live, P, samples, obj.tolist(), value.tolist(),
-                violation.tolist(), strict.tolist()) if start.tell(*row)]
-        for s_idx, start in enumerate(starts):
-            record = start.record
-            if record is not None and (best is None or record[0] < best[0]):
-                best = (record[0], f_idx, s_idx, *record[1:], start.trace)
+                req, groups, boundary, objective)
+            live += [entry for entry, *row in zip(
+                batch, samples, obj.tolist(), value.tolist(),
+                violation.tolist(), strict.tolist()) if entry[2].tell(*row)]
+    best = None
+    for f_idx, s_idx, start in starts:
+        record = start.record
+        if record is not None and (best is None or record[0] < best[0]):
+            best = (record[0], f_idx, s_idx, *record[1:], start.trace)
     if best is None:
         raise _no_disc(req)
     return best
@@ -403,7 +416,7 @@ def sample_feasible_values(req, n_samples):
         rows = max(1, SAMPLE_BATCH_NODES // req.grid.M)
         for lo in range(0, draws, rows):
             _, value, _, strict, _ = _evaluate(
-                req, family, P[lo:lo + rows], req.pair[0], objective)
+                req, [(family, P[lo:lo + rows])], req.pair[0], objective)
             if np.any(strict & np.isnan(value)):
                 raise EvaluationError(
                     "obstacle evaluation not finite along a feasible disc")

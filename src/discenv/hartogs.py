@@ -27,8 +27,9 @@ from .errors import (
     PreconditionError,
 )
 
-#: The most boundary nodes one batch of a homotopy trace holds, so that
-#: memory does not grow with steps x M; 33 steps x 256 nodes make one batch.
+#: The most boundary nodes one batch of a homotopy trace or of an envelope
+#: search round holds, so that memory does not grow with steps x M or
+#: starts x families x M; 33 steps x 256 nodes make one batch.
 TRACE_BATCH_NODES = 2 ** 14
 
 

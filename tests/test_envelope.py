@@ -401,9 +401,9 @@ def test_batched_rows_equal_single_row_calls(rows, partial, x):
         args = (req.pair[0], _envelope_objective(req))
     P = np.array([[log_s, theta, r * np.cos(a), r * np.sin(a)]
                   for log_s, theta, r, a in rows])
-    batch = _evaluate(req, family, P, *args)[:4]
+    batch = _evaluate(req, [(family, P)], *args)[:4]
     for i, row in enumerate(P):
-        alone = _evaluate(req, family, row[None], *args)[:4]
+        alone = _evaluate(req, [(family, row[None])], *args)[:4]
         for got, ref in zip(batch, alone):
             assert np.array_equal(got[i:i + 1], ref, equal_nan=True)
         obj, value = batch[0][i], batch[1][i]
