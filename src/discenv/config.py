@@ -62,9 +62,11 @@ ORACLE_KINDS = {"kiselman": (None, ()),
                 "grid": (GridConfig, ("spacing", "bounds")),
                 "closed_form": (None, ("expr",))}
 
-#: The largest quadrature_m: a lockstep batch of the default 8 starts has
-#: 8 x 2**16 boundary samples, about 17 MB per complex array in C^2.
+#: The largest quadrature_m: the search cuts its rounds at
+#: hartogs.TRACE_BATCH_NODES nodes, so a batch at this M holds one disc,
+#: 2**16 boundary samples (2 MB per complex array in C^2).
 MAX_QUADRATURE_M = 2 ** 16
+MAX_STARTS = 2 ** 10  # the search builds every start before its first round
 MAX_HOMOTOPY_STEPS = 2 ** 16  # a trace allocates its whole t-grid
 
 #: Each family kind's class, and the config keys it takes under their
@@ -205,7 +207,7 @@ TOP_RULES = {
             "exactly one of 'expr' or 'builtin' required")),
     "points": _points,
     "quadrature_m": _NONNEGATIVE, "seed": _NONNEGATIVE,
-    "starts": _at_least(1), "budget": _at_least(1),
+    "starts": _at_least(1, high=MAX_STARTS), "budget": _at_least(1),
     "families": _families,
     "penalty_weight": _POSITIVE,
     "oracle": lambda oracle, path, cfg: oracle is None or _check(

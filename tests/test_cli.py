@@ -160,6 +160,7 @@ def test_validation_failure_exits_two_without_outputs(tmp_path):
     {"quadrature_m": 2 ** 1100},
     {"pair": {"variant": "hartogs"},
      "homotopy": {"z_prime": [[0.0, 0.0]], "steps": 10 ** 30}},
+    {"starts": 10 ** 12},
 ])
 def test_malformed_value_exits_two_with_one_line(tmp_path, capsys, overrides):
     # run the subcommand that reads the malformed value

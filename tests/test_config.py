@@ -283,6 +283,7 @@ def test_partial_eps_range_checked():
     # more steps than the cap, and more than np.linspace can allocate
     ({"homotopy": {"steps": 2 ** 16 + 1}}, "homotopy.steps"),
     ({"homotopy": {"steps": 10 ** 30}}, "homotopy.steps"),
+    ({"starts": 10 ** 12}, "starts"),
 ])
 def test_malformed_values_rejected(overrides, path):
     with pytest.raises(ConfigurationError, match=path):

@@ -35,6 +35,8 @@ from discenv.families import ZERO_CAP, BlaschkeFamily, ConstantFamily, \
     PolynomialFamily, ShellFamily, VerticalFamily
 from discenv.functionals import QuadratureGrid, boundary_averages, \
     poisson_functional
+from discenv.hartogs import HartogsPair
+from discenv.oracles import kiselman_psi
 
 LOG_ABS = obstacle_from_expression("log(abs(z1))", 1)
 
@@ -386,38 +388,78 @@ CAPPED_LOG = Obstacle(lambda p: np.where(np.abs(p[..., 0]) < 1.5,
 @given(rows=st.lists(st.tuples(st.floats(-0.5, 1.0), st.floats(0.0, 6.3),
                                st.floats(0.5, 1.1), st.floats(0.0, 6.3)),
                      min_size=1, max_size=10),
-       partial=st.booleans(), x=st.sampled_from([0.3, 0.5]))
-def test_batched_rows_equal_single_row_calls(rows, partial, x):
-    """Each row of a batch gets the objective, value, violation and
-    strictness of the same row evaluated alone.  Rows whose Blaschke
-    zero lies past ZERO_CAP get BARRIER * (1 + excess) and rows with a
-    non-finite obstacle get BARRIER, both with value NaN."""
-    family = BlaschkeFamily([x], n_zeros=2, s_range=(1.0, 2.0))
+       rows_1=st.lists(st.tuples(st.floats(-0.5, 1.0), st.floats(0.0, 6.3)),
+                       max_size=6),
+       constants=st.integers(0, 2),
+       partial=st.booleans(), x=st.sampled_from([0.3, 0.5, 1.5]))
+def test_batched_rows_equal_single_row_calls(rows, rows_1, constants,
+                                             partial, x):
+    """One batch holds rows of a constant, a 1-zero and a 2-zero Blaschke
+    family (0, 2 and 4 parameters), in that order.  Each row gets the
+    objective, value, violation and strictness of the same row evaluated
+    alone.  Rows whose Blaschke zero lies past ZERO_CAP get
+    BARRIER * (1 + excess) and rows with a non-finite obstacle (the
+    constant disc at 1.5 among them) get BARRIER, both with value NaN."""
+    families = [ConstantFamily([x]),
+                BlaschkeFamily([x], n_zeros=1, s_range=(1.0, 2.0)),
+                BlaschkeFamily([x], n_zeros=2, s_range=(1.0, 2.0))]
     req = EnvelopeRequest(pair=BATCH_PAIR, phi=CAPPED_LOG, x=[x],
-                          families=[family], grid=QuadratureGrid(64))
+                          families=families, grid=QuadratureGrid(64))
     if partial:
         args = (req.pair[1], _partial_objective(req, 0.3))
     else:
         args = (req.pair[0], _envelope_objective(req))
-    P = np.array([[log_s, theta, r * np.cos(a), r * np.sin(a)]
-                  for log_s, theta, r, a in rows])
-    batch = _evaluate(req, [(family, P)], *args)[:4]
-    for i, row in enumerate(P):
-        alone = _evaluate(req, [(family, row[None])], *args)[:4]
-        for got, ref in zip(batch, alone):
-            assert np.array_equal(got[i:i + 1], ref, equal_nan=True)
-        obj, value = batch[0][i], batch[1][i]
-        disc, excess = build_one(family, row, req.grid.M)
-        if excess > 0:
-            assert obj == BARRIER * (1.0 + excess) and np.isnan(value)
-            continue
-        values = CAPPED_LOG(disc.samples)
-        if partial:  # the partial search reads phi inside W only
-            values = values[BATCH_PAIR[0].margin(disc.samples) > 0]
-        if not np.all(np.isfinite(values)):
-            assert obj == BARRIER and np.isnan(value)
-        else:
-            assert obj != BARRIER and np.isfinite(value)
+    params = [np.zeros((constants, 0)), np.array(rows_1).reshape(-1, 2),
+              np.array([[log_s, theta, r * np.cos(a), r * np.sin(a)]
+                        for log_s, theta, r, a in rows])]
+    groups = [(family, P) for family, P in zip(families, params) if len(P)]
+    batch = _evaluate(req, groups, *args)[:4]
+    i = 0
+    for family, P in groups:
+        for row in P:
+            alone = _evaluate(req, [(family, row[None])], *args)[:4]
+            for got, ref in zip(batch, alone):
+                assert np.array_equal(got[i:i + 1], ref, equal_nan=True)
+            obj, value = batch[0][i], batch[1][i]
+            i += 1
+            disc, excess = build_one(family, row, req.grid.M)
+            if excess > 0:
+                assert obj == BARRIER * (1.0 + excess) and np.isnan(value)
+                continue
+            values = CAPPED_LOG(disc.samples)
+            if partial:  # the partial search reads phi inside W only
+                values = values[BATCH_PAIR[0].margin(disc.samples) > 0]
+            if not np.all(np.isfinite(values)):
+                assert obj == BARRIER and np.isnan(value)
+            else:
+                assert obj != BARRIER and np.isfinite(value)
+    assert i == len(batch[0])
+
+
+STANDARD_HARTOGS = HartogsPair(ball(1.0, 1),
+                              lambda zp: np.full(zp.shape[:-1], 0.25),
+                              lambda zp: np.full(zp.shape[:-1], 1.0))
+HARTOGS_PHI = obstacle_from_expression("re(z1) + abs(z2)*abs(z2)", 2, True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(r=st.floats(0.0, 0.6, exclude_max=True),
+       angle=st.floats(0.0, 2 * np.pi))
+def test_search_value_is_at_least_the_kiselman_psi(r, angle):
+    """On the standard Hartogs pair the search over both vertical
+    families is feasible at every base point |z1| < 0.6, and its value is
+    at least the Kiselman psi less criterion 1's sandwich tolerance."""
+    z1 = r * np.exp(1j * angle)
+    x = [z1, 0.0]
+    families = [VerticalFamily(x, winding=k, s_range=(0.25, 1.0))
+                for k in (1, 2)]
+    req = EnvelopeRequest(pair=(STANDARD_HARTOGS.W, STANDARD_HARTOGS.X),
+                          phi=HARTOGS_PHI, x=x, families=families,
+                          grid=QuadratureGrid(64), starts=2, budget=40)
+    res = minimize_envelope(req)
+    assert res.feasible
+    assert res.value >= kiselman_psi(STANDARD_HARTOGS, HARTOGS_PHI,
+                                     [z1]) - 1e-3
 
 
 # ---------------------------------------------------------------------------

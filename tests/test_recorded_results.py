@@ -2,9 +2,11 @@
 
 The values below were recorded with the search that ran its starts one
 after another and built and scored one disc per objective call.  The
-lockstep search, which scores the live starts of a family as one batch,
-must give the same floats: every result is compared through ``repr``,
-and a trace through a digest of the ``repr`` of its values.
+lockstep search, which scores the live starts of every family at a
+point as one batch per round, cut at ``hartogs.TRACE_BATCH_NODES``
+boundary nodes, must give the same floats, also with one row per batch:
+every result is compared through ``repr``, and a trace through a digest
+of the ``repr`` of its values.
 """
 
 import hashlib
@@ -12,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from discenv import config
+from discenv import config, envelope, hartogs
 from discenv.domains import counterexample_pair, planar_annulus_pair, \
     shell_pair
 from discenv.envelope import EnvelopeRequest, minimize_envelope, \
@@ -94,14 +96,36 @@ RECORDED_ENVELOPES = {
 }
 
 
+def outcome(res):
+    return (repr(res.value), repr(res.best_params.tolist()), res.family,
+            res.start_index, repr(res.max_violation), res.feasible,
+            len(res.trace), digest(res.trace))
+
+
 @pytest.mark.parametrize("name", sorted(RECORDED_ENVELOPES))
 def test_minimize_envelope_gives_the_recorded_result(name):
     build, expected = RECORDED_ENVELOPES[name]
-    res = minimize_envelope(build())
-    got = (repr(res.value), repr(res.best_params.tolist()), res.family,
-           res.start_index, repr(res.max_violation), res.feasible,
-           len(res.trace), digest(res.trace))
-    assert got == expected
+    assert outcome(minimize_envelope(build())) == expected
+
+
+def one_row_batches(monkeypatch):
+    """Cut every search round into batches of one row; returns the list
+    that collects the rows of each scored batch."""
+    rows = []
+    evaluate = envelope._evaluate
+    monkeypatch.setattr(envelope, "_evaluate", lambda req, groups, *args: (
+        rows.append(sum(len(P) for _, P in groups))
+        or evaluate(req, groups, *args)))
+    monkeypatch.setattr(hartogs, "TRACE_BATCH_NODES", 1)
+    return rows
+
+
+@pytest.mark.parametrize("name", ["annulus", "hartogs"])
+def test_one_row_batches_give_the_recorded_result(monkeypatch, name):
+    rows = one_row_batches(monkeypatch)
+    build, expected = RECORDED_ENVELOPES[name]
+    assert outcome(minimize_envelope(build())) == expected
+    assert set(rows) == {1}
 
 
 RECORDED_PARTIALS = {
@@ -119,6 +143,15 @@ RECORDED_PARTIALS = {
 def test_partial_envelope_gives_the_recorded_value(expr, x, eps):
     req = annulus_request(expr, x, starts=2, budget=60)
     assert repr(partial_envelope(req, eps)) == RECORDED_PARTIALS[expr, x][eps]
+
+
+@pytest.mark.parametrize("expr, x", sorted(RECORDED_PARTIALS))
+def test_partial_envelope_in_one_row_batches_gives_the_recorded_value(
+        monkeypatch, expr, x):
+    rows = one_row_batches(monkeypatch)
+    req = annulus_request(expr, x, starts=2, budget=60)
+    assert repr(partial_envelope(req, 0.2)) == RECORDED_PARTIALS[expr, x][0.2]
+    assert set(rows) == {1}
 
 
 # (number of feasible discs, digest(values), repr(min(values)))
