@@ -318,9 +318,10 @@ def _search(req, boundary, objective):
                       for f_idx, rows in groupby(batch, lambda e: e[0])]
             obj, value, violation, strict, samples = _evaluate(
                 req, groups, boundary, objective)
-            live += [entry for entry, *row in zip(
-                batch, samples, obj.tolist(), value.tolist(),
-                violation.tolist(), strict.tolist()) if entry[2].tell(*row)]
+            live += [(f_idx, s_idx, start) for (f_idx, s_idx, start), *row
+                     in zip(batch, samples, obj.tolist(), value.tolist(),
+                            violation.tolist(), strict.tolist())
+                     if start.tell(*row)]
     best = None
     for f_idx, s_idx, start in starts:
         record = start.record
