@@ -262,13 +262,19 @@ def _once(x):
 
 
 class _Start:
-    """One start of the lockstep search: its search generator, the point
-    it waits on, its least-keyed record (key, params, samples) and the
-    trace of its best objective so far."""
+    """Start ``s_idx`` of family ``f_idx``, from the RNG key [seed, f_idx,
+    s_idx]: its family, index and search (``nelder_mead``, or ``_once``
+    without parameters), the point it waits on, its least-keyed record
+    (key, params, samples) and the trace of its best objective so far."""
 
-    def __init__(self, search):
-        self.search = search
-        self.point = next(search)
+    def __init__(self, req, f_idx, s_idx):
+        self.family = req.families[f_idx]
+        self.index = s_idx
+        p0 = self.family.initial(
+            np.random.default_rng([req.seed, f_idx, s_idx]), s_idx)
+        self.search = nelder_mead(p0, req.budget) \
+            if self.family.n_params > 0 else _once(p0)
+        self.point = next(self.search)
         self.record = None
         self.trace = []
 
@@ -289,47 +295,36 @@ class _Start:
 
 
 def _search(req, boundary, objective):
-    """The least-keyed record over every (family, start):
-    (key, f_idx, s_idx, params, samples, trace).
+    """The winning start: the first in (family, start) order whose record
+    has the least key, so ties go to the lowest index.
 
     Every live start of every family advances in lockstep: each round
     scores the pending point of each as one batch, in (family, start)
     order, cut into consecutive batches of at most
     ``hartogs.TRACE_BATCH_NODES`` boundary nodes (at least one row each).
-    Each start keeps its own budget, record and trace.  Records are then
-    merged in (family, start) order and only a smaller key replaces the
-    best, so ties keep the lowest (family, start) index."""
-    starts = []  # (f_idx, s_idx, start), in (family, start) order
-    for f_idx, family in enumerate(req.families):
-        for s_idx in range(req.starts if family.n_params > 0 else 1):
-            rng = np.random.default_rng([req.seed, f_idx, s_idx])
-            p0 = family.initial(rng, s_idx)
-            starts.append((f_idx, s_idx, _Start(
-                nelder_mead(p0, req.budget) if family.n_params > 0
-                else _once(p0))))
+    Each start keeps its own budget, record and trace."""
+    starts = [_Start(req, f_idx, s_idx)
+              for f_idx, family in enumerate(req.families)
+              for s_idx in range(req.starts if family.n_params > 0 else 1)]
     per_batch = max(1, hartogs.TRACE_BATCH_NODES // req.grid.M)
     live = starts
     while live:
         todo, live = live, []
         for lo in range(0, len(todo), per_batch):
             batch = todo[lo:lo + per_batch]
-            groups = [(req.families[f_idx],
-                       np.array([start.point for *_, start in rows]))
-                      for f_idx, rows in groupby(batch, lambda e: e[0])]
+            groups = [(family, np.array([s.point for s in rows]))
+                      for family, rows in groupby(batch, lambda s: s.family)]
+            # bound until the next batch is scored: freeing the samples
+            # sooner makes the same calls but runs slower (heap placement)
             obj, value, violation, strict, samples = _evaluate(
                 req, groups, boundary, objective)
-            live += [(f_idx, s_idx, start) for (f_idx, s_idx, start), *row
-                     in zip(batch, samples, obj.tolist(), value.tolist(),
-                            violation.tolist(), strict.tolist())
-                     if start.tell(*row)]
-    best = None
-    for f_idx, s_idx, start in starts:
-        record = start.record
-        if record is not None and (best is None or record[0] < best[0]):
-            best = (record[0], f_idx, s_idx, *record[1:], start.trace)
-    if best is None:
+            live += [start for start, *row in zip(
+                batch, samples, obj.tolist(), value.tolist(),
+                violation.tolist(), strict.tolist()) if start.tell(*row)]
+    recorded = [start for start in starts if start.record is not None]
+    if not recorded:
         raise _no_disc(req)
-    return best
+    return min(recorded, key=lambda start: start.record[0])
 
 
 def _envelope_objective(req):
@@ -352,12 +347,12 @@ def minimize_envelope(req):
     for the true envelope, which in turn dominates the largest
     plurisubharmonic subextension.
     """
-    (blocked, violation, value), f_idx, s_idx, params, samples, trace = \
-        _search(req, req.pair[0], _envelope_objective(req))
+    best = _search(req, req.pair[0], _envelope_objective(req))
+    (blocked, violation, value), params, samples = best.record
     return EnvelopeResult(
-        value=value, best_params=params, family=req.families[f_idx].name,
-        start_index=s_idx, max_violation=violation, feasible=not blocked,
-        trace=trace, disc=AnalyticDisc(samples))
+        value=value, best_params=params, family=best.family.name,
+        start_index=best.index, max_violation=violation, feasible=not blocked,
+        trace=best.trace, disc=AnalyticDisc(samples))
 
 
 def _partial_objective(req, eps):
@@ -395,7 +390,8 @@ def partial_envelope(req, eps):
     if eps <= 2.0 / req.grid.M:
         raise ConfigurationError(
             f"eps={eps} unresolvable at M={req.grid.M}; need eps > 2/M")
-    return _search(req, req.pair[1], _partial_objective(req, eps))[0][2]
+    return _search(req, req.pair[1],
+                   _partial_objective(req, eps)).record[0][2]
 
 
 def sample_feasible_values(req, n_samples):
