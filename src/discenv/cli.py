@@ -104,9 +104,15 @@ def _oracle_values(cfg, points, w, x_spec, phi, hartogs, outdir):
                 "config.oracle: kiselman oracle needs a hartogs pair")
         return [float(kiselman_psi(hartogs, phi, p[:-1])) for p in points]
     gcfg = GridConfig(**cfgmod.given(oracle, cfgmod.ORACLE_KINDS["grid"][1]))
+    probes = np.asarray([p[0] for p in points])
+    outside = np.flatnonzero(~gcfg.covers(probes))
+    if outside.size:
+        # checked before the solve, so a failed run writes no field
+        raise ConfigurationError(
+            f"config.points[{outside[0]}]: outside the grid oracle's "
+            f"bounds {list(gcfg.bounds)}")
     field = grid_obstacle_solver((w, x_spec), phi, gcfg)
     field.to_csv(os.path.join(outdir, "grid_field.csv"))
-    probes = np.asarray([p[0] for p in points])
     return [float(v) for v in field.interpolate(probes)]
 
 

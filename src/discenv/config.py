@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from .discs import cesaro_convergence
 from .domains import (
     ball,
     counterexample_pair,
@@ -68,6 +69,8 @@ ORACLE_KINDS = {"kiselman": (None, ()),
 MAX_QUADRATURE_M = 2 ** 16
 MAX_STARTS = 2 ** 10  # the search builds every start before its first round
 MAX_HOMOTOPY_STEPS = 2 ** 16  # a trace allocates its whole t-grid
+MAX_GRID_NODES = 2 ** 12  # per side of the grid oracle's h/2 grid
+MAX_CESARO_SAMPLES = 2 ** 20  # m * m_w: the loop holds every sample
 
 #: Each family kind's class, and the config keys it takes under their
 #: keyword names; a key the config leaves out keeps the class default.
@@ -112,6 +115,13 @@ def _at_least(low, message=None, high=math.inf):
     return (lambda value: _is_int(value) and low <= value <= high,
             message or f"expected integer >= {low}"
             + (f" and <= {high}" if high < math.inf else ""))
+
+
+def _power_of_two(low):
+    """The rule of a power of two >= low."""
+    return (lambda value: _is_int(value) and value >= low
+            and value & (value - 1) == 0,
+            f"expected a power of two >= {low}")
 
 
 def _named(table, noun):
@@ -182,6 +192,39 @@ def _families(families, path, cfg):
         _check(fam, f"{path}[{i}]", FAMILY_RULES, m, FAMILY_KINDS)
 
 
+def _oracle(oracle, path, cfg):
+    if oracle is None:
+        return
+    _check(oracle, path, ORACLE_RULES, kinds=ORACLE_KINDS, first=lambda o:
+           _require(o["kind"] != "closed_form" or "expr" in o,
+                    f"{path}.expr", ORACLE_RULES["expr"][1]))
+    if oracle["kind"] == "grid":
+        # in floats, where a huge box or a tiny spacing gives inf; a key
+        # left out counts at its GridConfig default
+        grid = GridConfig(**given(oracle, ORACLE_KINDS["grid"][1]))
+        x_min, x_max, y_min, y_max = map(float, grid.bounds)
+        sides = max(x_max - x_min, y_max - y_min) / (grid.spacing / 2) + 1
+        _require(sides <= MAX_GRID_NODES,
+                 f"{path}.{'spacing' if 'spacing' in oracle else 'bounds'}",
+                 f"expected at most {MAX_GRID_NODES} nodes per side at "
+                 f"spacing / 2, got {sides:.4g} from spacing "
+                 f"{grid.spacing} and bounds {list(grid.bounds)}")
+
+
+def _cesaro(spec, path, cfg):
+    _check(spec, path, CESARO_RULES)
+    # a key left out is checked at the cesaro_convergence default
+    params = inspect.signature(cesaro_convergence).parameters
+    m, m_w, j_values = (spec.get(key, params[key].default)
+                        for key in ("m", "m_w", "j_values"))
+    _require(m * m_w <= MAX_CESARO_SAMPLES,
+             f"{path}.{'m_w' if 'm_w' in spec else 'm'}",
+             f"expected m * m_w <= {MAX_CESARO_SAMPLES}, got {m} * {m_w}")
+    for i, j in enumerate(j_values):
+        _require(4 * j + 4 <= m_w, f"{path}.j_values[{i}]",
+                 f"expected 4 j + 4 <= m_w = {m_w}, got j = {j}")
+
+
 def _homotopy(spec, path, cfg):
     _check(spec, path, HOMOTOPY_RULES, cfg["quadrature_m"])
     _require("z_prime" in spec, f"{path}.z_prime", "required")
@@ -210,13 +253,10 @@ TOP_RULES = {
     "starts": _at_least(1, high=MAX_STARTS), "budget": _at_least(1),
     "families": _families,
     "penalty_weight": _POSITIVE,
-    "oracle": lambda oracle, path, cfg: oracle is None or _check(
-        oracle, path, ORACLE_RULES, kinds=ORACLE_KINDS, first=lambda o:
-        _require(o["kind"] != "closed_form" or "expr" in o,
-                 f"{path}.expr", ORACLE_RULES["expr"][1])),
+    "oracle": _oracle,
     "tolerances": lambda tol, path, cfg: _check(tol, path, TOLERANCES_RULES),
     "homotopy": _homotopy,
-    "cesaro": lambda spec, path, cfg: _check(spec, path, CESARO_RULES),
+    "cesaro": _cesaro,
     "output": _ANY,
 }
 PAIR_RULES = {
@@ -249,8 +289,10 @@ TOLERANCES_RULES = {"gap": _NUMBER}
 HOMOTOPY_RULES = {"winding": _at_least(1),
                   "steps": _at_least(1, high=MAX_HOMOTOPY_STEPS),
                   "s": _NUMBER, "z_prime": _ANY}
+#: The loop's z-discs need m >= 8 and its base disc, sampled on the
+#: w-grid, needs m_w >= 8.
 CESARO_RULES = {
-    "m": _at_least(1), "m_w": _at_least(1),
+    "m": _power_of_two(8), "m_w": _power_of_two(8),
     "j_values": (lambda js: isinstance(js, (list, tuple))
                  and all(_is_int(j) and j >= 0 for j in js),
                  "expected a list of integers >= 0"),

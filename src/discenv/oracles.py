@@ -91,6 +91,31 @@ class GridConfig:
     spacing: float = 1.0 / 128
     tol: float = 1e-10
 
+    def covers(self, z):
+        """Whether the field at spacing / 2 interpolates at each complex
+        point z, known before the field is solved."""
+        x_min, x_max, y_min, y_max = self.bounds
+        h = self.spacing / 2
+        return _cells(z, x_min, y_min, h, (_nodes(y_min, y_max, h),
+                                            _nodes(x_min, x_max, h)))[2]
+
+
+def _nodes(lo, hi, h):
+    """Nodes at spacing h from lo: enough to reach hi, also where h does
+    not divide hi - lo."""
+    return int(np.ceil((hi - lo) / h - 1e-9)) + 1
+
+
+def _cells(z, x0, y0, h, shape):
+    """The offsets (fx, fy) of complex points z, in steps h from the first
+    node (x0, y0) of a grid of shape (ny, nx), and whether the four nodes
+    of each one's cell are on the grid."""
+    z = np.asarray(z, dtype=complex)
+    fx = (np.real(z) - x0) / h
+    fy = (np.imag(z) - y0) / h
+    ny, nx = shape
+    return fx, fy, (fx >= 0) & (fx < nx - 1) & (fy >= 0) & (fy < ny - 1)
+
 
 class GridField:
     """A real field on a uniform planar grid with a W / X-only / outside mask.
@@ -116,15 +141,12 @@ class GridField:
 
     def interpolate(self, z):
         """Bilinear interpolation at complex points z; raises off-grid."""
-        z = np.asarray(z, dtype=complex)
-        fx = (np.real(z) - self.x0) / self.h
-        fy = (np.imag(z) - self.y0) / self.h
-        ny, nx = self.values.shape
+        fx, fy, inside = _cells(z, self.x0, self.y0, self.h,
+                                self.values.shape)
+        if not np.all(inside):
+            raise EvaluationError("interpolation point outside grid")
         ix = np.floor(fx).astype(int)
         iy = np.floor(fy).astype(int)
-        if np.any(ix < 0) or np.any(iy < 0) or np.any(ix >= nx - 1) \
-                or np.any(iy >= ny - 1):
-            raise EvaluationError("interpolation point outside grid")
         tx = fx - ix
         ty = fy - iy
         v = self.values
@@ -157,9 +179,7 @@ def _build_grid(pair, phi, cfg, h):
     inf - inf."""
     w_spec, x_spec = pair
     x_min, x_max, y_min, y_max = cfg.bounds
-    # enough nodes to reach the bounds, also where h does not divide them
-    nx = int(np.ceil((x_max - x_min) / h - 1e-9)) + 1
-    ny = int(np.ceil((y_max - y_min) / h - 1e-9)) + 1
+    nx, ny = _nodes(x_min, x_max, h), _nodes(y_min, y_max, h)
     xs = x_min + h * np.arange(nx)
     ys = y_min + h * np.arange(ny)
     zz = (xs[None, :] + 1j * ys[:, None])[:, :, None]

@@ -161,6 +161,11 @@ def test_validation_failure_exits_two_without_outputs(tmp_path):
     {"pair": {"variant": "hartogs"},
      "homotopy": {"z_prime": [[0.0, 0.0]], "steps": 10 ** 30}},
     {"starts": 10 ** 12},
+    {"oracle": {"kind": "grid", "spacing": 1e-300}},
+    {"oracle": {"kind": "grid", "bounds": [-1e308, 1e308, -2, 2]}},
+    {"cesaro": {"m": 2 ** 62}},
+    {"cesaro": {"m": 48}},
+    {"cesaro": {"m_w": 64, "j_values": [8, 16]}},
 ])
 def test_malformed_value_exits_two_with_one_line(tmp_path, capsys, overrides):
     # run the subcommand that reads the malformed value
@@ -582,6 +587,26 @@ def test_grid_covers_its_bounds(tmp_path):
     assert max(float(r["y"]) for r in nodes) >= 2.0625
 
 
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_point_off_the_grid_exits_two_before_the_solve(
+        tmp_path, capsys, monkeypatch, command):
+    # the grid at spacing 0.125 ends at x = 1, left of the point 1.5
+    solves = []
+    monkeypatch.setattr(cli, "grid_obstacle_solver",
+                        lambda *args: solves.append(args))
+    cfg = dict(ANNULUS_CONFIG, points=[[[-1.5, 0.0]], [[1.5, 0.0]]],
+               oracle={"kind": "grid", "spacing": 0.25,
+                       "bounds": [-2, 1, -2, 2]})
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert run([command, "--config", cfg_path, "--out", out,
+                "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config.points[1]: outside the grid oracle's " \
+                  "bounds [-2, 1, -2, 2]\n"
+    assert solves == [] and not out.exists()
+
+
 def test_non_finite_obstacle_exits_three(tmp_path, capsys):
     # log|z1| is -inf along the constant disc at z1 = 0: no disc has a
     # finite boundary average, which is an infeasible envelope, not a
@@ -733,3 +758,124 @@ def test_homotopy_runs_exit_with_a_documented_code(cfg):
         spec = cfg["homotopy"]
         assert len(trace) == spec.get("steps", 32) + 1
         assert all(row["winding"] == spec.get("winding", 1) for row in trace)
+
+
+#: Points of the planar annulus on and off the grids of the bounds below:
+#: 3.0 and -2.5i are off every grid, 2.05 and -1.5 + 1.5i off some
+FUZZ_GRID_POINTS = [[[0.5, 0.0]], [[3.0, 0.0]], [[1.5, 0.0]], [[0.0, -2.5]],
+                    [[-1.2, 0.3]], [[2.05, 0.0]], [[0.0, -1.9]],
+                    [[-1.5, 1.5]]]
+#: Mostly valid configs of each oracle kind
+FUZZ_ORACLE_KINDS = {
+    # a spacing of 1/16 or coarser: the default 1/128 takes seconds
+    "grid": st.fixed_dictionaries({
+        "pair": st.just({"variant": "planar_annulus"}),
+        "points": st.lists(st.sampled_from(FUZZ_GRID_POINTS), min_size=1,
+                           max_size=2),
+        "oracle": st.fixed_dictionaries({
+            "kind": st.just("grid"),
+            "spacing": st.sampled_from([1 / 16, 0.125, 0.25, 0.5, 1.0, 3.0])},
+            optional={"bounds": st.sampled_from([
+                [-1, 2, -2, 1], [-2, 2, -2, 2], [-2.5, 2.5, -2, 2],
+                [-2.0625, 2.0625, -2.0625, 2.0625]])})}),
+    "closed_form": st.sampled_from(sorted(FUZZ_PAIRS)).flatmap(
+        lambda variant: st.fixed_dictionaries({
+            "pair": st.just({"variant": variant}),
+            "points": st.lists(st.sampled_from(FUZZ_PAIRS[variant]),
+                               max_size=2),
+            "oracle": st.builds(
+                lambda expr: {"kind": "closed_form", "expr": expr},
+                st.sampled_from(["max(log(abs(z1)), 0.0)", "re(z1)",
+                                 "abs(z1) + 0.5", "nonsense(("]))})),
+    "kiselman": st.fixed_dictionaries({
+        "pair": st.just({"variant": "hartogs"}),
+        "obstacle": st.sampled_from([
+            {"expr": "abs(z2)", "rotation_invariant": True},
+            {"expr": "re(z1) + abs(z2) * abs(z2)",
+             "rotation_invariant": True},
+            {"expr": "re(z2)"}]),
+        "points": st.lists(st.sampled_from(FUZZ_PAIRS["hartogs"]),
+                           max_size=2),
+        "oracle": st.just({"kind": "kiselman"})}),
+}
+#: One oracle config, then one change in four that validation rejects
+FUZZ_ORACLE = st.sampled_from(list(FUZZ_ORACLE_KINDS)).flatmap(
+    FUZZ_ORACLE_KINDS.get).map(
+    lambda cfg: {"experiment": "fuzz-oracle",
+                 "obstacle": {"builtin": "log_abs"}, **cfg}).flatmap(
+    lambda cfg: st.sampled_from([{}] * 20 + [
+        # over the node cap: if validation let one through, the thin box
+        # would still be a small grid
+        {"spacing": 1e-300}, {"spacing": 1e-3, "bounds": [-2.5, 2.5, 0, 0.01]},
+        {"spacing": 0},
+        {"bounds": [-1e308, 1e308, -2, 2]}, {"bounds": [1, 0, -1, 1]},
+        {"kind": "nope"}, {"caps": [1.0]},
+    ]).map(lambda change: {**cfg, "oracle": {**cfg["oracle"], **change}}))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=FUZZ_ORACLE)
+def test_oracle_runs_exit_with_a_documented_code(cfg):
+    """An oracle run exits 0 or 2; exit 2 prints one error: line and
+    writes nothing, exit 0 writes one row per point and, for the grid,
+    the field."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(pathlib.Path(tmp), cfg)
+        out = pathlib.Path(tmp) / "run"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = run(["oracle", "--config", path, "--out", out, "--quiet"])
+        wrote = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        rows = read_rows(out) if code == 0 else None
+    errors = [line for line in err.getvalue().splitlines()
+              if line.startswith("error:")]
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(errors) == 1 and wrote == []
+    else:
+        assert errors == [] and len(rows) == len(cfg["points"])
+        assert ("grid_field.csv" in wrote) == (cfg["oracle"]["kind"] == "grid")
+
+
+#: Small Cesaro runs, then one change in three that validation rejects
+FUZZ_CESARO = st.fixed_dictionaries({}, optional={
+    "m": st.sampled_from([8, 16, 32]),
+    "m_w": st.sampled_from([8, 16, 64, 256]),
+    "j_values": st.lists(st.integers(0, 8), max_size=3),
+    "amplitude": st.sampled_from([0.0, 0.02, 0.5])}).flatmap(
+    lambda spec: st.sampled_from([{}] * 14 + [
+        {"m": 48}, {"m": 2 ** 62}, {"m": 1024, "m_w": 2048}, {"m_w": 4},
+        {"j_values": [-1]}, {"j_values": [10 ** 6]}, {"amplitude": "x"},
+    ]).map(lambda change: {**spec, **change}))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spec=FUZZ_CESARO)
+def test_cesaro_runs_exit_with_a_documented_code(spec):
+    """A Cesaro run exits 0 or 2; exit 2 prints one error: line and
+    writes nothing, exit 0 writes one error per order j.  The defaults
+    are m = 64, m_w = 2048 and six orders up to 256, so a spec that
+    leaves j_values out on a small w-grid is rejected."""
+    cfg = {"experiment": "fuzz-cesaro", "pair": {"variant": "planar_annulus"},
+           "cesaro": spec}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(pathlib.Path(tmp), cfg)
+        out = pathlib.Path(tmp) / "run"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = run(["cesaro", "--config", path, "--out", out, "--quiet"])
+        wrote = out.exists()
+        lines = (out / "cesaro.csv").read_text().splitlines() \
+            if code == 0 else None
+    errors = [line for line in err.getvalue().splitlines()
+              if line.startswith("error:")]
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(errors) == 1 and not wrote
+    else:
+        assert errors == []
+        assert len(lines) == 1 + len(spec.get("j_values", range(6)))

@@ -284,6 +284,25 @@ def test_partial_eps_range_checked():
     ({"homotopy": {"steps": 2 ** 16 + 1}}, "homotopy.steps"),
     ({"homotopy": {"steps": 10 ** 30}}, "homotopy.steps"),
     ({"starts": 10 ** 12}, "starts"),
+    # more grid nodes per side at spacing / 2 than the cap, also where a
+    # key is left out and its GridConfig default counts
+    ({"oracle": {"kind": "grid", "spacing": 1e-300}}, "oracle.spacing"),
+    ({"oracle": {"kind": "grid", "spacing": 2e-3}}, "oracle.spacing"),
+    ({"oracle": {"kind": "grid", "bounds": [-1e308, 1e308, -2, 2]}},
+     "oracle.bounds"),
+    ({"oracle": {"kind": "grid", "bounds": [-20, 20, -2, 2]}},
+     "oracle.bounds"),
+    # Cesaro sizes: powers of two a DiscLoop and its base disc take, a
+    # capped sample count, and orders the w-grid resolves
+    ({"cesaro": {"m": 48}}, "cesaro.m"),
+    ({"cesaro": {"m": 4}}, "cesaro.m"),
+    ({"cesaro": {"m_w": 4, "j_values": [0]}}, "cesaro.m_w"),
+    ({"cesaro": {"m": 2 ** 62}}, "cesaro.m"),
+    ({"cesaro": {"m_w": 2 ** 100}}, "cesaro.m_w"),
+    ({"cesaro": {"m": 8, "m_w": 2 ** 18}}, "cesaro.m_w"),
+    ({"cesaro": {"m_w": 64, "j_values": [8, 16]}},
+     r"cesaro\.j_values\[1\]"),
+    ({"cesaro": {"m_w": 512}}, r"cesaro\.j_values\[4\]"),
 ])
 def test_malformed_values_rejected(overrides, path):
     with pytest.raises(ConfigurationError, match=path):

@@ -474,6 +474,21 @@ def test_partial_never_exceeds_full_envelope():
             <= full + 1e-9
 
 
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(r=st.one_of(st.floats(0.0, 0.9, exclude_max=True),
+                   st.floats(1.05, 1.9, exclude_min=True, exclude_max=True)),
+       angle=st.floats(0.0, 2 * np.pi))
+def test_partial_staircase_is_nonincreasing_in_eps(r, angle):
+    """Criterion 3's staircase at points off the origin, in the hole and
+    in W: a larger eps admits more discs, so the bound does not rise by
+    more than criterion 3's noise of 1e-3 per step."""
+    x = complex(r * np.exp(1j * angle))
+    families = [BlaschkeFamily([x], n_zeros=1, s_range=(1.0, 2.0))]
+    req = annulus_request(x, families, starts=2, budget=60)
+    wide, mid, narrow = (partial_envelope(req, eps) for eps in (0.5, 0.2, 0.05))
+    assert wide <= mid + 1e-3 <= narrow + 2e-3
+
+
 def test_partial_with_constant_family_inside_w():
     x = 1.5
     value = partial_envelope(annulus_request(x, [ConstantFamily([x])]), 0.3)
