@@ -485,7 +485,8 @@ def test_partial_staircase_is_nonincreasing_in_eps(r, angle):
     x = complex(r * np.exp(1j * angle))
     families = [BlaschkeFamily([x], n_zeros=1, s_range=(1.0, 2.0))]
     req = annulus_request(x, families, starts=2, budget=60)
-    wide, mid, narrow = (partial_envelope(req, eps) for eps in (0.5, 0.2, 0.05))
+    wide, mid, narrow = (partial_envelope(req, eps)
+                         for eps in (0.5, 0.2, 0.05))
     assert wide <= mid + 1e-3 <= narrow + 2e-3
 
 
