@@ -22,7 +22,8 @@ import numpy as np
 from . import config as cfgmod
 from .discs import cesaro_convergence
 from .envelope import EnvelopeRequest, minimize_envelope
-from .errors import ConfigurationError, DiscenvError, InfeasibleEnvelope
+from .errors import ConfigurationError, DiscenvError, InfeasibleEnvelope, \
+    PreconditionError
 from .expressions import compile_expression
 from .functionals import QuadratureGrid
 from .hartogs import homotopy_trace, vertical_disc
@@ -96,7 +97,7 @@ def _oracle_values(cfg, points, w, x_spec, phi, hartogs, outdir):
     solved once for all points and its field written to grid_field.csv."""
     oracle = cfg["oracle"]
     if oracle["kind"] == "closed_form":
-        fn = compile_expression(oracle["expr"], x_spec.n)
+        fn = compile_expression(oracle["expr"], x_spec.n, "config.oracle.expr")
         return [float(fn(p[None, :])[0]) for p in points]
     if oracle["kind"] == "kiselman":
         if hartogs is None:
@@ -129,14 +130,18 @@ def _row(point, envelope=None, oracle=None, feasible=True,
 def run_envelope(cfg, outdir, compare=False, quiet=False):
     w, x_spec, phi, hartogs, points = _problem(cfg)
     grid = QuadratureGrid(cfg["quadrature_m"])
-    # every point's families are built, and checked, before any search
-    requests = [EnvelopeRequest(pair=(w, x_spec), phi=phi, x=point,
-                                families=cfgmod.build_families(cfg, point,
-                                                               hartogs),
-                                penalty_weight=cfg["penalty_weight"],
-                                starts=cfg["starts"], budget=cfg["budget"],
-                                seed=cfg["seed"], grid=grid)
-                for point in points]
+    # every point's families and request are built, and checked, before
+    # any search
+    requests = []
+    for i, point in enumerate(points):
+        families = cfgmod.build_families(cfg, point, hartogs)
+        try:
+            requests.append(EnvelopeRequest(
+                pair=(w, x_spec), phi=phi, x=point, families=families,
+                penalty_weight=cfg["penalty_weight"], starts=cfg["starts"],
+                budget=cfg["budget"], seed=cfg["seed"], grid=grid))
+        except PreconditionError as exc:
+            raise PreconditionError(f"config.points[{i}]: {exc}") from None
     oracle_vals = [None] * len(points)
     if compare and cfg.get("oracle") is not None:
         oracle_vals = _oracle_values(cfg, points, w, x_spec, phi, hartogs,
@@ -150,6 +155,7 @@ def run_envelope(cfg, outdir, compare=False, quiet=False):
         rows.append(_row(_point_label(point), res.value, oracle_val,
                          bool(res.feasible), res.max_violation, runtime,
                          family=res.family, start_index=res.start_index,
+                         certificate=res.certificate,
                          trace=[float(v) for v in res.trace]))
         if not quiet:
             print(f"{_point_label(point)}: envelope={res.value:.6f} "

@@ -40,10 +40,13 @@ BUILTIN_OBSTACLES = {
 
 def _hartogs_pair(n=2, base_radius=1.0, r=0.25, R=1.0):
     """The Hartogs pair over a ball; a number radius is a constant
-    expression (repr writes a float exactly)."""
+    expression (repr writes a float exactly).  With a number R, X is a
+    ball times a disc, so the maximum principle holds on it."""
     radii = [compile_expression(v if isinstance(v, str) else repr(float(v)),
-                                n - 1) for v in (r, R)]
+                                n - 1, f"config.pair.{key}")
+             for key, v in (("r", r), ("R", R))]
     hp = HartogsPair(ball(base_radius, n - 1), *radii)
+    hp.X.max_principle = not isinstance(R, str)
     return hp.W, hp.X, None, hp
 
 
@@ -341,10 +344,11 @@ def build_obstacle(cfg, n):
     obst = cfg.get("obstacle")
     if obst is None:
         raise ConfigurationError("config.obstacle: required for this command")
-    expr = obst["expr"] if "expr" in obst \
-        else BUILTIN_OBSTACLES[obst["builtin"]]
+    key = "expr" if "expr" in obst else "builtin"
+    expr = obst["expr"] if key == "expr" else BUILTIN_OBSTACLES[obst[key]]
     return obstacle_from_expression(
-        expr, n, rotation_invariant_last=obst.get("rotation_invariant", False))
+        expr, n, rotation_invariant_last=obst.get("rotation_invariant", False),
+        path=f"config.obstacle.{key}")
 
 
 def parse_point(entry, n, path="config.points"):

@@ -14,12 +14,17 @@ from .errors import ConfigurationError, PreconditionError
 
 
 class DomainSpec:
-    """A domain given by a vectorised signed margin function."""
+    """A domain given by a vectorised signed margin function.
 
-    def __init__(self, name, n, margin_fn):
+    ``max_principle`` says that every analytic disc whose boundary lies in
+    the domain lies in it, as for a domain with a plurisubharmonic
+    defining function (a ball, a ball times a disc)."""
+
+    def __init__(self, name, n, margin_fn, max_principle=False):
         self.name = name
         self.n = n
         self._margin_fn = margin_fn
+        self.max_principle = max_principle
 
     def margin(self, points):
         points = np.asarray(points, dtype=complex)
@@ -54,7 +59,7 @@ def ball(r, n):
     """The Euclidean ball of radius r in C^n."""
     def margin(p):
         return r - np.linalg.norm(p, axis=-1)
-    return DomainSpec(f"ball(r={r}, n={n})", n, margin)
+    return DomainSpec(f"ball(r={r}, n={n})", n, margin, max_principle=True)
 
 
 def shell_pair(n=2):

@@ -3,7 +3,9 @@
 The boundary-in-W and interior-in-X constraints are enforced by squared
 hinge penalties on the signed margins (with a small feasibility slack so
 reported optima sit strictly inside), while the centre constraint is
-structural in every disc family.  Each (family, start) pair is minimised
+structural in every disc family.  The interior is probed only where X
+does not have the maximum principle; where it does, the boundary nodes
+in X place the disc in X.  Each (family, start) pair is minimised
 independently by adaptive Nelder-Mead (``nelder_mead``) from seeded
 initial parameters.  The starts of every family at the point run in
 lockstep: each round scores the next point of every live start as one
@@ -165,7 +167,8 @@ class EnvelopeRequest:
                 f"{self.starts} and budget={self.budget}")
         w, x_spec = self.pair
         if not np.all(x_spec.margin(self.x[None, :]) > 0):
-            raise PreconditionError("centre lies outside X")
+            raise PreconditionError(
+                f"centre {tuple(self.x.tolist())} lies outside X")
         for fam in self.families:
             if not np.array_equal(fam.centre, self.x):
                 raise ConfigurationError(
@@ -183,6 +186,7 @@ class EnvelopeResult:
     feasible: bool
     trace: list = field(default_factory=list)
     disc: object = None
+    certificate: str = "probes"  # or "max_principle": how X was checked
 
 
 def _margins(boundary_domain, x_spec, samples):
@@ -190,8 +194,13 @@ def _margins(boundary_domain, x_spec, samples):
     the interior probes in X (positive means strictly inside) of each disc
     of a batch of boundary samples (B, M, n): arrays (B, M) and (B, P).
 
-    The probes are evaluated in ``interior_probe_points`` order."""
+    The probes are evaluated in ``interior_probe_points`` order.  On an X
+    with the maximum principle P is 0: boundary nodes in W, or in X for
+    the partial search, already place the disc in X (nodes only, as the
+    boundary check itself)."""
     b, m, n = samples.shape
+    if x_spec.max_principle:
+        return boundary_domain.margin(samples), np.empty((b, 0))
     coeffs = np.fft.fft(samples, axis=1)[:, :m // 2] / m
     probes = circle_eval(coeffs, INTERIOR_RADII,
                          INTERIOR_ANGLES).reshape(b, -1, n)
@@ -204,9 +213,9 @@ def _violation(bm, im):
 
     Returns (violation, strict) where strict certifies that every boundary
     node and every interior probe lies strictly inside its domain.  A NaN
-    margin gives a NaN violation.
+    margin gives a NaN violation; no probes leave the nodes to decide.
     """
-    lo_b, lo_i = np.min(bm, axis=-1), np.min(im, axis=-1)
+    lo_b, lo_i = np.min(bm, axis=-1), np.min(im, axis=-1, initial=np.inf)
     violation = np.maximum(0.0, -np.minimum(lo_b, lo_i))
     return violation, (lo_b > 0) & (lo_i > 0)
 
@@ -352,7 +361,9 @@ def minimize_envelope(req):
     return EnvelopeResult(
         value=value, best_params=params, family=best.family.name,
         start_index=best.index, max_violation=violation, feasible=not blocked,
-        trace=best.trace, disc=AnalyticDisc(samples))
+        trace=best.trace, disc=AnalyticDisc(samples),
+        certificate="max_principle" if req.pair[1].max_principle
+        else "probes")
 
 
 def _partial_objective(req, eps):

@@ -42,28 +42,25 @@ def _compile_node(node, n):
         return _compile_node(node.body, n)
     if isinstance(node, ast.Constant):
         if type(node.value) not in (int, float):  # bool is an int subclass
-            raise ConfigurationError(
-                f"obstacle expression: unsupported constant {node.value!r}")
+            raise ConfigurationError(f"unsupported constant {node.value!r}")
         try:
             v = float(node.value)
         except OverflowError as exc:
-            raise ConfigurationError(
-                f"obstacle expression: constant too large: {exc}") from exc
+            raise ConfigurationError(f"constant too large: {exc}") from exc
         return lambda pts: v
     if isinstance(node, ast.Name):
         name = node.id
         if not (name.startswith("z") and name[1:].isdigit()):
-            raise ConfigurationError(
-                f"obstacle expression: unknown name {name!r}")
+            raise ConfigurationError(f"unknown name {name!r}")
         try:
             idx = int(name[1:]) - 1
         except ValueError as exc:  # past the integer digit limit
             raise ConfigurationError(
-                f"obstacle expression: coordinate {name[:12]}... out of "
-                f"range for C^{n}") from exc
+                f"coordinate {name[:12]}... out of range for C^{n}"
+            ) from exc
         if not 0 <= idx < n:
             raise ConfigurationError(
-                f"obstacle expression: coordinate {name} out of range for C^{n}")
+                f"coordinate {name} out of range for C^{n}")
         return lambda pts: pts[..., idx]
     if isinstance(node, ast.UnaryOp):
         inner = _compile_node(node.operand, n)
@@ -71,7 +68,7 @@ def _compile_node(node, n):
             return lambda pts: -inner(pts)
         if isinstance(node.op, ast.UAdd):
             return inner
-        raise ConfigurationError("obstacle expression: unsupported unary op")
+        raise ConfigurationError("unsupported unary op")
     if isinstance(node, ast.BinOp):
         left = _compile_node(node.left, n)
         right = _compile_node(node.right, n)
@@ -81,41 +78,37 @@ def _compile_node(node, n):
             return lambda pts: left(pts) - right(pts)
         if isinstance(node.op, ast.Mult):
             return lambda pts: left(pts) * right(pts)
-        raise ConfigurationError(
-            "obstacle expression: only +, - and * are allowed")
+        raise ConfigurationError("only +, - and * are allowed")
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS:
-            raise ConfigurationError(
-                "obstacle expression: only re/im/abs/log/max calls allowed")
+            raise ConfigurationError("only re/im/abs/log/max calls allowed")
         if node.keywords:
-            raise ConfigurationError(
-                "obstacle expression: keyword arguments not allowed")
+            raise ConfigurationError("keyword arguments not allowed")
         fn = _FUNCS[node.func.id]
         args = [_compile_node(a, n) for a in node.args]
         if node.func.id == "max":
             if len(args) != 2:
-                raise ConfigurationError(
-                    "obstacle expression: max takes exactly two arguments")
+                raise ConfigurationError("max takes exactly two arguments")
             return lambda pts: fn(args[0](pts), args[1](pts))
         if len(args) != 1:
-            raise ConfigurationError(
-                f"obstacle expression: {node.func.id} takes one argument")
+            raise ConfigurationError(f"{node.func.id} takes one argument")
         return lambda pts: fn(args[0](pts))
-    raise ConfigurationError(
-        f"obstacle expression: unsupported syntax {type(node).__name__}")
+    raise ConfigurationError(f"unsupported syntax {type(node).__name__}")
 
 
-def compile_expression(text, n):
-    """Compile an expression string into a vectorised points -> real function."""
+def compile_expression(text, n, path="expression"):
+    """Compile an expression string into a vectorised points -> real
+    function; an error message starts with ``path``, the expression's
+    config key."""
     try:
         tree = ast.parse(text, mode="eval")
-    except (SyntaxError, ValueError, RecursionError) as exc:
+        if _depth(tree) > _MAX_DEPTH:
+            raise ConfigurationError(f"nested deeper than {_MAX_DEPTH} levels")
+        fn = _compile_node(tree, n)
+    except (ConfigurationError, SyntaxError, ValueError,
+            RecursionError) as exc:
         # Python 3.10 raises ValueError for a null byte in the source
-        raise ConfigurationError(f"obstacle expression: {exc}") from exc
-    if _depth(tree) > _MAX_DEPTH:
-        raise ConfigurationError(
-            f"obstacle expression: nested deeper than {_MAX_DEPTH} levels")
-    fn = _compile_node(tree, n)
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
     def evaluate(pts):
         pts = np.asarray(pts, dtype=complex)
@@ -126,6 +119,7 @@ def compile_expression(text, n):
     return evaluate
 
 
-def obstacle_from_expression(text, n, rotation_invariant_last=False):
-    return Obstacle(compile_expression(text, n), description=text,
+def obstacle_from_expression(text, n, rotation_invariant_last=False,
+                             path="obstacle expression"):
+    return Obstacle(compile_expression(text, n, path), description=text,
                     rotation_invariant_last=rotation_invariant_last)

@@ -398,6 +398,68 @@ def test_hartogs_pair_with_vertical_family(tmp_path):
     assert report["rows"][0]["family"] == "vertical"
 
 
+@pytest.mark.parametrize("R, certificate", [
+    (1.0, "max_principle"), ("1.0 - 0.25 * abs(z1)", "probes")])
+def test_report_rows_carry_the_certificate(tmp_path, R, certificate):
+    cfg = {
+        "experiment": "hartogs-certificate",
+        "pair": {"variant": "hartogs", "n": 2, "R": R},
+        "obstacle": {"expr": "re(z1)"},
+        "points": [[[0.3, 0.0], [0.0, 0.0]], [[-0.2, 0.1], [0.0, 0.0]]],
+        "families": [{"kind": "vertical", "s_range": [0.3, 0.7]}],
+        "quadrature_m": 64, "starts": 2, "budget": 20,
+    }
+    out = tmp_path / "run"
+    assert run(["envelope", "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [row["certificate"] for row in report["rows"]] == [certificate] * 2
+    with open(out / "results.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == ["point", "envelope", "oracle", "gap",
+                                        "feasible", "max_violation"]
+
+
+def test_centre_outside_x_is_named_by_its_index(tmp_path, capsys,
+                                                monkeypatch):
+    searches = []
+    monkeypatch.setattr(cli, "minimize_envelope", searches.append)
+    cfg = dict(ANNULUS_CONFIG, points=[[[0.5, 0.0]], [[1.5, 0.0]],
+                                       [[2.5, 0.0]]])
+    out = tmp_path / "run"
+    assert run(["compare", "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: config.points[2]: centre ((2.5+0j),) lies outside X\n")
+    assert searches == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, command, key", [
+    ({"obstacle": {"expr": "nonsense(("}}, "envelope", "obstacle.expr"),
+    ({"obstacle": {"expr": "z2"}}, "envelope", "obstacle.expr"),
+    ({"oracle": {"kind": "closed_form", "expr": "nonsense(("}}, "oracle",
+     "oracle.expr"),
+    ({"oracle": {"kind": "closed_form", "expr": "z1 / 2"}}, "compare",
+     "oracle.expr"),
+    ({"pair": {"variant": "hartogs", "r": "nonsense(("}}, "envelope",
+     "pair.r"),
+    ({"pair": {"variant": "hartogs", "R": "abs(z2)"}}, "homotopy",
+     "pair.R"),
+])
+def test_expression_errors_name_their_config_key(tmp_path, capsys,
+                                                 overrides, command, key):
+    cfg = dict(ANNULUS_CONFIG, homotopy={"z_prime": [[0.0, 0.0]]},
+               **overrides)
+    if "pair" in overrides:
+        cfg["points"] = C2_POINT
+    out = tmp_path / "run"
+    assert run([command, "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config.{key}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_infeasible_envelope_exits_three(tmp_path):
     # a constant disc at 0.5 cannot have boundary in the annulus
     cfg = dict(ANNULUS_CONFIG, points=[[[0.5, 0.0]]],

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import discenv
+from discenv import config, envelope
 from discenv.discs import AnalyticDisc, roots_of_unity
-from discenv.domains import Obstacle, ball, planar_annulus_pair, shell_pair
+from discenv.domains import Obstacle, ball, counterexample_pair, \
+    planar_annulus_pair, shell_pair
 from discenv.envelope import (
     BARRIER,
     EnvelopeRequest,
@@ -291,15 +293,27 @@ def test_blaschke_build_keeps_centre_or_raises(target, n_zeros, log_s,
     assert np.max(np.abs(disc.centre - centre)) <= 1e-12
 
 
+def hartogs_pair(R):
+    """The (W, X) of the config's Hartogs pair over the unit disc, with
+    inner radius 1/4 and outer radius R (a number or an expression)."""
+    return config.build_pair(config.validate_config({
+        "experiment": "x", "pair": {"variant": "hartogs", "R": R}}))[:2]
+
+
 @pytest.mark.parametrize("family, pair", [
-    (ConstantFamily([1.5]), planar_annulus_pair()),
-    (PolynomialFamily([1.5]), planar_annulus_pair()),
-    (BlaschkeFamily([0.5], n_zeros=2), planar_annulus_pair()),
-    (ShellFamily([0.3, 0.2j]), shell_pair(2)),
-    (VerticalFamily([0.1, 0.0]), (ball(1.0, 2), ball(1.5, 2))),
+    (ConstantFamily([0.2, 0.1]), counterexample_pair()[:2]),
+    (PolynomialFamily([0.2, 0.1], scale=0.1), counterexample_pair()[:2]),
+    (BlaschkeFamily([0.0, 0.0], n_zeros=2, s_range=(0.71, 0.99)),
+     counterexample_pair()[:2]),
+    (VerticalFamily([0.1, 0.0]), hartogs_pair("1.0 - 0.25 * abs(z1)")),
+    (BlaschkeFamily([0.1, 0.3], n_zeros=2, s_range=(0.5, 0.7)),
+     hartogs_pair("1.0 - 0.25 * abs(z1)")),
 ])
 def test_margins_probe_the_disc_at_interior_probe_points(family, pair):
+    """On an X without the maximum principle the probes are the disc's
+    values at ``interior_probe_points``."""
     w, x_spec = pair
+    assert not x_spec.max_principle
     rng = np.random.default_rng(0)
     disc, _ = build_one(family, family.initial(rng, 1), 512)
     bm, im = _margins(w, x_spec, disc.samples[None])
@@ -307,6 +321,128 @@ def test_margins_probe_the_disc_at_interior_probe_points(family, pair):
     expected = x_spec.margin(disc.evaluate(interior_probe_points()))
     assert im.shape == (1,) + expected.shape
     assert np.max(np.abs(im[0] - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("family, pair", [
+    (ConstantFamily([1.5]), planar_annulus_pair()),
+    (PolynomialFamily([1.5]), planar_annulus_pair()),
+    (BlaschkeFamily([0.5], n_zeros=2), planar_annulus_pair()),
+    (ShellFamily([0.3, 0.2j]), shell_pair(2)),
+    (VerticalFamily([0.1, 0.0]), (ball(1.0, 2), ball(1.5, 2))),
+    (VerticalFamily([0.1, 0.0]), hartogs_pair(1.0)),
+])
+def test_margins_skip_the_probes_on_a_max_principle_x(family, pair):
+    """On a ball, or a Hartogs X of constant radius, the probe block is
+    empty: the boundary nodes alone decide violation and strictness."""
+    w, x_spec = pair
+    assert x_spec.max_principle
+    rng = np.random.default_rng(0)
+    disc, _ = build_one(family, family.initial(rng, 1), 512)
+    bm, im = _margins(w, x_spec, disc.samples[None])
+    assert np.array_equal(bm[0], w.margin(disc.samples))
+    assert im.shape == (1, 0)
+    violation, strict = _violation(bm, im)
+    lo = np.min(bm[0])
+    assert violation[0] == max(0.0, -lo) and strict[0] == (lo > 0)
+    assert _hinge(im)[0] == 0.0
+
+
+def in_disc(rng, radius, size=None):
+    """Points drawn uniformly from the disc of ``radius`` about 0."""
+    return radius * np.sqrt(rng.uniform(size=size)) \
+        * np.exp(2j * np.pi * rng.uniform(size=size))
+
+
+#: (X, a family drawn from an RNG) on the X that carry the maximum
+#: principle: the balls of the annulus and shell pairs and the Hartogs X
+#: of constant radius
+MAX_PRINCIPLE_CASES = [
+    (planar_annulus_pair()[1],
+     lambda rng: ConstantFamily([in_disc(rng, 1.9)])),
+    (planar_annulus_pair()[1], lambda rng: PolynomialFamily(
+        [in_disc(rng, 1.0)], degree=int(rng.integers(1, 5)), scale=0.4)),
+    (planar_annulus_pair()[1], lambda rng: BlaschkeFamily(
+        [in_disc(rng, 0.8)], n_zeros=int(rng.integers(1, 4)),
+        s_range=(1.0, 1.6))),
+    (shell_pair(2)[1], lambda rng: ShellFamily(
+        [in_disc(rng, 1.3), in_disc(rng, 1.3)])),
+    (shell_pair(2)[1], lambda rng: PolynomialFamily(
+        [in_disc(rng, 2.0), in_disc(rng, 2.0)], degree=3, scale=0.8)),
+    (hartogs_pair(1.0)[1], lambda rng: VerticalFamily(
+        [in_disc(rng, 0.8), 0.0], winding=int(rng.integers(1, 4)),
+        s_range=(0.1, 0.9))),
+    (hartogs_pair(1.0)[1], lambda rng: BlaschkeFamily(
+        [in_disc(rng, 0.8), in_disc(rng, 0.4)], n_zeros=2,
+        s_range=(0.6, 0.9))),
+    (hartogs_pair(1.0)[1], lambda rng: PolynomialFamily(
+        [in_disc(rng, 0.6), in_disc(rng, 0.6)], degree=2, scale=0.2)),
+]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=st.sampled_from(MAX_PRINCIPLE_CASES),
+       seed=st.integers(0, 2 ** 32 - 1), start=st.integers(0, 7),
+       m=st.sampled_from([128, 256, 512]))
+def test_node_certified_discs_lie_in_a_max_principle_x(case, seed, start, m):
+    """A disc whose M nodes keep an X-margin above the node-to-circle gap
+    (pi/M) sum k |c_k| has its whole boundary circle in X, and so, by the
+    maximum principle, its interior: 10**4 random interior points of it
+    keep at least the nodes' margin less the gap."""
+    x_spec, draw = case
+    assert x_spec.max_principle
+    rng = np.random.default_rng(seed)
+    family = draw(rng)
+    params = family.initial(rng, start).reshape(1, family.n_params)
+    if isinstance(family, BlaschkeFamily):
+        _, _, zeros, _ = family._zeros(params)
+        assume(np.max(np.abs(zeros)) <= 0.9)
+    disc, _ = build_one(family, params, m)
+    assert disc is not None
+    taylor = disc.coeffs[:m // 2]
+    gap = np.pi / m * np.sum(
+        np.arange(m // 2) * np.linalg.norm(taylor, axis=-1))
+    node_margin = np.min(x_spec.margin(disc.evaluate(roots_of_unity(m))))
+    assume(node_margin > gap)
+    inner = x_spec.margin(disc.evaluate(in_disc(rng, 1.0, 10 ** 4)))
+    assert np.min(inner) >= node_margin - gap - 1e-12 > 0
+
+
+def test_evaluate_never_reaches_circle_eval_on_a_max_principle_x(
+        monkeypatch):
+    def fail(*args):
+        raise AssertionError("circle_eval reached")
+
+    monkeypatch.setattr(envelope, "circle_eval", fail)
+    rng = np.random.default_rng(2)
+    families = [ConstantFamily([1.5]), PolynomialFamily([1.5], degree=3),
+                BlaschkeFamily([1.5], n_zeros=2)]
+    req = annulus_request(1.5, families)
+    groups = [(fam, np.array([fam.initial(rng, s) for s in range(3)])
+               .reshape(3, fam.n_params)) for fam in families]
+    obj = _evaluate(req, groups, req.pair[0], _envelope_objective(req))[0]
+    assert obj.shape == (9,) and np.all(np.isfinite(obj))
+    assert minimize_envelope(req).certificate == "max_principle"
+    # the patch is live: an X without the flag reaches it
+    w, x_spec = hartogs_pair("1.0 - 0.25 * abs(z1)")
+    centre = [0.1, 0.0]
+    req = EnvelopeRequest(pair=(w, x_spec), phi=req.phi, x=centre,
+                          families=[VerticalFamily(centre)],
+                          grid=QuadratureGrid(64))
+    with pytest.raises(AssertionError, match="circle_eval reached"):
+        minimize_envelope(req)
+
+
+@pytest.mark.parametrize("R, certificate", [
+    (1.0, "max_principle"), ("1.0 - 0.25 * abs(z1)", "probes")])
+def test_result_names_its_certificate(R, certificate):
+    w, x_spec = hartogs_pair(R)
+    centre = [0.1, 0.0]
+    req = EnvelopeRequest(
+        pair=(w, x_spec), phi=obstacle_from_expression("re(z1)", 2),
+        x=centre, families=[VerticalFamily(centre, s_range=(0.3, 0.7))],
+        grid=QuadratureGrid(64), starts=2, budget=20)
+    res = minimize_envelope(req)
+    assert res.feasible and res.certificate == certificate
 
 
 @pytest.mark.parametrize("family", [
@@ -488,6 +624,20 @@ def test_partial_staircase_is_nonincreasing_in_eps(r, angle):
     wide, mid, narrow = (partial_envelope(req, eps)
                          for eps in (0.5, 0.2, 0.05))
     assert wide <= mid + 1e-3 <= narrow + 2e-3
+
+
+@pytest.mark.parametrize("x", [0.0, 0.5])
+def test_partial_staircase_of_a_constant_obstacle_steps_with_eps(x):
+    """With phi = 1 the partial value is the in-W mass of the best disc:
+    the least multiple of 1/M above 1 - eps, 129/256, 205/256 and 244/256
+    at eps = 0.5, 0.2 and 0.05, so a reversed eps shows.  The X of the
+    annulus is a ball, so the search scores no probes."""
+    req = annulus_request(x, [PolynomialFamily([x], degree=3, scale=1.0)],
+                          phi=obstacle_from_expression("1", 1), starts=4,
+                          budget=600)
+    assert req.pair[1].max_principle
+    values = [partial_envelope(req, eps) for eps in (0.5, 0.2, 0.05)]
+    assert values == [129 / 256, 205 / 256, 244 / 256]
 
 
 def test_partial_with_constant_family_inside_w():
