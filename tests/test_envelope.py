@@ -422,27 +422,16 @@ def test_evaluate_never_reaches_circle_eval_on_a_max_principle_x(
     obj = _evaluate(req, groups, req.pair[0], _envelope_objective(req))[0]
     assert obj.shape == (9,) and np.all(np.isfinite(obj))
     assert minimize_envelope(req).certificate == "max_principle"
+    assert np.isfinite(partial_envelope(req, 0.3))
     # the patch is live: an X without the flag reaches it
     w, x_spec = hartogs_pair("1.0 - 0.25 * abs(z1)")
     centre = [0.1, 0.0]
-    req = EnvelopeRequest(pair=(w, x_spec), phi=req.phi, x=centre,
-                          families=[VerticalFamily(centre)],
+    req = EnvelopeRequest(pair=(w, x_spec),
+                          phi=obstacle_from_expression("re(z1)", 2),
+                          x=centre, families=[VerticalFamily(centre)],
                           grid=QuadratureGrid(64))
     with pytest.raises(AssertionError, match="circle_eval reached"):
         minimize_envelope(req)
-
-
-@pytest.mark.parametrize("R, certificate", [
-    (1.0, "max_principle"), ("1.0 - 0.25 * abs(z1)", "probes")])
-def test_result_names_its_certificate(R, certificate):
-    w, x_spec = hartogs_pair(R)
-    centre = [0.1, 0.0]
-    req = EnvelopeRequest(
-        pair=(w, x_spec), phi=obstacle_from_expression("re(z1)", 2),
-        x=centre, families=[VerticalFamily(centre, s_range=(0.3, 0.7))],
-        grid=QuadratureGrid(64), starts=2, budget=20)
-    res = minimize_envelope(req)
-    assert res.feasible and res.certificate == certificate
 
 
 @pytest.mark.parametrize("family", [
