@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -262,20 +263,24 @@ def emit_plot_data(report_path, kind, outdir):
     return 0
 
 
+#: Each config subcommand's runner, run as runner(cfg, outdir, quiet=...)
+RUNNERS = {"envelope": run_envelope, "oracle": run_oracle,
+           "compare": functools.partial(run_envelope, compare=True),
+           "homotopy": run_homotopy, "cesaro": run_cesaro}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="discenv")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("envelope", "oracle", "compare", "homotopy", "cesaro"):
+    for name in [*RUNNERS, "emit-plot"]:
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
+        flags = ("--config",) if name in RUNNERS else ("--report", "--kind")
+        for flag in flags:
+            p.add_argument(flag, required=True)
         p.add_argument("--out", default=".")
-        p.add_argument("--seed", type=int, default=None)
+        if name in RUNNERS:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--quiet", action="store_true")
-    p = sub.add_parser("emit-plot")
-    p.add_argument("--report", required=True)
-    p.add_argument("--kind", required=True)
-    p.add_argument("--out", default=".")
-    p.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
     try:
@@ -285,18 +290,7 @@ def main(argv=None):
         if args.seed is not None:
             cfg["seed"] = args.seed
         cfg["output"] = args.out
-        if args.command == "envelope":
-            return run_envelope(cfg, args.out, compare=False,
-                                quiet=args.quiet)
-        if args.command == "compare":
-            return run_envelope(cfg, args.out, compare=True, quiet=args.quiet)
-        if args.command == "oracle":
-            return run_oracle(cfg, args.out, quiet=args.quiet)
-        if args.command == "homotopy":
-            return run_homotopy(cfg, args.out, quiet=args.quiet)
-        if args.command == "cesaro":
-            return run_cesaro(cfg, args.out, quiet=args.quiet)
-        raise ConfigurationError(f"unknown command {args.command}")
+        return RUNNERS[args.command](cfg, args.out, quiet=args.quiet)
     except DiscenvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, InfeasibleEnvelope) else 2

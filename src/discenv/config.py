@@ -10,6 +10,7 @@ import inspect
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .families import (
     ShellFamily,
     VerticalFamily,
 )
-from .hartogs import HartogsPair
+from .hartogs import HartogsPair, vertical_disc
 from .oracles import GridConfig
 
 BUILTIN_OBSTACLES = {
@@ -109,10 +110,6 @@ def _is_numbers(value, size):
         and all(_is_number(v) for v in value)
 
 
-def _is_coordinate(value):
-    return isinstance(value, list) and _is_numbers(value, 2)
-
-
 def _at_least(low, message=None, high=math.inf):
     """The rule of an integer >= low (and <= high)."""
     return (lambda value: _is_int(value) and low <= value <= high,
@@ -120,11 +117,12 @@ def _at_least(low, message=None, high=math.inf):
             + (f" and <= {high}" if high < math.inf else ""))
 
 
-def _power_of_two(low):
-    """The rule of a power of two >= low."""
-    return (lambda value: _is_int(value) and value >= low
+def _power_of_two(low, high=math.inf):
+    """The rule of a power of two >= low (and <= high)."""
+    return (lambda value: _is_int(value) and low <= value <= high
             and value & (value - 1) == 0,
-            f"expected a power of two >= {low}")
+            f"expected a power of two >= {low}" if high == math.inf
+            else f"expected a power of two from {low} to {high}")
 
 
 def _named(table, noun):
@@ -133,104 +131,98 @@ def _named(table, noun):
             f"unknown {noun} {{!r}}")
 
 
-def _check(block, path, rules, m=None, kinds=None, first=None):
-    """Check a config block against its rules, in table order.  A rule is
-    (test, message), or a function of the value, its path and the block;
-    ``first(block)`` runs after the key check and before the rules.  A
-    size k of a loop on m nodes needs 2k < m, also at its default."""
+def _apply(rule, value, path):
+    """Check a value against its rule: (test, message), a function of the
+    value and its path, or a list of rules checked in turn."""
+    if isinstance(rule, list):
+        for each in rule:
+            _apply(each, value, path)
+    elif callable(rule):
+        rule(value, path)
+    else:
+        _require(rule[0](value), path, rule[1].format(value))
+
+
+def _check(block, path, rules, kinds=None):
+    """Check a block's values against its rules, in table order; a block
+    with kinds has its kind's name as its first key."""
+    _require(block is not _REQUIRED, path, "required")
     _require(isinstance(block, dict), path, "expected an object")
-    allowed, of, callee = rules, "", None
+    allowed, of = rules, ""
     if kinds is not None:
-        # the table's first key names the kind, which picks the keys
         head = next(iter(rules))
-        kind, (test, message) = block.get(head), rules[head]
-        _require(test(kind), f"{path}.{head}", message.format(kind))
-        callee, keys = kinds[kind]
-        allowed, of = {head, *keys}, f" for {head} {kind!r}"
+        kind = block.get(head)
+        _apply(rules[head], kind, f"{path}.{head}")
+        allowed, of = {head, *kinds[kind][1]}, f" for {head} {kind!r}"
     unknown = set(block) - set(allowed)
     _require(not unknown, path, f"unknown keys {sorted(unknown)}{of}")
-    if first is not None:
-        first(block)
     for key, rule in rules.items():
-        if key in block and callable(rule):
-            rule(block[key], f"{path}.{key}", block)
-        elif key in block and not rule[0](block[key]):
-            _require(False, f"{path}.{key}", rule[1].format(block[key]))
-        if key in ("degree", "zeros", "winding") \
-                and (key in block or callee and key in keys):
-            # a size left out is checked at the kind's default
-            k = block[key] if key in block else \
-                inspect.signature(callee).parameters[keys[key]].default
-            _require(2 * k < m, f"{path}.{key}",
-                     f"expected < quadrature_m / 2 = {m // 2}")
+        if key in block:
+            _apply(rule, block[key], f"{path}.{key}")
 
 
-def _pair(pair, path, cfg):
-    _require(pair is not _REQUIRED, path, "required")
-    _check(pair, path, PAIR_RULES, kinds=PAIR_VARIANTS)
+def _list_of(rule):
+    """The rule of a list whose every item keeps ``rule``."""
+    def check(items, path):
+        _require(isinstance(items, list), path, "expected list")
+        for i, item in enumerate(items):
+            _apply(rule, item, f"{path}[{i}]")
+    return check
+
+
+def _default(block, key, builder, name=None):
+    """``block[key]``, or else the default of ``builder``'s ``name``."""
+    return block[key] if key in block \
+        else inspect.signature(builder).parameters[name or key].default
+
+
+def _spanning(cfg):
+    """Check the rules that span keys, or need a key, in one fixed order;
+    a key left out counts at the default of the builder it goes to."""
+    nodes, pair = cfg["quadrature_m"], cfg["pair"]
+    oracle = cfg.get("oracle") or {}
+    obst, homotopy, cesaro = map(cfg.get, ("obstacle", "homotopy", "cesaro"))
+    _require(obst is None or ("expr" in obst) != ("builtin" in obst),
+             "config.obstacle", "exactly one of 'expr' or 'builtin' required")
     if pair["variant"] == "hartogs":
-        # a radius left out is _hartogs_pair's default
-        params = inspect.signature(_hartogs_pair).parameters
-        r, R = (pair.get(key, params[key].default) for key in ("r", "R"))
+        r, R = (_default(pair, key, _hartogs_pair) for key in ("r", "R"))
         _require(not (_is_number(r) and _is_number(R)) or r < R,
-                 f"{path}.r", f"expected r < R, got r = {r} >= R = {R}")
-
-
-def _points(points, path, cfg):
-    _require(isinstance(points, list), path, "expected list")
-    for i, point in enumerate(points):
-        _require(isinstance(point, list)
-                 and all(_is_coordinate(c) for c in point),
-                 f"{path}[{i}]", "expected [re, im] number pairs")
-
-
-def _families(families, path, cfg):
-    # quadrature_m, which the sizes need, is checked here, after budget
-    m = cfg["quadrature_m"]
-    _require(8 <= m <= MAX_QUADRATURE_M and (m & (m - 1)) == 0,
-             "config.quadrature_m",
-             f"expected a power of two from 8 to {MAX_QUADRATURE_M}")
-    _require(isinstance(families, list), path, "expected list")
-    for i, fam in enumerate(families):
-        _check(fam, f"{path}[{i}]", FAMILY_RULES, m, FAMILY_KINDS)
-
-
-def _oracle(oracle, path, cfg):
-    if oracle is None:
-        return
-    _check(oracle, path, ORACLE_RULES, kinds=ORACLE_KINDS, first=lambda o:
-           _require(o["kind"] != "closed_form" or "expr" in o,
-                    f"{path}.expr", ORACLE_RULES["expr"][1]))
-    if oracle["kind"] == "grid":
-        # in floats, where a huge box or a tiny spacing gives inf; a key
-        # left out counts at its GridConfig default
-        grid = GridConfig(**given(oracle, ORACLE_KINDS["grid"][1]))
-        x_min, x_max, y_min, y_max = map(float, grid.bounds)
-        sides = max(x_max - x_min, y_max - y_min) / (grid.spacing / 2) + 1
-        _require(sides <= MAX_GRID_NODES,
-                 f"{path}.{'spacing' if 'spacing' in oracle else 'bounds'}",
+                 "config.pair.r", f"expected r < R, got r = {r} >= R = {R}")
+    # a size k of a loop on M nodes needs 2k < M
+    sized = [(f"config.families[{i}]", fam, *FAMILY_KINDS[fam["kind"]])
+             for i, fam in enumerate(cfg["families"])]
+    if homotopy is not None:
+        sized.append(("config.homotopy", homotopy, vertical_disc,
+                      {"winding": "k"}))
+    for path, block, builder, keys in sized:
+        for key in [k for k in keys if k in ("degree", "zeros", "winding")]:
+            k = _default(block, key, builder, keys[key])
+            _require(2 * k < nodes, f"{path}.{key}",
+                     f"expected < quadrature_m / 2 = {nodes // 2}")
+    _require(oracle.get("kind") != "closed_form" or "expr" in oracle,
+             "config.oracle.expr", ORACLE_RULES["expr"][1])
+    if oracle.get("kind") == "grid":
+        # in floats, where a huge box or a tiny spacing gives inf
+        spacing, bounds = (_default(oracle, key, GridConfig)
+                           for key in ("spacing", "bounds"))
+        x_min, x_max, y_min, y_max = map(float, bounds)
+        sides = max(x_max - x_min, y_max - y_min) / (spacing / 2) + 1
+        key = "spacing" if "spacing" in oracle else "bounds"
+        _require(sides <= MAX_GRID_NODES, f"config.oracle.{key}",
                  f"expected at most {MAX_GRID_NODES} nodes per side at "
-                 f"spacing / 2, got {sides:.4g} from spacing "
-                 f"{grid.spacing} and bounds {list(grid.bounds)}")
-
-
-def _cesaro(spec, path, cfg):
-    _check(spec, path, CESARO_RULES)
-    # a key left out is checked at the cesaro_convergence default
-    params = inspect.signature(cesaro_convergence).parameters
-    m, m_w, j_values = (spec.get(key, params[key].default)
-                        for key in ("m", "m_w", "j_values"))
-    _require(m * m_w <= MAX_CESARO_SAMPLES,
-             f"{path}.{'m_w' if 'm_w' in spec else 'm'}",
-             f"expected m * m_w <= {MAX_CESARO_SAMPLES}, got {m} * {m_w}")
-    for i, j in enumerate(j_values):
-        _require(4 * j + 4 <= m_w, f"{path}.j_values[{i}]",
-                 f"expected 4 j + 4 <= m_w = {m_w}, got j = {j}")
-
-
-def _homotopy(spec, path, cfg):
-    _check(spec, path, HOMOTOPY_RULES, cfg["quadrature_m"])
-    _require("z_prime" in spec, f"{path}.z_prime", "required")
+                 f"spacing / 2, got {sides:.4g} from spacing {spacing} and "
+                 f"bounds {list(bounds)}")
+    _require(homotopy is None or "z_prime" in homotopy,
+             "config.homotopy.z_prime", "required")
+    if cesaro is not None:
+        m, m_w, j_values = (_default(cesaro, key, cesaro_convergence)
+                            for key in ("m", "m_w", "j_values"))
+        _require(m * m_w <= MAX_CESARO_SAMPLES,
+                 f"config.cesaro.{'m_w' if 'm_w' in cesaro else 'm'}",
+                 f"expected m * m_w <= {MAX_CESARO_SAMPLES}, got {m} * {m_w}")
+        for i, j in enumerate(j_values):
+            _require(4 * j + 4 <= m_w, f"config.cesaro.j_values[{i}]",
+                     f"expected 4 j + 4 <= m_w = {m_w}, got j = {j}")
 
 
 _REQUIRED = object()  # the default of a key that a config must set
@@ -244,24 +236,6 @@ _RADIUS = (lambda value: _is_number(value) or isinstance(value, str),
 
 #: The value rule of each key of each config block, in the order they are
 #: checked; a block with kinds has its kind's name as its first key.
-TOP_RULES = {
-    "experiment": (lambda value: isinstance(value, str), "required string"),
-    "pair": _pair,
-    "obstacle": lambda obst, path, cfg: _check(
-        obst, path, OBSTACLE_RULES, first=lambda o: _require(
-            ("expr" in o) != ("builtin" in o), path,
-            "exactly one of 'expr' or 'builtin' required")),
-    "points": _points,
-    "quadrature_m": _NONNEGATIVE, "seed": _NONNEGATIVE,
-    "starts": _at_least(1, high=MAX_STARTS), "budget": _at_least(1),
-    "families": _families,
-    "penalty_weight": _POSITIVE,
-    "oracle": _oracle,
-    "tolerances": lambda tol, path, cfg: _check(tol, path, TOLERANCES_RULES),
-    "homotopy": _homotopy,
-    "cesaro": _cesaro,
-    "output": _ANY,
-}
 PAIR_RULES = {
     "variant": _named(PAIR_VARIANTS, "variant"),
     "delta": _NUMBER, "tau": _NUMBER, "rho_u": _NUMBER, "eps_moll": _NUMBER,
@@ -301,6 +275,28 @@ CESARO_RULES = {
                  "expected a list of integers >= 0"),
     "amplitude": _NUMBER,
 }
+TOP_RULES = {
+    "experiment": (lambda value: isinstance(value, str), "required string"),
+    "pair": partial(_check, rules=PAIR_RULES, kinds=PAIR_VARIANTS),
+    "obstacle": partial(_check, rules=OBSTACLE_RULES),
+    "points": _list_of((lambda point: isinstance(point, list)
+                        and all(isinstance(c, list) and _is_numbers(c, 2)
+                                for c in point),
+                        "expected [re, im] number pairs")),
+    # nonnegative first, so that -1 is named as such
+    "quadrature_m": [_NONNEGATIVE, _power_of_two(8, MAX_QUADRATURE_M)],
+    "seed": _NONNEGATIVE,
+    "starts": _at_least(1, high=MAX_STARTS), "budget": _at_least(1),
+    "families": _list_of(partial(_check, rules=FAMILY_RULES,
+                                 kinds=FAMILY_KINDS)),
+    "penalty_weight": _POSITIVE,
+    "oracle": lambda oracle, path: oracle is None or _check(
+        oracle, path, ORACLE_RULES, ORACLE_KINDS),
+    "tolerances": partial(_check, rules=TOLERANCES_RULES),
+    "homotopy": partial(_check, rules=HOMOTOPY_RULES),
+    "cesaro": partial(_check, rules=CESARO_RULES),
+    "output": _ANY,
+}
 
 
 def load_config(path):
@@ -314,12 +310,14 @@ def load_config(path):
 
 def validate_config(raw):
     """Validate the raw document and fill defaults; returns the effective
-    config dict (round-trippable through JSON)."""
+    config dict (round-trippable through JSON).  Every value is checked
+    against its own rule first, then the rules that span keys."""
     cfg = raw if not isinstance(raw, dict) else {
         "experiment": _REQUIRED, "pair": _REQUIRED, "points": [],
         "quadrature_m": 512, "seed": 0, "starts": 8, "budget": 400,
         "penalty_weight": 1e3, "families": [], **raw}
     _check(cfg, "config", TOP_RULES)
+    _spanning(cfg)
     return cfg
 
 
@@ -356,7 +354,7 @@ def parse_point(entry, n, path="config.points"):
              f"point must list {n} coordinates as [re, im] pairs")
     coords = []
     for c in entry:
-        _require(_is_coordinate(c), path,
+        _require(isinstance(c, list) and _is_numbers(c, 2), path,
                  "coordinate must be an [re, im] pair of numbers")
         coords.append(complex(c[0], c[1]))
     return np.asarray(coords, dtype=complex)

@@ -210,6 +210,83 @@ def test_key_the_variant_or_kind_does_not_read_exits_two(
     assert not out.exists()
 
 
+#: Marks a key that the document leaves out
+LEFT_OUT = object()
+
+
+def _compare_error(tmp_path, capsys, overrides):
+    """The exit code and stderr of ``discenv compare`` on ANNULUS_CONFIG
+    with ``overrides``, each run in a directory of its own."""
+    cfg = {key: value for key, value in dict(ANNULUS_CONFIG, **overrides)
+           .items() if value is not LEFT_OUT}
+    run_dir = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+    out = run_dir / "run"
+    code = run(["compare", "--config", write_config(run_dir, cfg),
+                "--out", out, "--quiet"])
+    assert not out.exists()
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # a value against its own rule
+    ({"penalty_weight": "big"},
+     "config.penalty_weight: expected a positive number"),
+    ({"points": [[["a", 0]]]}, "config.points[0]: expected [re, im] number "
+     "pairs"),
+    ({"oracle": 5}, "config.oracle: expected an object"),
+    ({"quadrature_m": -1}, "config.quadrature_m: expected nonnegative "
+     "integer"),
+    ({"quadrature_m": 100}, "config.quadrature_m: expected a power of two "
+     "from 8 to 65536"),
+    # the head of a block with kinds, and keys that are not the block's
+    ({"families": [{"kind": "spline"}]},
+     "config.families[0].kind: unknown family kind 'spline'"),
+    ({"pair": {"variant": "planar_annulus", "delta": 0.2}},
+     "config.pair: unknown keys ['delta'] for variant 'planar_annulus'"),
+    ({"bogus": 1}, "config: unknown keys ['bogus']"),
+    # required keys
+    ({"pair": LEFT_OUT}, "config.pair: required"),
+    ({"experiment": LEFT_OUT}, "config.experiment: required string"),
+    # the rules that span keys, some at a builder's default
+    ({"quadrature_m": 8, "families": [{"kind": "polynomial"}]},
+     "config.families[0].degree: expected < quadrature_m / 2 = 4"),
+    ({"pair": {"variant": "hartogs", "R": 0.2}, "points": C2_POINT},
+     "config.pair.r: expected r < R, got r = 0.25 >= R = 0.2"),
+    ({"oracle": {"kind": "grid", "spacing": 2e-3}},
+     "config.oracle.spacing: expected at most 4096 nodes per side at "
+     "spacing / 2, got 4126 from spacing 0.002 and bounds "
+     "[-2.0625, 2.0625, -2.0625, 2.0625]"),
+    ({"cesaro": {"m": 8, "m_w": 2 ** 18}},
+     "config.cesaro.m_w: expected m * m_w <= 1048576, got 8 * 262144"),
+    ({"cesaro": {"m_w": 512}},
+     "config.cesaro.j_values[4]: expected 4 j + 4 <= m_w = 512, got j = 128"),
+    ({"oracle": {"kind": "closed_form"}},
+     "config.oracle.expr: closed_form oracle needs 'expr'"),
+    ({"obstacle": {"builtin": "log_abs", "expr": "re(z1)"}},
+     "config.obstacle: exactly one of 'expr' or 'builtin' required"),
+    ({"homotopy": {"s": 0.5}}, "config.homotopy.z_prime: required"),
+])
+def test_single_fault_names_its_key_in_one_line(tmp_path, capsys, overrides,
+                                                message):
+    assert _compare_error(tmp_path, capsys, overrides) \
+        == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"starts": 0}, "config.starts: expected integer >= 1 and <= 1024"),
+    ({"penalty_weight": 0},
+     "config.penalty_weight: expected a positive number"),
+])
+def test_two_faults_name_the_value_fault_every_run(tmp_path, capsys,
+                                                   overrides, message):
+    """A bad value and an oversized family degree: every run names the
+    value, which is checked before the rules that span keys."""
+    overrides = dict(overrides, quadrature_m=8,
+                     families=[{"kind": "polynomial", "degree": 4}])
+    errors = {_compare_error(tmp_path, capsys, overrides) for _ in range(3)}
+    assert errors == {(2, f"error: {message}\n")}
+
+
 def test_closed_form_oracle_of_a_constant(tmp_path):
     cfg = dict(ANNULUS_CONFIG, oracle={"kind": "closed_form",
                                        "expr": "0.405"})
