@@ -198,9 +198,8 @@ def run_homotopy(cfg, outdir, quiet=False):
         raise ConfigurationError("config.homotopy: required for this command")
     zp = cfgmod.parse_point(spec["z_prime"], hartogs.n - 1,
                             "config.homotopy.z_prime")
-    disc = vertical_disc(hartogs, zp, float(spec.get("s", 0.5)),
-                         m=cfg["quadrature_m"],
-                         **cfgmod.given(spec, {"winding": "k"}))
+    disc = vertical_disc(hartogs, zp, m=cfg["quadrature_m"],
+                         **cfgmod.given(spec, {"s": "s", "winding": "k"}))
     trace = homotopy_trace(hartogs, disc, **cfgmod.given(spec, ["steps"]))
     _atomic_write(os.path.join(outdir, "homotopy_trace.json"),
                   trace.to_json() + "\n")

@@ -262,7 +262,8 @@ ORACLE_RULES = {
     "bounds": (lambda b: _is_numbers(b, 4) and b[0] < b[1] and b[2] < b[3],
                "expected [x_min, x_max, y_min, y_max] with min < max"),
 }
-TOLERANCES_RULES = {"gap": _NUMBER}
+TOLERANCES_RULES = {"gap": [_NUMBER, (lambda value: value >= 0,
+                                         "expected a number >= 0")]}
 HOMOTOPY_RULES = {"winding": _at_least(1),
                   "steps": _at_least(1, high=MAX_HOMOTOPY_STEPS),
                   "s": _NUMBER, "z_prime": _ANY}

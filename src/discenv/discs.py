@@ -250,31 +250,31 @@ def cesaro_mean(F, h, j):
     return DiscLoop(smoothed + h.samples[:, None, :])
 
 
-def random_smooth_loop(m=64, m_w=2048, n=1, seed=0, amplitude=0.02,
-                       w_band=8, z_band=4):
-    """A seeded smooth DiscLoop around a random base disc h.
+def random_smooth_loop(m=64, m_w=2048, seed=0, amplitude=0.02):
+    """A seeded smooth DiscLoop in C around a random base disc h.
 
-    F(z, w) = h(w) + sum over 1 <= |k| <= w_band of c_k(z) w^k with
-    geometrically decaying amplitudes; each c_k(z) is a low-degree
-    polynomial, so every w-slice is a valid disc.  Returns (F, h) with h
+    F(z, w) = h(w) + sum over 1 <= |k| <= 8 of c_k(z) w^k with
+    geometrically decaying amplitudes; h and each c_k are polynomials of
+    degree 4, so every w-slice is a valid disc.  Returns (F, h) with h
     sampled on the loop's w-grid.
     """
     rng = np.random.default_rng(seed)
     zeta = roots_of_unity(m)
     wv = roots_of_unity(m_w)
+    shape = (5, 1)  # the coefficients of a polynomial of degree 4 in C
 
     def rand_poly(scale):
-        c = scale * (rng.standard_normal((z_band + 1, n))
-                     + 1j * rng.standard_normal((z_band + 1, n)))
+        c = scale * (rng.standard_normal(shape)
+                     + 1j * rng.standard_normal(shape))
         return taylor_eval(c, zeta)
 
-    h_coeffs = 0.3 * (rng.standard_normal((z_band + 1, n))
-                      + 1j * rng.standard_normal((z_band + 1, n)))
+    h_coeffs = 0.3 * (rng.standard_normal(shape)
+                      + 1j * rng.standard_normal(shape))
     h_vals = taylor_eval(h_coeffs, wv)
     h = AnalyticDisc(h_vals)
 
     samples = np.tile(h_vals[:, None, :], (1, m, 1))
-    for k in range(1, w_band + 1):
+    for k in range(1, 9):
         for sign in (1, -1):
             ck = rand_poly(amplitude * 0.5 ** k)
             samples += ck[None, :, :] * (wv ** (sign * k))[:, None, None]

@@ -139,9 +139,9 @@ def minimize(fun, x0, budget):
         return stop.value
 
 
-def interior_probe_points(radii=INTERIOR_RADII, angles=INTERIOR_ANGLES):
-    rr = np.asarray(radii)
-    zeta = np.exp(2j * np.pi * np.arange(angles) / angles)
+def interior_probe_points():
+    rr = np.asarray(INTERIOR_RADII)
+    zeta = np.exp(2j * np.pi * np.arange(INTERIOR_ANGLES) / INTERIOR_ANGLES)
     return (rr[:, None] * zeta[None, :]).ravel()
 
 

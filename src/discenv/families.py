@@ -22,6 +22,11 @@ ZERO_CAP = 1.0 - 1e-6  # Blaschke zeros stay strictly inside the unit disc
 
 
 class DiscFamily:
+    """A parametric disc family.  A family gives ``build_many``,
+    ``initial`` and ``n_params``, and the attributes ``centre``, which the
+    search checks against its point, and ``name``, which names the family
+    in messages and results."""
+
     name = "family"
     n_params = 0
 

@@ -70,7 +70,7 @@ class HartogsPair:
         return float(self.r_fn(zp)), float(self.R_fn(zp))
 
 
-def vertical_disc(pair, zp, s, k=1, m=256):
+def vertical_disc(pair, zp, s=0.5, k=1, m=256):
     """The disc zeta -> (z', s * zeta^k) with centre (z', 0)."""
     zp = np.atleast_1d(np.asarray(zp, dtype=complex))
     if zp.size != pair.n - 1:
@@ -79,7 +79,8 @@ def vertical_disc(pair, zp, s, k=1, m=256):
         raise PreconditionError("base point outside Y")
     r, R = pair.radii(zp)
     if not r < s < R:
-        raise PreconditionError(f"scale {s} outside radial range ({r}, {R})")
+        raise PreconditionError(
+            f"scale {float(s)} outside radial range ({r}, {R})")
     if k < 1:
         raise ConfigurationError("winding must be >= 1 for a vertical disc")
     zeta = roots_of_unity(m)

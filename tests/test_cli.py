@@ -166,6 +166,7 @@ def test_validation_failure_exits_two_without_outputs(tmp_path):
     {"cesaro": {"m": 2 ** 62}},
     {"cesaro": {"m": 48}},
     {"cesaro": {"m_w": 64, "j_values": [8, 16]}},
+    {"tolerances": {"gap": -1.0}},
 ])
 def test_malformed_value_exits_two_with_one_line(tmp_path, capsys, overrides):
     # run the subcommand that reads the malformed value

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import pathlib
 import re
 
 import numpy as np
@@ -303,6 +304,9 @@ def test_partial_eps_range_checked():
     ({"cesaro": {"m_w": 64, "j_values": [8, 16]}},
      r"cesaro\.j_values\[1\]"),
     ({"cesaro": {"m_w": 512}}, r"cesaro\.j_values\[4\]"),
+    # a negative gap fails every compare that has an oracle
+    ({"tolerances": {"gap": -1.0}},
+     r"tolerances\.gap: expected a number >= 0"),
 ])
 def test_malformed_values_rejected(overrides, path):
     with pytest.raises(ConfigurationError, match=path):
@@ -349,6 +353,33 @@ def test_rule_tables_kind_tables_and_fuzz_keys_agree(block, rules, kinds):
         head = next(iter(rules))
         assert set(rules) == {head}.union(*(keys for _, keys in
                                             kinds.values()))
+
+
+def _readme_keys_table():
+    """README's "Keys it takes" table as {block: {name: set of keys}}."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text().split("| Block | Name | Keys it takes |\n")[1]
+    table, block = {}, None
+    for line in lines.splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        block = cells[0].strip("`") or block
+        keys = set(re.findall(r"`(\w+)`", cells[2]))
+        for name in re.findall(r"`(\w+)`", cells[1]):
+            table.setdefault(block, {})[name] = keys
+    return table
+
+
+def test_readme_keys_table_matches_the_kind_tables():
+    """README names every pair variant, oracle kind and family kind with
+    exactly the keys that its kind table gives it."""
+    tables = {"pair.variant": config.PAIR_VARIANTS,
+              "oracle.kind": config.ORACLE_KINDS,
+              "families[].kind": config.FAMILY_KINDS}
+    assert _readme_keys_table() == {
+        block: {name: set(keys) for name, (_, keys) in kinds.items()}
+        for block, kinds in tables.items()}
 
 
 FUZZ_VALUES = st.sampled_from([
