@@ -101,21 +101,13 @@ def _oracle_values(cfg, points, w, x_spec, phi, hartogs, outdir):
         fn = compile_expression(oracle["expr"], x_spec.n, "config.oracle.expr")
         return [float(fn(p[None, :])[0]) for p in points]
     if oracle["kind"] == "kiselman":
-        if hartogs is None:
-            raise ConfigurationError(
-                "config.oracle: kiselman oracle needs a hartogs pair")
         return [float(kiselman_psi(hartogs, phi, p[:-1])) for p in points]
     gcfg = GridConfig(**cfgmod.given(oracle, cfgmod.ORACLE_KINDS["grid"][1]))
-    probes = np.asarray([p[0] for p in points])
-    outside = np.flatnonzero(~gcfg.covers(probes))
-    if outside.size:
-        # checked before the solve, so a failed run writes no field
-        raise ConfigurationError(
-            f"config.points[{outside[0]}]: outside the grid oracle's "
-            f"bounds {list(gcfg.bounds)}")
     field = grid_obstacle_solver((w, x_spec), phi, gcfg)
+    # interpolated first, so a failed run writes no field
+    values = field.interpolate([p[0] for p in points])
     field.to_csv(os.path.join(outdir, "grid_field.csv"))
-    return [float(v) for v in field.interpolate(probes)]
+    return [float(v) for v in values]
 
 
 def _row(point, envelope=None, oracle=None, feasible=True,

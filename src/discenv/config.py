@@ -201,6 +201,8 @@ def _spanning(cfg):
                      f"expected < quadrature_m / 2 = {nodes // 2}")
     _require(oracle.get("kind") != "closed_form" or "expr" in oracle,
              "config.oracle.expr", ORACLE_RULES["expr"][1])
+    _require(oracle.get("kind") != "kiselman" or pair["variant"] == "hartogs",
+             "config.oracle", "kiselman oracle needs a hartogs pair")
     if oracle.get("kind") == "grid":
         # in floats, where a huge box or a tiny spacing gives inf
         spacing, bounds = (_default(oracle, key, GridConfig)
@@ -212,6 +214,11 @@ def _spanning(cfg):
                  f"expected at most {MAX_GRID_NODES} nodes per side at "
                  f"spacing / 2, got {sides:.4g} from spacing {spacing} and "
                  f"bounds {list(bounds)}")
+        for i, point in enumerate(cfg["points"]):
+            for x, y in point[:1]:
+                _require(x_min <= x < x_max and y_min <= y < y_max,
+                         f"config.points[{i}]", "outside the grid oracle's "
+                         f"bounds {list(bounds)}")
     _require(homotopy is None or "z_prime" in homotopy,
              "config.homotopy.z_prime", "required")
     if cesaro is not None:

@@ -91,14 +91,6 @@ class GridConfig:
     spacing: float = 1.0 / 128
     tol: float = 1e-10
 
-    def covers(self, z):
-        """Whether the field at spacing / 2 interpolates at each complex
-        point z, known before the field is solved."""
-        x_min, x_max, y_min, y_max = self.bounds
-        h = self.spacing / 2
-        return _cells(z, x_min, y_min, h, (_nodes(y_min, y_max, h),
-                                            _nodes(x_min, x_max, h)))[2]
-
 
 def _nodes(lo, hi, h):
     """Nodes at spacing h from lo: enough to reach hi, also where h does
