@@ -90,6 +90,10 @@ def _problem(cfg):
         else cfgmod.build_obstacle(cfg, x_spec.n)
     points = [cfgmod.parse_point(p, x_spec.n, f"config.points[{i}]")
               for i, p in enumerate(cfg["points"])]
+    for i, point in enumerate(points):
+        if not x_spec.margin(point[None, :])[0] > 0:
+            raise PreconditionError(f"config.points[{i}]: centre "
+                                    f"{tuple(point.tolist())} lies outside X")
     return w, x_spec, phi, hartogs, points
 
 
@@ -124,17 +128,19 @@ def run_envelope(cfg, outdir, compare=False, quiet=False):
     w, x_spec, phi, hartogs, points = _problem(cfg)
     grid = QuadratureGrid(cfg["quadrature_m"])
     # every point's families and request are built, and checked, before
-    # any search
+    # any search; a fault names the point it was raised for
+    if points and not cfg["families"]:
+        raise ConfigurationError("config.families: at least one family needed")
     requests = []
     for i, point in enumerate(points):
-        families = cfgmod.build_families(cfg, point, hartogs)
         try:
             requests.append(EnvelopeRequest(
-                pair=(w, x_spec), phi=phi, x=point, families=families,
+                pair=(w, x_spec), phi=phi, x=point,
+                families=cfgmod.build_families(cfg, point, hartogs),
                 penalty_weight=cfg["penalty_weight"], starts=cfg["starts"],
                 budget=cfg["budget"], seed=cfg["seed"], grid=grid))
-        except PreconditionError as exc:
-            raise PreconditionError(f"config.points[{i}]: {exc}") from None
+        except DiscenvError as exc:
+            raise type(exc)(f"config.points[{i}]: {exc}") from None
     oracle_vals = [None] * len(points)
     if compare and cfg.get("oracle") is not None:
         oracle_vals = _oracle_values(cfg, points, w, x_spec, phi, hartogs,

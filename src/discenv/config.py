@@ -199,11 +199,18 @@ def _spanning(cfg):
             k = _default(block, key, builder, keys[key])
             _require(2 * k < nodes, f"{path}.{key}",
                      f"expected < quadrature_m / 2 = {nodes // 2}")
-    _require(oracle.get("kind") != "closed_form" or "expr" in oracle,
-             "config.oracle.expr", ORACLE_RULES["expr"][1])
-    _require(oracle.get("kind") != "kiselman" or pair["variant"] == "hartogs",
+    kind = oracle.get("kind")
+    _require(kind != "closed_form" or "expr" in oracle,
+             "config.oracle.expr", "closed_form oracle needs 'expr'")
+    _require(kind != "kiselman" or pair["variant"] == "hartogs",
              "config.oracle", "kiselman oracle needs a hartogs pair")
-    if oracle.get("kind") == "grid":
+    _require(kind != "kiselman" or obst is None
+             or obst.get("rotation_invariant"), "config.oracle",
+             "kiselman oracle needs an obstacle with rotation_invariant true")
+    _require(kind != "grid" or pair["variant"] == "planar_annulus",
+             "config.oracle", "grid oracle needs a planar pair (one complex "
+             "dimension)")
+    if kind == "grid":
         # in floats, where a huge box or a tiny spacing gives inf
         spacing, bounds = (_default(oracle, key, GridConfig)
                            for key in ("spacing", "bounds"))
@@ -235,6 +242,7 @@ def _spanning(cfg):
 _REQUIRED = object()  # the default of a key that a config must set
 _ANY = (lambda value: True, "")
 _NUMBER = (_is_number, "expected a number")
+_STRING = (lambda value: isinstance(value, str), "expected a string")
 _NONNEGATIVE = _at_least(0, "expected nonnegative integer")
 _POSITIVE = (lambda value: _is_number(value) and value > 0,
              "expected a positive number")
@@ -250,7 +258,7 @@ PAIR_RULES = {
 }
 OBSTACLE_RULES = {
     "builtin": _named(BUILTIN_OBSTACLES, "builtin"),
-    "expr": (lambda value: isinstance(value, str), "expected a string"),
+    "expr": _STRING,
     "rotation_invariant": (lambda value: isinstance(value, bool),
                            "expected true or false"),
 }
@@ -263,8 +271,7 @@ FAMILY_RULES = {
 }
 ORACLE_RULES = {
     "kind": _named(ORACLE_KINDS, "oracle"),
-    "expr": (lambda value: isinstance(value, str),
-             "closed_form oracle needs 'expr'"),
+    "expr": _STRING,
     "spacing": _POSITIVE,
     "bounds": (lambda b: _is_numbers(b, 4) and b[0] < b[1] and b[2] < b[3],
                "expected [x_min, x_max, y_min, y_max] with min < max"),

@@ -44,16 +44,6 @@ def taylor_eval(coeffs, z):
     return out
 
 
-@lru_cache(maxsize=16)
-def _radius_powers(radii, k):
-    """The read-only table r**j, j = 0..k-1, one row per r in ``radii``
-    (a tuple); bounded, though a homotopy trace asks for the same radii
-    tuples, one per t-grid batch, for every disc traced at one ``steps``."""
-    powers = np.asarray(radii)[:, None] ** np.arange(k)
-    powers.flags.writeable = False
-    return powers
-
-
 def circle_eval(coeffs, radii, n):
     """The power series sum_j coeffs[b, j] * z**j of each series b of a
     batch at z = r * exp(2*pi*i*q/n), q = 0..n-1, for each r in ``radii``.
@@ -64,10 +54,10 @@ def circle_eval(coeffs, radii, n):
     (B, len(radii), n) + coeffs.shape[2:], radius-major.
     """
     coeffs = np.asarray(coeffs)
-    radii = tuple(np.atleast_1d(np.asarray(radii, dtype=float)).tolist())
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
     k = coeffs.shape[1]
     extra = (1,) * (coeffs.ndim - 2)
-    powers = _radius_powers(radii, k).reshape((len(radii),) + extra + (k,))
+    powers = (radii[:, None] ** np.arange(k)).reshape((-1,) + extra + (k,))
     # with the coefficient axis last and contiguous, the products and the
     # fold run along rows rather than across the short trailing axes
     rows = np.ascontiguousarray(np.moveaxis(coeffs, 1, -1))

@@ -95,11 +95,11 @@ def _homotopy_samples(f, t_values):
     if f.n < 2:
         raise ConfigurationError("homotopy needs dimension >= 2")
     fn = f.component(f.n - 1)
-    m, t_values = f.M, tuple(t_values)
+    m = f.M
     # raises DegenerateInputError where the last component vanishes
     a = _analytic_log_coeffs(fn)[:m // 2 + 1]
     base = circle_eval(f.coeffs[None, :m // 2, :-1], t_values, m)[0]
-    logs = circle_eval(a[None], t_values + (1.0,), m)[0]
+    logs = circle_eval(a[None], np.append(t_values, 1.0), m)[0]
     ratio = np.exp(logs[:-1] - logs[-1])
     return np.concatenate([base, (fn * ratio)[..., None]], axis=-1)
 
@@ -158,7 +158,7 @@ def homotopy_trace(pair, f, steps=32):
     per_batch = max(1, TRACE_BATCH_NODES // f.M)
     rows = []
     for i in range(0, t_values.size, per_batch):
-        samples = _homotopy_samples(f, t_values[i:i + per_batch].tolist())
+        samples = _homotopy_samples(f, t_values[i:i + per_batch])
         centres = np.fft.fft(samples, axis=1)[:, 0] / f.M
         rows.append((np.min(pair.W.margin(samples), axis=1),
                      np.max(np.abs(centres - f.centre), axis=1),

@@ -266,6 +266,20 @@ def _compare_error(tmp_path, capsys, overrides):
     ({"obstacle": {"builtin": "log_abs", "expr": "re(z1)"}},
      "config.obstacle: exactly one of 'expr' or 'builtin' required"),
     ({"homotopy": {"s": 0.5}}, "config.homotopy.z_prime: required"),
+    ({"oracle": {"kind": "closed_form", "expr": 8}},
+     "config.oracle.expr: expected a string"),
+    ({"oracle": {"kind": "kiselman"}},
+     "config.oracle: kiselman oracle needs a hartogs pair"),
+    ({"pair": {"variant": "hartogs"}, "points": C2_POINT,
+      "obstacle": {"expr": "re(z1)"}, "oracle": {"kind": "kiselman"}},
+     "config.oracle: kiselman oracle needs an obstacle with "
+     "rotation_invariant true"),
+    ({"pair": {"variant": "hartogs"}, "points": C2_POINT,
+      "oracle": {"kind": "grid"}},
+     "config.oracle: grid oracle needs a planar pair (one complex "
+     "dimension)"),
+    ({"oracle": {"kind": "grid", "bounds": [-2, 1, -2, 2]}},
+     "config.points[1]: outside the grid oracle's bounds [-2, 1, -2, 2]"),
 ])
 def test_single_fault_names_its_key_in_one_line(tmp_path, capsys, overrides,
                                                 message):
@@ -381,8 +395,8 @@ def test_vertical_family_off_the_axis_exits_before_any_search(
     assert run(["envelope", "--config", cfg_path, "--out", out,
                 "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err == ("error: vertical family: centre ((0.3+0j), (0.5+0j)) "
-                   "must have last coordinate 0\n")
+    assert err == ("error: config.points[1]: vertical family: centre "
+                   "((0.3+0j), (0.5+0j)) must have last coordinate 0\n")
     assert searches == []
     assert not out.exists()
 
@@ -429,8 +443,8 @@ def test_shell_family_outside_the_ball_exits_before_any_search(
     assert run(["envelope", "--config", cfg_path, "--out", out,
                 "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err == ("error: shell family: centre ((3+0j), 0j) must lie in "
-                   "the ball of radius 2\n")
+    assert err == ("error: config.points[1]: shell family: centre "
+                   "((3+0j), 0j) must lie in the ball of radius 2\n")
     assert searches == []
     assert not out.exists()
 
@@ -744,6 +758,64 @@ def test_point_off_the_grid_exits_two_before_the_solve(
     err = capsys.readouterr().err
     assert err == "error: config.points[1]: outside the grid oracle's " \
                   "bounds [-2, 1, -2, 2]\n"
+    assert solves == [] and not out.exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"oracle": {"kind": "kiselman"}},
+     "config.oracle: kiselman oracle needs a hartogs pair"),
+    ({"oracle": {"kind": "grid", "bounds": [-2, 1, -2, 2]}},
+     "config.points[1]: outside the grid oracle's bounds [-2, 1, -2, 2]"),
+])
+def test_envelope_rejects_the_oracle_faults_that_compare_rejects(
+        tmp_path, capsys, overrides, message):
+    # envelope does not run the oracle, but loads the same document
+    cfg_path = write_config(tmp_path, dict(ANNULUS_CONFIG, **overrides))
+    for command in ("envelope", "compare"):
+        out = tmp_path / command
+        assert run([command, "--config", cfg_path, "--out", out,
+                    "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+def test_point_past_the_bounds_on_the_grid_overshoot_exits_two(tmp_path,
+                                                               capsys):
+    # at spacing 3 the grid reaches x = 2.5, past x_max = 1.2 and out of X
+    cfg = dict(ANNULUS_CONFIG, points=[[[1.5, 0.0]]],
+               oracle={"kind": "grid", "spacing": 3.0,
+                       "bounds": [-2, 1.2, -2, 2]})
+    out = tmp_path / "run"
+    assert run(["oracle", "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err == ("error: config.points[0]: outside the "
+                                       "grid oracle's bounds [-2, 1.2, -2, "
+                                       "2]\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # inside the grid's bounds, where the ghost ring holds the field
+    ({"points": [[[1.5, 0.0]], [[2.03, 0.0]]],
+      "oracle": {"kind": "grid", "spacing": 0.125}},
+     "config.points[1]: centre ((2.03+0j),) lies outside X"),
+    # the Kiselman oracle reads the base point alone
+    ({"pair": {"variant": "hartogs"},
+      "obstacle": {"expr": "abs(z2)", "rotation_invariant": True},
+      "points": [[[0.3, 0.0], [0.0, 0.0]], [[0.3, 0.0], [1.2, 0.0]]],
+      "oracle": {"kind": "kiselman"}},
+     "config.points[1]: centre ((0.3+0j), (1.2+0j)) lies outside X"),
+])
+def test_oracle_point_outside_x_exits_two(tmp_path, capsys, monkeypatch,
+                                          overrides, message):
+    solves = []
+    monkeypatch.setattr(cli, "grid_obstacle_solver",
+                        lambda *args: solves.append(args))
+    cfg = dict(ANNULUS_CONFIG, **overrides)
+    out = tmp_path / "run"
+    assert run(["oracle", "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert solves == [] and not out.exists()
 
 

@@ -307,6 +307,17 @@ def test_partial_eps_range_checked():
     # a negative gap fails every compare that has an oracle
     ({"tolerances": {"gap": -1.0}},
      r"tolerances\.gap: expected a number >= 0"),
+    # a closed form that is not a string, and oracles that do not fit
+    # the pair, the obstacle or the points
+    ({"oracle": {"kind": "closed_form", "expr": 8}},
+     r"oracle\.expr: expected a string"),
+    ({"oracle": {"kind": "kiselman"}}, "config.oracle: kiselman"),
+    ({"pair": {"variant": "hartogs"}, "obstacle": {"expr": "re(z1)"},
+      "oracle": {"kind": "kiselman"}}, "config.oracle: kiselman"),
+    ({"pair": {"variant": "shell"}, "oracle": {"kind": "grid"}},
+     "config.oracle: grid"),
+    ({"points": [[[0.5, 0.0]], [[0.0, 2.0625]]], "oracle": {"kind": "grid"}},
+     r"points\[1\]: outside the grid oracle's bounds"),
 ])
 def test_malformed_values_rejected(overrides, path):
     with pytest.raises(ConfigurationError, match=path):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from conftest import constant_disc
-from discenv import discs
 from discenv.discs import (
     AnalyticDisc,
     DiscLoop,
@@ -146,13 +145,6 @@ def test_circle_eval_rows_equal_the_one_series_evaluation(shape):
 def test_cached_tables_are_read_only_and_bounded():
     with pytest.raises(ValueError):
         roots_of_unity(16)[0] = 1.0
-    c = np.ones(8, dtype=complex)
-    for t in np.linspace(0.1, 0.9, 40):
-        circle_eval(c[None], (t, 1.0), 8)
-    powers = discs._radius_powers
-    assert powers.cache_info().currsize <= powers.cache_info().maxsize
-    with pytest.raises(ValueError):
-        powers((0.5,), 8)[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
