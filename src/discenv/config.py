@@ -222,7 +222,7 @@ def _spanning(cfg):
                  f"spacing / 2, got {sides:.4g} from spacing {spacing} and "
                  f"bounds {list(bounds)}")
         for i, point in enumerate(cfg["points"]):
-            for x, y in point[:1]:
+            for x, y in point[:1]:  # parse_point rejects an empty point
                 _require(x_min <= x < x_max and y_min <= y < y_max,
                          f"config.points[{i}]", "outside the grid oracle's "
                          f"bounds {list(bounds)}")
