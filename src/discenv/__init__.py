@@ -40,7 +40,6 @@ from .hartogs import (
     vertical_disc,
 )
 from .oracles import (
-    GridConfig,
     GridField,
     grid_obstacle_solver,
     kiselman_psi,
@@ -59,6 +58,5 @@ __all__ = [
     "QuadratureGrid", "partial_boundary_stats", "poisson_functional",
     "HartogsPair", "classify_component", "hartogs_homotopy",
     "homotopy_trace", "vertical_disc",
-    "GridConfig", "GridField", "grid_obstacle_solver", "kiselman_psi",
-    "submean_check",
+    "GridField", "grid_obstacle_solver", "kiselman_psi", "submean_check",
 ]

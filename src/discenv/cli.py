@@ -25,10 +25,10 @@ from .discs import cesaro_convergence
 from .envelope import EnvelopeRequest, minimize_envelope
 from .errors import ConfigurationError, DiscenvError, InfeasibleEnvelope, \
     PreconditionError
-from .expressions import compile_expression
+from .expressions import obstacle_from_expression
 from .functionals import QuadratureGrid
 from .hartogs import homotopy_trace, vertical_disc
-from .oracles import GridConfig, grid_obstacle_solver, kiselman_psi
+from .oracles import grid_obstacle_solver, kiselman_psi
 
 
 def _atomic_write(path, text):
@@ -102,12 +102,13 @@ def _oracle_values(cfg, points, w, x_spec, phi, hartogs, outdir):
     solved once for all points and its field written to grid_field.csv."""
     oracle = cfg["oracle"]
     if oracle["kind"] == "closed_form":
-        fn = compile_expression(oracle["expr"], x_spec.n, "config.oracle.expr")
+        fn = obstacle_from_expression(oracle["expr"], x_spec.n,
+                                      path="config.oracle.expr")
         return [float(fn(p[None, :])[0]) for p in points]
     if oracle["kind"] == "kiselman":
         return [float(kiselman_psi(hartogs, phi, p[:-1])) for p in points]
-    gcfg = GridConfig(**cfgmod.given(oracle, cfgmod.ORACLE_KINDS["grid"][1]))
-    field = grid_obstacle_solver((w, x_spec), phi, gcfg)
+    field = grid_obstacle_solver((w, x_spec), phi, **cfgmod.given(
+        oracle, cfgmod.ORACLE_KINDS["grid"][1]))
     # interpolated first, so a failed run writes no field
     values = field.interpolate([p[0] for p in points])
     field.to_csv(os.path.join(outdir, "grid_field.csv"))
@@ -164,7 +165,8 @@ def run_envelope(cfg, outdir, compare=False, quiet=False):
     gap_tol = cfg.get("tolerances", {}).get("gap")
     tol_fail = False
     if compare and gap_tol is not None:
-        tol_fail = any(r["gap"] is not None and abs(r["gap"]) > gap_tol
+        # a gap that is not a number fails too
+        tol_fail = any(r["gap"] is not None and not abs(r["gap"]) <= gap_tol
                        for r in rows)
     passed = not tol_fail and not any_infeasible
     _write_outputs(outdir, cfg, rows, passed)
@@ -196,9 +198,12 @@ def run_homotopy(cfg, outdir, quiet=False):
         raise ConfigurationError("config.homotopy: required for this command")
     zp = cfgmod.parse_point(spec["z_prime"], hartogs.n - 1,
                             "config.homotopy.z_prime")
-    disc = vertical_disc(hartogs, zp, m=cfg["quadrature_m"],
-                         **cfgmod.given(spec, {"s": "s", "winding": "k"}))
-    trace = homotopy_trace(hartogs, disc, **cfgmod.given(spec, ["steps"]))
+    try:
+        disc = vertical_disc(hartogs, zp, m=cfg["quadrature_m"],
+                             **cfgmod.given(spec, {"s": "s", "winding": "k"}))
+        trace = homotopy_trace(hartogs, disc, **cfgmod.given(spec, ["steps"]))
+    except DiscenvError as exc:
+        raise type(exc)(f"config.homotopy: {exc}") from None
     _atomic_write(os.path.join(outdir, "homotopy_trace.json"),
                   trace.to_json() + "\n")
     rows = [_row(_point_label(zp),
@@ -283,10 +288,10 @@ def main(argv=None):
     try:
         if args.command == "emit-plot":
             return emit_plot_data(args.report, args.kind, args.out)
-        cfg = cfgmod.load_config(args.config)
+        overrides = {"output": args.out}
         if args.seed is not None:
-            cfg["seed"] = args.seed
-        cfg["output"] = args.out
+            overrides["seed"] = args.seed
+        cfg = cfgmod.load_config(args.config, overrides)
         return RUNNERS[args.command](cfg, args.out, quiet=args.quiet)
     except DiscenvError as exc:
         print(f"error: {exc}", file=sys.stderr)

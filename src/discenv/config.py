@@ -31,7 +31,7 @@ from .families import (
     VerticalFamily,
 )
 from .hartogs import HartogsPair, vertical_disc
-from .oracles import GridConfig
+from .oracles import _nodes, grid_obstacle_solver
 
 BUILTIN_OBSTACLES = {
     "log_abs": "log(abs(z1))",
@@ -61,10 +61,10 @@ PAIR_VARIANTS = {
     "hartogs": (_hartogs_pair, ("n", "base_radius", "r", "R")),
 }
 
-#: Each oracle kind's config class, if it has one, and the keys it reads
-#: besides ``kind``.
+#: Each oracle kind's solver, if it takes config keys, and the keys it
+#: reads besides ``kind``.
 ORACLE_KINDS = {"kiselman": (None, ()),
-                "grid": (GridConfig, ("spacing", "bounds")),
+                "grid": (grid_obstacle_solver, ("spacing", "bounds")),
                 "closed_form": (None, ("expr",))}
 
 #: The largest quadrature_m: the search cuts its rounds at
@@ -211,19 +211,24 @@ def _spanning(cfg):
              "config.oracle", "grid oracle needs a planar pair (one complex "
              "dimension)")
     if kind == "grid":
-        # in floats, where a huge box or a tiny spacing gives inf
-        spacing, bounds = (_default(oracle, key, GridConfig)
+        spacing, bounds = (_default(oracle, key, grid_obstacle_solver)
                            for key in ("spacing", "bounds"))
-        x_min, x_max, y_min, y_max = map(float, bounds)
-        sides = max(x_max - x_min, y_max - y_min) / (spacing / 2) + 1
+        # each axis as the solver lays it out at h = spacing / 2, counted
+        # in floats, where a huge box or a tiny spacing gives inf nodes
+        h, b = spacing / 2, list(map(float, bounds))
+        axes = [(lo, hi, _nodes(lo, hi, h)) for lo, hi in (b[:2], b[2:])]
+        sides = max(n for *_, n in axes)
         key = "spacing" if "spacing" in oracle else "bounds"
         _require(sides <= MAX_GRID_NODES, f"config.oracle.{key}",
                  f"expected at most {MAX_GRID_NODES} nodes per side at "
                  f"spacing / 2, got {sides:.4g} from spacing {spacing} and "
                  f"bounds {list(bounds)}")
         for i, point in enumerate(cfg["points"]):
-            for x, y in point[:1]:  # parse_point rejects an empty point
-                _require(x_min <= x < x_max and y_min <= y < y_max,
+            for coords in point[:1]:  # parse_point rejects an empty point
+                # inside the bounds and before the last node, where
+                # GridField.interpolate finds the point's cell
+                _require(all(lo <= v < hi and (v - lo) / h < n - 1
+                             for v, (lo, hi, n) in zip(coords, axes)),
                          f"config.points[{i}]", "outside the grid oracle's "
                          f"bounds {list(bounds)}")
     _require(homotopy is None or "z_prime" in homotopy,
@@ -314,12 +319,16 @@ TOP_RULES = {
 }
 
 
-def load_config(path):
+def load_config(path, overrides=None):
+    """The validated config of the JSON document at ``path``, with the
+    keys of ``overrides`` set over the document's before it is checked."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
+    if isinstance(raw, dict):
+        raw.update(overrides or {})
     return validate_config(raw)
 
 

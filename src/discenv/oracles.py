@@ -80,33 +80,12 @@ MAX_SWEEPS = 1_000
 COARSE_SWEEPS = 3
 
 
-@dataclass
-class GridConfig:
-    """Settings for the planar obstacle relaxation on the box ``bounds`` =
-    (x_min, x_max, y_min, y_max).
-
-    ``spacing`` is h; the solver relaxes and returns the field at h/2.
-    """
-    bounds: tuple = (-2.0625, 2.0625, -2.0625, 2.0625)
-    spacing: float = 1.0 / 128
-    tol: float = 1e-10
-
-
 def _nodes(lo, hi, h):
     """Nodes at spacing h from lo: enough to reach hi, also where h does
-    not divide hi - lo."""
-    return int(np.ceil((hi - lo) / h - 1e-9)) + 1
-
-
-def _cells(z, x0, y0, h, shape):
-    """The offsets (fx, fy) of complex points z, in steps h from the first
-    node (x0, y0) of a grid of shape (ny, nx), and whether the four nodes
-    of each one's cell are on the grid."""
-    z = np.asarray(z, dtype=complex)
-    fx = (np.real(z) - x0) / h
-    fy = (np.imag(z) - y0) / h
-    ny, nx = shape
-    return fx, fy, (fx >= 0) & (fx < nx - 1) & (fy >= 0) & (fy < ny - 1)
+    not divide hi - lo.  A float: inf where the count overflows one, or
+    where h is 0 (half of the least float spacing)."""
+    steps = (hi - lo) / h if h else np.inf
+    return float(np.ceil(steps - 1e-9)) + 1
 
 
 class GridField:
@@ -133,9 +112,11 @@ class GridField:
 
     def interpolate(self, z):
         """Bilinear interpolation at complex points z; raises off-grid."""
-        fx, fy, inside = _cells(z, self.x0, self.y0, self.h,
-                                self.values.shape)
-        if not np.all(inside):
+        z = np.asarray(z, dtype=complex)
+        fx = (np.real(z) - self.x0) / self.h
+        fy = (np.imag(z) - self.y0) / self.h
+        ny, nx = self.values.shape
+        if not np.all((fx >= 0) & (fx < nx - 1) & (fy >= 0) & (fy < ny - 1)):
             raise EvaluationError("interpolation point outside grid")
         ix = np.floor(fx).astype(int)
         iy = np.floor(fy).astype(int)
@@ -163,15 +144,15 @@ class GridField:
                     map(self._ROW_ENDS.__getitem__, mask.tolist())))))
 
 
-def _build_grid(pair, phi, cfg, h):
+def _build_grid(pair, phi, bounds, h):
     """Nodes, mask, obstacle and top = max of phi over the W nodes at
     spacing h.  The obstacle is phi on W and +inf on X \\ W; a node
     outside X holds phi on the ghost ring where phi is finite and top
     elsewhere, a finite value that keeps the multigrid defect free of
     inf - inf."""
     w_spec, x_spec = pair
-    x_min, x_max, y_min, y_max = cfg.bounds
-    nx, ny = _nodes(x_min, x_max, h), _nodes(y_min, y_max, h)
+    x_min, x_max, y_min, y_max = bounds
+    nx, ny = int(_nodes(x_min, x_max, h)), int(_nodes(y_min, y_max, h))
     xs = x_min + h * np.arange(nx)
     ys = y_min + h * np.arange(ny)
     zz = (xs[None, :] + 1j * ys[:, None])[:, :, None]
@@ -184,7 +165,7 @@ def _build_grid(pair, phi, cfg, h):
     if not inside_w.any():
         raise ConfigurationError(
             f"no grid node lies in W at spacing {h} within bounds "
-            f"{tuple(cfg.bounds)}")
+            f"{tuple(bounds)}")
     phi_w = phi(zz[inside_w])
     bad = ~np.isfinite(phi_w)
     if np.any(bad):
@@ -322,9 +303,12 @@ def _relax(u, obst, active, tol):
         f"after {MAX_SWEEPS} cycles (last change {change:.3e} > {tol:.3e})")
 
 
-def grid_obstacle_solver(pair, phi, cfg):
+def grid_obstacle_solver(pair, phi,
+                         bounds=(-2.0625, 2.0625, -2.0625, 2.0625),
+                         spacing=1.0 / 128, tol=1e-10):
     """Largest subharmonic function on the planar X that is at most phi on
-    W (the largest subextension), on the grid of spacing cfg.spacing / 2.
+    W (the largest subextension), on the box ``bounds`` = (x_min, x_max,
+    y_min, y_max) at spacing / 2.
 
     The obstacle is phi on W and +inf on X \\ W; the relaxation
     u <- min(obstacle, four-neighbour mean) is iterated to a fixed point
@@ -335,11 +319,11 @@ def grid_obstacle_solver(pair, phi, cfg):
     if w_spec.n != 1 or x_spec.n != 1:
         raise UnsupportedDimensionError(
             "grid obstacle solver is planar only (one complex dimension)")
-    h = cfg.spacing / 2
-    xs, ys, mask, obst, top = _build_grid(pair, phi, cfg, h)
+    h = spacing / 2
+    xs, ys, mask, obst, top = _build_grid(pair, phi, bounds, h)
     active = mask > 0
     u = np.where(active, np.minimum(obst, top), obst)
-    _relax(u, obst, active, cfg.tol)
+    _relax(u, obst, active, tol)
     return GridField(xs[0], ys[0], h, u, mask)
 
 

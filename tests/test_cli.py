@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,24 @@ def test_tolerance_failure_exits_one(tmp_path):
                 "--quiet"]) == 1
     report = json.loads((out / "report.json").read_text())
     assert report["pass"] is False
+
+
+def test_gap_that_is_not_a_number_fails_the_tolerance(tmp_path):
+    # log(re(z1)) is nan at -0.5, so the gap is nan and cannot be <= 0.01
+    cfg = dict(ANNULUS_CONFIG, points=[[[-0.5, 0.0]]],
+               oracle={"kind": "closed_form", "expr": "log(re(z1))"},
+               tolerances={"gap": 0.01})
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["compare", "--config", cfg_path, "--out", out,
+                    "--quiet"]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is False
+    assert [(row["oracle"], row["gap"]) for row in read_rows(out)] \
+        == [("nan", "nan")]
 
 
 def test_validation_failure_exits_two_without_outputs(tmp_path):
@@ -280,6 +299,12 @@ def _compare_error(tmp_path, capsys, overrides):
      "dimension)"),
     ({"oracle": {"kind": "grid", "bounds": [-2, 1, -2, 2]}},
      "config.points[1]: outside the grid oracle's bounds [-2, 1, -2, 2]"),
+    # inside the bounds, but past the grid's last node at x = 1
+    ({"points": [[[1.00000000001, 0.0]]],
+      "oracle": {"kind": "grid", "spacing": 0.5,
+                 "bounds": [-2, 1.00000000002, -2, 2]}},
+     "config.points[0]: outside the grid oracle's bounds "
+     "[-2, 1.00000000002, -2, 2]"),
 ])
 def test_single_fault_names_its_key_in_one_line(tmp_path, capsys, overrides,
                                                 message):
@@ -584,6 +609,21 @@ def test_oracle_subcommand_kiselman(tmp_path):
     assert abs(float(rows[0]["oracle"]) - (0.3 + 1.0 / 16)) <= 1e-4
 
 
+@pytest.mark.parametrize("homotopy, message", [
+    ({"z_prime": [[1.5, 0.0]]}, "base point outside Y"),
+    ({"z_prime": [[0.1, 0.0]], "s": 2},
+     "scale 2.0 outside radial range (0.25, 1.0)"),
+])
+def test_homotopy_fault_names_its_key(tmp_path, capsys, homotopy, message):
+    cfg = {"experiment": "hartogs-homotopy", "pair": {"variant": "hartogs"},
+           "homotopy": homotopy}
+    out = tmp_path / "run"
+    assert run(["homotopy", "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: config.homotopy: {message}\n"
+    assert not out.exists()
+
+
 def test_homotopy_subcommand_and_plot(tmp_path):
     cfg = {
         "experiment": "hartogs-homotopy",
@@ -668,6 +708,19 @@ def test_seed_override_changes_metadata(tmp_path):
                 "--quiet"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["metadata"]["seed"] == 7
+    assert report["effective_config"]["seed"] == 7
+    assert report["effective_config"]["output"] == str(out)
+
+
+@pytest.mark.parametrize("command", ["envelope", "cesaro"])
+def test_negative_seed_override_exits_two(tmp_path, capsys, command):
+    cfg_path = write_config(tmp_path, ANNULUS_CONFIG)
+    out = tmp_path / "run"
+    assert run([command, "--config", cfg_path, "--out", out, "--seed", "-1",
+                "--quiet"]) == 2
+    assert capsys.readouterr().err \
+        == "error: config.seed: expected nonnegative integer\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["oracle", "compare"])
@@ -747,7 +800,7 @@ def test_point_off_the_grid_exits_two_before_the_solve(
     # the grid at spacing 0.125 ends at x = 1, left of the point 1.5
     solves = []
     monkeypatch.setattr(cli, "grid_obstacle_solver",
-                        lambda *args: solves.append(args))
+                        lambda *args, **kwargs: solves.append(args))
     cfg = dict(ANNULUS_CONFIG, points=[[[-1.5, 0.0]], [[1.5, 0.0]]],
                oracle={"kind": "grid", "spacing": 0.25,
                        "bounds": [-2, 1, -2, 2]})
@@ -758,6 +811,25 @@ def test_point_off_the_grid_exits_two_before_the_solve(
     err = capsys.readouterr().err
     assert err == "error: config.points[1]: outside the grid oracle's " \
                   "bounds [-2, 1, -2, 2]\n"
+    assert solves == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["envelope", "oracle", "compare"])
+def test_point_past_the_last_node_exits_two_before_the_solve(
+        tmp_path, capsys, monkeypatch, command):
+    # at h = 0.25 the last node on [-2, 1.00000000002] is x = 1, so
+    # 1.00000000001 lies inside the bounds but in no cell of the grid
+    solves = []
+    monkeypatch.setattr(cli, "grid_obstacle_solver",
+                        lambda *args, **kwargs: solves.append(args))
+    cfg = dict(ANNULUS_CONFIG, points=[[[1.00000000001, 0.0]]],
+               oracle={"kind": "grid", "spacing": 0.5,
+                       "bounds": [-2, 1.00000000002, -2, 2]})
+    out = tmp_path / "run"
+    assert run([command, "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: config.points[0]: outside the " \
+        "grid oracle's bounds [-2, 1.00000000002, -2, 2]\n"
     assert solves == [] and not out.exists()
 
 
@@ -810,7 +882,7 @@ def test_oracle_point_outside_x_exits_two(tmp_path, capsys, monkeypatch,
                                           overrides, message):
     solves = []
     monkeypatch.setattr(cli, "grid_obstacle_solver",
-                        lambda *args: solves.append(args))
+                        lambda *args, **kwargs: solves.append(args))
     cfg = dict(ANNULUS_CONFIG, **overrides)
     out = tmp_path / "run"
     assert run(["oracle", "--config", write_config(tmp_path, cfg),

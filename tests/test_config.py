@@ -286,7 +286,7 @@ def test_partial_eps_range_checked():
     ({"homotopy": {"steps": 10 ** 30}}, "homotopy.steps"),
     ({"starts": 10 ** 12}, "starts"),
     # more grid nodes per side at spacing / 2 than the cap, also where a
-    # key is left out and its GridConfig default counts
+    # key is left out and the grid solver's default counts
     ({"oracle": {"kind": "grid", "spacing": 1e-300}}, "oracle.spacing"),
     ({"oracle": {"kind": "grid", "spacing": 2e-3}}, "oracle.spacing"),
     ({"oracle": {"kind": "grid", "bounds": [-1e308, 1e308, -2, 2]}},
@@ -318,6 +318,13 @@ def test_partial_eps_range_checked():
      "config.oracle: grid"),
     ({"points": [[[0.5, 0.0]], [[0.0, 2.0625]]], "oracle": {"kind": "grid"}},
      r"points\[1\]: outside the grid oracle's bounds"),
+    # inside the bounds, but past the grid's last node at x = 1
+    ({"points": [[[1.00000000001, 0.0]]],
+      "oracle": {"kind": "grid", "spacing": 0.5,
+                 "bounds": [-2, 1.00000000002, -2, 2]}},
+     r"points\[0\]: outside the grid oracle's bounds"),
+    # half of the least float spacing is 0: infinitely many nodes
+    ({"oracle": {"kind": "grid", "spacing": 5e-324}}, "oracle.spacing"),
 ])
 def test_malformed_values_rejected(overrides, path):
     with pytest.raises(ConfigurationError, match=path):

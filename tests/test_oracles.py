@@ -17,7 +17,6 @@ from discenv.expressions import obstacle_from_expression
 from discenv.hartogs import HartogsPair
 from discenv import oracles
 from discenv.oracles import (
-    GridConfig,
     grid_obstacle_solver,
     kiselman_psi,
     submean_check,
@@ -91,15 +90,16 @@ def test_psi_preconditions():
 # ---------------------------------------------------------------------------
 
 def annulus_grid_config(spacing=1.0 / 32, **overrides):
+    """The grid solver's keywords for the annulus tests."""
     kwargs = dict(bounds=(-2.1, 2.1, -2.1, 2.1), spacing=spacing, tol=1e-8)
     kwargs.update(overrides)
-    return GridConfig(**kwargs)
+    return kwargs
 
 
 def test_constant_obstacle_gives_constant_field():
     pair = planar_annulus_pair()
     phi = obstacle_from_expression("0.75", 1)
-    field = grid_obstacle_solver(pair, phi, annulus_grid_config())
+    field = grid_obstacle_solver(pair, phi, **annulus_grid_config())
     inside = field.mask > 0
     assert np.max(np.abs(field.values[inside] - 0.75)) <= 1e-6
 
@@ -109,7 +109,7 @@ def test_harmonic_obstacle_extends_harmonically():
     pair = planar_annulus_pair()
     phi = obstacle_from_expression("re(z1)", 1)
     field = grid_obstacle_solver(pair, phi,
-                                 annulus_grid_config(spacing=1.0 / 64))
+                                 **annulus_grid_config(spacing=1.0 / 64))
     xs, ys = field.points()
     zz = xs[None, :] + 1j * ys[:, None]
     interior = pair[1].margin(zz[:, :, None]) > 2 * field.h
@@ -151,15 +151,15 @@ def test_solver_relaxes_once_at_half_h(monkeypatch):
 
     monkeypatch.setattr(oracles, "_relax", recording)
     pair = planar_annulus_pair()
-    cfg = GridConfig(bounds=(-2.0625, 2.0625, -2.0625, 2.0625),
-                     spacing=1.0 / 16, tol=1e-10)
+    cfg = dict(bounds=(-2.0625, 2.0625, -2.0625, 2.0625),
+               spacing=1.0 / 16, tol=1e-10)
     phi = obstacle_from_expression("log(abs(z1))", 1)
-    field = grid_obstacle_solver(pair, phi, cfg)
+    field = grid_obstacle_solver(pair, phi, **cfg)
     assert [u.shape for u, *_ in calls] == [(133, 133)]
     # h/2 starts from top, the max of phi over the W nodes: phi on W, top
     # on X \ W, where the obstacle is +inf
-    _, mask, obst, top = oracles._build_grid(pair, phi, cfg,
-                                             cfg.spacing / 2)[1:]
+    _, mask, obst, top = oracles._build_grid(pair, phi, cfg["bounds"],
+                                             cfg["spacing"] / 2)[1:]
     u, start, relax_obst, _ = calls[0]
     assert u is field.values
     assert np.array_equal(relax_obst, obst)
@@ -191,11 +191,11 @@ def test_prolongation_covers_a_fine_grid_one_node_longer():
     # (x_max - x_min) / h is 66 + 7e-10: within _build_grid's 1e-9 slack at
     # h, but not at h/2, so 134 nodes where 2 * 67 - 1 = 133 reach x_max;
     # the V-cycle's prolongation covers the even-sized grid
-    cfg = GridConfig(bounds=(-2.0625, -2.0625 + (66 + 7e-10) / 16,
-                             -2.0625, 2.0625),
-                     spacing=1.0 / 16, tol=1e-10)
+    cfg = dict(bounds=(-2.0625, -2.0625 + (66 + 7e-10) / 16,
+                       -2.0625, 2.0625),
+               spacing=1.0 / 16, tol=1e-10)
     phi = obstacle_from_expression("log(abs(z1))", 1)
-    field = grid_obstacle_solver(planar_annulus_pair(), phi, cfg)
+    field = grid_obstacle_solver(planar_annulus_pair(), phi, **cfg)
     assert field.values.shape == (133, 134)
     assert abs(field.interpolate(np.array([1.5 + 0.0j]))[0]
                - np.log(1.5)) <= 1e-2
@@ -236,10 +236,10 @@ def test_multigrid_cycles_per_level(monkeypatch):
     phi = obstacle_from_expression("log(abs(z1))", 1)
     cycles = counting_relax(monkeypatch)
     grid_obstacle_solver(pair, phi,
-                         annulus_grid_config(spacing=1.0 / 16, tol=1e-10))
+                         **annulus_grid_config(spacing=1.0 / 16, tol=1e-10))
     assert len(cycles) == 1
     assert cycles[0] <= 35
-    grid_obstacle_solver(pair, phi, annulus_grid_config(tol=1e-10))
+    grid_obstacle_solver(pair, phi, **annulus_grid_config(tol=1e-10))
     assert len(cycles) == 2
     assert cycles[1] <= 40
 
@@ -256,13 +256,14 @@ def test_multigrid_converges_below_the_obstacle(monkeypatch, expr):
     phi = obstacle_from_expression(expr, 1)
     cycles = counting_relax(monkeypatch)
     cfg = annulus_grid_config(tol=1e-10)
-    field = grid_obstacle_solver(pair, phi, cfg)
+    field = grid_obstacle_solver(pair, phi, **cfg)
     # a cycle count that grows with the grid, as sweeps do, fails this
     assert cycles[-1] <= 100
-    ref = grid_obstacle_solver(pair, phi, annulus_grid_config(tol=1e-13))
+    ref = grid_obstacle_solver(pair, phi, **annulus_grid_config(tol=1e-13))
     u = field.values
     assert np.max(np.abs(u - ref.values)) <= 1e-9
-    _, _, mask, obst, _ = oracles._build_grid(pair, phi, cfg, field.h)
+    _, _, mask, obst, _ = oracles._build_grid(pair, phi, cfg["bounds"],
+                                              field.h)
     active = mask > 0
     assert np.all(u[active] <= obst[active])
     # a cycle whose coarse correction undoes its sweeps stops on a small
@@ -275,10 +276,9 @@ def test_multigrid_converges_below_the_obstacle(monkeypatch, expr):
 def test_non_finite_obstacle_at_a_w_node_raises():
     # log|z1 - 1.5| is -inf at the node 1.5 of the h/2 = 1/16 level
     phi = obstacle_from_expression("log(abs(z1 - 1.5))", 1)
-    cfg = GridConfig(bounds=(-2.0625, 2.0625, -2.0625, 2.0625),
-                     spacing=0.125)
+    cfg = dict(bounds=(-2.0625, 2.0625, -2.0625, 2.0625), spacing=0.125)
     with pytest.raises(EvaluationError, match=r"grid node \(1\.5\+0j\)"):
-        grid_obstacle_solver(planar_annulus_pair(), phi, cfg)
+        grid_obstacle_solver(planar_annulus_pair(), phi, **cfg)
 
 
 def test_relaxation_at_the_sweep_cap_raises(monkeypatch):
@@ -286,7 +286,7 @@ def test_relaxation_at_the_sweep_cap_raises(monkeypatch):
     phi = obstacle_from_expression("log(abs(z1))", 1)
     with pytest.raises(EvaluationError, match="not converged after 2 cycles"):
         grid_obstacle_solver(planar_annulus_pair(), phi,
-                             annulus_grid_config())
+                             **annulus_grid_config())
 
 
 def test_relaxation_that_stalls_off_the_fixed_point_raises(monkeypatch):
@@ -296,13 +296,13 @@ def test_relaxation_that_stalls_off_the_fixed_point_raises(monkeypatch):
     phi = obstacle_from_expression("log(abs(z1))", 1)
     with pytest.raises(EvaluationError, match="stalled after 1 cycles"):
         grid_obstacle_solver(planar_annulus_pair(), phi,
-                             annulus_grid_config())
+                             **annulus_grid_config())
 
 
 def test_relaxation_is_below_initial_cap():
     pair = planar_annulus_pair()
     phi = obstacle_from_expression("log(abs(z1))", 1)
-    field = grid_obstacle_solver(pair, phi, annulus_grid_config())
+    field = grid_obstacle_solver(pair, phi, **annulus_grid_config())
     inside_w = field.mask == 2
     xs, ys = field.points()
     zz = xs[None, :] + 1j * ys[:, None]
@@ -322,8 +322,9 @@ def test_field_is_below_phi_on_w_and_below_top_on_x(a, b, c, d):
     phi = obstacle_from_expression(
         f"{a!r} + {b!r} * re(z1) + {c!r} * im(z1) + {d!r} * log(abs(z1))", 1)
     cfg = annulus_grid_config(spacing=1.0 / 16)
-    field = grid_obstacle_solver(pair, phi, cfg)
-    _, _, mask, obst, top = oracles._build_grid(pair, phi, cfg, field.h)
+    field = grid_obstacle_solver(pair, phi, **cfg)
+    _, _, mask, obst, top = oracles._build_grid(pair, phi, cfg["bounds"],
+                                                field.h)
     assert np.array_equal(mask, field.mask)
     inside_w = mask == 2
     assert np.all(field.values[inside_w] <= obst[inside_w] + 1e-12)
@@ -334,13 +335,13 @@ def test_solver_rejects_higher_dimensions():
     from discenv.domains import shell_pair
     phi = obstacle_from_expression("re(z1)", 2)
     with pytest.raises(UnsupportedDimensionError):
-        grid_obstacle_solver(shell_pair(2), phi, annulus_grid_config())
+        grid_obstacle_solver(shell_pair(2), phi, **annulus_grid_config())
 
 
 def test_field_interpolation_and_csv_export(tmp_path):
     pair = planar_annulus_pair()
     phi = obstacle_from_expression("re(z1)", 1)
-    field = grid_obstacle_solver(pair, phi, annulus_grid_config())
+    field = grid_obstacle_solver(pair, phi, **annulus_grid_config())
     with pytest.raises(EvaluationError):
         field.interpolate(np.array([5.0 + 0.0j]))
     out = tmp_path / "field.csv"
