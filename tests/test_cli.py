@@ -122,6 +122,20 @@ def test_gap_that_is_not_a_number_fails_the_tolerance(tmp_path):
         == [("nan", "nan")]
 
 
+def test_oracle_value_that_is_not_a_number_fails(tmp_path):
+    # log(re(z1)) is nan at -0.5: the row is kept and the run fails
+    cfg = dict(ANNULUS_CONFIG, points=[[[-0.5, 0.0]], [[1.5, 0.0]]],
+               oracle={"kind": "closed_form", "expr": "log(re(z1))"})
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert run(["oracle", "--config", cfg_path, "--out", out,
+                "--quiet"]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is False
+    assert [row["oracle"] for row in read_rows(out)] \
+        == ["nan", repr(float(np.log(1.5)))]
+
+
 def test_validation_failure_exits_two_without_outputs(tmp_path):
     cfg = dict(ANNULUS_CONFIG, families=[{"kind": "spline"}])
     cfg_path = write_config(tmp_path, cfg)

@@ -690,6 +690,14 @@ def flat(x):
     return BARRIER
 
 
+def signed_zero(x):
+    """-0.0 is the least point and +0.0 the greatest zero, so the search
+    sees the sign of a zero centroid."""
+    if x[0] != 0:
+        return 2.0 if x[0] < 0 else 0.5
+    return 0.0 if np.signbit(x[0]) else 1.0
+
+
 def evaluated_points(search, fun, x0):
     points = []
 
@@ -714,6 +722,13 @@ def evaluated_points(search, fun, x0):
     # zero start coordinates are stepped by 0.00025, not scaled
     (plateau, np.array([0.0, 1.5]), 300),
     (bowl, np.zeros(3), 400),
+    # a centroid of -0.0 alone is summed from 0.0, as numpy sums it
+    (signed_zero, np.array([-0.0]), 50),
+    # 17 vertices; on the plateau numpy's argsort breaks ties in another
+    # order than a stable sort would
+    (bowl, np.random.default_rng(16).standard_normal(16), 400),
+    (flat, np.arange(1.0, 17.0), 400),
+    (plateau, np.random.default_rng(0).standard_normal(16), 400),
 ])
 def test_minimize_evaluates_the_points_scipy_does(fun, x0, budget):
     optimize = pytest.importorskip("scipy.optimize")
