@@ -12,6 +12,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -66,12 +67,25 @@ def _results_csv_text(rows):
     return buf.getvalue()
 
 
+def _simd():
+    """The SIMD extensions that numpy dispatches to in this process (the
+    "found" list of ``np.show_runtime()``): last-bit results of the
+    elementwise math, and so of a budget-capped search, depend on it."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__
+            if umath.__cpu_features__[name]]
+
+
 def _write_outputs(outdir, cfg, rows, passed, extras=None):
     report = {
         "experiment": cfg["experiment"],
         "effective_config": cfg,
         "rows": rows,
-        "metadata": {"seed": cfg["seed"], "quadrature_m": cfg["quadrature_m"]},
+        "metadata": {"seed": cfg["seed"], "quadrature_m": cfg["quadrature_m"],
+                     "numpy_simd": _simd()},
         "pass": bool(passed),
     }
     if extras:
@@ -106,6 +120,10 @@ def _oracle_values(cfg, points, w, x_spec, phi, hartogs, outdir):
                                       path="config.oracle.expr")
         return [float(fn(p[None, :])[0]) for p in points]
     if oracle["kind"] == "kiselman":
+        # at load with number radii; an expression radius needs the point
+        for i, p in enumerate(points):
+            cfgmod.kiselman_point(i, (p[-1].real, p[-1].imag),
+                                  *hartogs.radii(p[:-1]), x_spec.n)
         return [float(kiselman_psi(hartogs, phi, p[:-1])) for p in points]
     field = grid_obstacle_solver((w, x_spec), phi, **cfgmod.given(
         oracle, cfgmod.ORACLE_KINDS["grid"][1]))
@@ -123,6 +141,15 @@ def _row(point, envelope=None, oracle=None, feasible=True,
     return {"point": point, "envelope": envelope, "oracle": oracle,
             "gap": gap, "feasible": feasible, "max_violation": max_violation,
             "runtime_s": runtime_s, **extra}
+
+
+def _failed(rows, gap_tol=None):
+    """Whether a row fails: its oracle value is not finite, or, given a
+    gap tolerance, its gap is not within it (a gap that is not a number
+    fails too)."""
+    return any((r["oracle"] is not None and not math.isfinite(r["oracle"]))
+               or (gap_tol is not None and r["gap"] is not None
+                   and not abs(r["gap"]) <= gap_tol) for r in rows)
 
 
 def run_envelope(cfg, outdir, compare=False, quiet=False):
@@ -162,17 +189,11 @@ def run_envelope(cfg, outdir, compare=False, quiet=False):
                   f"oracle={oracle_val} feasible={res.feasible}")
 
     any_infeasible = not all(r["feasible"] for r in rows)
-    gap_tol = cfg.get("tolerances", {}).get("gap")
-    tol_fail = False
-    if compare and gap_tol is not None:
-        # a gap that is not a number fails too
-        tol_fail = any(r["gap"] is not None and not abs(r["gap"]) <= gap_tol
-                       for r in rows)
-    passed = not tol_fail and not any_infeasible
-    _write_outputs(outdir, cfg, rows, passed)
+    failed = _failed(rows, cfg.get("tolerances", {}).get("gap"))
+    _write_outputs(outdir, cfg, rows, not failed and not any_infeasible)
     if any_infeasible:
         return 3
-    return 1 if tol_fail else 0
+    return 1 if failed else 0
 
 
 def run_oracle(cfg, outdir, quiet=False):
@@ -185,9 +206,9 @@ def run_oracle(cfg, outdir, quiet=False):
         rows.append(_row(_point_label(point), oracle=v))
         if not quiet:
             print(f"{_point_label(point)}: oracle={v}")
-    passed = bool(np.all(np.isfinite(values)))  # as a NaN gap in compare
-    _write_outputs(outdir, cfg, rows, passed)
-    return 0 if passed else 1
+    failed = _failed(rows)
+    _write_outputs(outdir, cfg, rows, not failed)
+    return 1 if failed else 0
 
 
 def run_homotopy(cfg, outdir, quiet=False):

@@ -40,11 +40,12 @@ BUILTIN_OBSTACLES = {
 
 
 def _hartogs_pair(n=2, base_radius=1.0, r=0.25, R=1.0):
-    """The Hartogs pair over a ball; a number radius is a constant
-    expression (repr writes a float exactly).  With a number R, X is a
-    ball times a disc, so the maximum principle holds on it."""
-    radii = [compile_expression(v if isinstance(v, str) else repr(float(v)),
-                                n - 1, f"config.pair.{key}")
+    """The Hartogs pair over a ball; a number radius is a callable that
+    returns its float, which the margins broadcast over the nodes.  With
+    a number R, X is a ball times a disc, so the maximum principle holds
+    on it."""
+    radii = [compile_expression(v, n - 1, f"config.pair.{key}")
+             if isinstance(v, str) else lambda zp, v=float(v): v
              for key, v in (("r", r), ("R", R))]
     hp = HartogsPair(ball(base_radius, n - 1), *radii)
     hp.X.max_principle = not isinstance(R, str)
@@ -176,6 +177,17 @@ def _default(block, key, builder, name=None):
         else inspect.signature(builder).parameters[name or key].default
 
 
+def kiselman_point(i, zn, r, R, n):
+    """Refuse point i of a Kiselman oracle run if its last coordinate,
+    [re, im] ``zn``, lies between the radii r < |zn| < R of its fibre: in
+    W the fibre infimum is not the envelope.  A point past R lies outside
+    X, which the runners name."""
+    size = math.hypot(*zn)  # inf, not OverflowError, past the float range
+    _require(not r < size < R, f"config.points[{i}]",
+             f"kiselman oracle needs |z{n}| <= r, as in W its value is not "
+             f"the envelope; got r = {r} < |z{n}| = {size} < R = {R}")
+
+
 def _spanning(cfg):
     """Check the rules that span keys, or need a key, in one fixed order;
     a key left out counts at the default of the builder it goes to."""
@@ -207,6 +219,12 @@ def _spanning(cfg):
     _require(kind != "kiselman" or obst is None
              or obst.get("rotation_invariant"), "config.oracle",
              "kiselman oracle needs an obstacle with rotation_invariant true")
+    if kind == "kiselman" and _is_number(r) and _is_number(R):
+        # an expression radius is read at each point at run time
+        n = _default(pair, "n", _hartogs_pair)
+        for i, point in enumerate(cfg["points"]):
+            if len(point) == n:  # parse_point names the wrong length
+                kiselman_point(i, point[-1], r, R, n)
     _require(kind != "grid" or pair["variant"] == "planar_annulus",
              "config.oracle", "grid oracle needs a planar pair (one complex "
              "dimension)")

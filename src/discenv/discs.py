@@ -29,6 +29,15 @@ def roots_of_unity(m):
     return zeta
 
 
+@lru_cache(maxsize=32)
+def root_powers(m, k):
+    """``roots_of_unity(m) ** k``, the boundary of zeta -> zeta^k, as a
+    cached read-only array."""
+    table = roots_of_unity(m) ** k
+    table.flags.writeable = False
+    return table
+
+
 def taylor_eval(coeffs, z):
     """The power series sum_j coeffs[j] * z**j by Horner's rule.
 

@@ -60,6 +60,13 @@ def _along(xbar, worst, c):
     return [(1 + c) * b - c * w for b, w in zip(xbar, worst)]
 
 
+def _by_value(sim, fsim):
+    """The vertices and their values in the order of numpy's argsort of
+    the values."""
+    order = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
 def nelder_mead(x0, budget):
     """Adaptive Nelder-Mead (Gao & Han, Comput. Optim. Appl. 51, 2012) as
     an ask/tell generator.
@@ -84,9 +91,12 @@ def nelder_mead(x0, budget):
     nfev = min(n + 1, budget)
     for k in range(nfev):
         fsim[k] = float((yield np.array(sim[k])))
+    # scipy sorts the first simplex twice; where argsort does not keep
+    # the order of ties (at numpy's baseline SIMD level), the second sort
+    # moves them again
+    sim, fsim = _by_value(sim, fsim)
     while True:
-        order = np.array(fsim).argsort().tolist()
-        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        sim, fsim = _by_value(sim, fsim)
         if nfev >= budget or (
                 all(abs(a - b) <= 1e-9 for v in sim[1:]
                     for a, b in zip(v, sim[0]))

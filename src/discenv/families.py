@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discs import roots_of_unity
+from .discs import root_powers, roots_of_unity
 from .domains import shell_centre, shell_disc
 from .errors import ConfigurationError, PreconditionError
 
@@ -105,8 +105,9 @@ class VerticalFamily(DiscFamily):
         if m // 2 <= self.k:
             raise ConfigurationError("sample grid too small for winding")
         s = np.exp(P[:, 0])
-        samples = np.tile(self.centre, (len(P), m, 1))
-        samples[:, :, -1] = s[:, None] * roots_of_unity(m) ** self.k
+        samples = np.empty((len(P), m, self.centre.size), dtype=complex)
+        samples[:, :, :-1] = self.centre[:-1]
+        np.multiply(s[:, None], root_powers(m, self.k), out=samples[:, :, -1])
         return samples, np.zeros(len(P))
 
     def initial(self, rng, start_index=0):

@@ -17,7 +17,7 @@ from .discs import (
     AnalyticDisc,
     _analytic_log_coeffs,
     circle_eval,
-    roots_of_unity,
+    root_powers,
     winding_number,
 )
 from .domains import DomainSpec
@@ -37,9 +37,12 @@ class HartogsPair:
     """Base domain plus radius profiles r < R, with derived W and X specs.
 
     ``r_fn`` and ``R_fn`` are vectorised callables on base points of
-    shape (..., n-1).  Pseudoconvexity of W (log r plurisubharmonic,
-    log R plurisuperharmonic) is the caller's responsibility; it can be
-    spot-checked with ``oracles.submean_check`` but is never enforced.
+    shape (..., n-1).  Either may return a scalar for a constant radius:
+    the margins broadcast it with the bits of a full array of it, and
+    build no such array per call.  Pseudoconvexity of W (log r
+    plurisubharmonic, log R plurisuperharmonic) is the caller's
+    responsibility; it can be spot-checked with ``oracles.submean_check``
+    but is never enforced.
     """
 
     def __init__(self, base, r_fn, R_fn):
@@ -83,9 +86,9 @@ def vertical_disc(pair, zp, s=0.5, k=1, m=256):
             f"scale {float(s)} outside radial range ({r}, {R})")
     if k < 1:
         raise ConfigurationError("winding must be >= 1 for a vertical disc")
-    zeta = roots_of_unity(m)
-    samples = np.tile(zp, (m, 1))
-    samples = np.concatenate([samples, (s * zeta ** k)[:, None]], axis=1)
+    samples = np.empty((m, pair.n), dtype=complex)
+    samples[:, :-1] = zp
+    samples[:, -1] = s * root_powers(m, k)
     return AnalyticDisc(samples)
 
 

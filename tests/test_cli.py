@@ -35,6 +35,10 @@ ANNULUS_CONFIG = {
 
 #: a point of C^2 inside X of both the Hartogs and the counterexample pair
 C2_POINT = [[[0.5, 0.0], [0.0, 0.0]]]
+#: a point in W of the default Hartogs pair (r = 1/4, R = 1)
+W_POINT = [[0.1, 0.0], [0.5, 0.0]]
+KISELMAN_OBSTACLE = {"expr": "re(z1) + abs(z2) * abs(z2)",
+                     "rotation_invariant": True}
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -134,6 +138,30 @@ def test_oracle_value_that_is_not_a_number_fails(tmp_path):
     assert report["pass"] is False
     assert [row["oracle"] for row in read_rows(out)] \
         == ["nan", repr(float(np.log(1.5)))]
+
+
+def test_compare_without_tolerances_fails_an_oracle_value_not_a_number(
+        tmp_path):
+    # no tolerances block: the non-finite oracle value alone fails the run
+    cfg = dict(ANNULUS_CONFIG, points=[[[-0.5, 0.0]], [[1.5, 0.0]]],
+               oracle={"kind": "closed_form", "expr": "log(re(z1))"})
+    del cfg["tolerances"]
+    out = tmp_path / "run"
+    assert run(["compare", "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is False
+    assert [row["oracle"] for row in read_rows(out)] \
+        == ["nan", repr(float(np.log(1.5)))]
+
+
+def test_report_metadata_names_numpys_simd_dispatch(tmp_path):
+    out = tmp_path / "run"
+    assert run(["oracle", "--config", write_config(tmp_path, ANNULUS_CONFIG),
+                "--out", out, "--quiet"]) == 0
+    simd = json.loads((out / "report.json").read_text())["metadata"][
+        "numpy_simd"]
+    assert simd == cli._simd() and all(isinstance(f, str) for f in simd)
 
 
 def test_validation_failure_exits_two_without_outputs(tmp_path):
@@ -319,6 +347,11 @@ def _compare_error(tmp_path, capsys, overrides):
                  "bounds": [-2, 1.00000000002, -2, 2]}},
      "config.points[0]: outside the grid oracle's bounds "
      "[-2, 1.00000000002, -2, 2]"),
+    # a point in W, where the fibre infimum is not the envelope
+    ({"pair": {"variant": "hartogs"}, "points": [*C2_POINT, W_POINT],
+      "obstacle": KISELMAN_OBSTACLE, "oracle": {"kind": "kiselman"}},
+     "config.points[1]: kiselman oracle needs |z2| <= r, as in W its value "
+     "is not the envelope; got r = 0.25 < |z2| = 0.5 < R = 1.0"),
 ])
 def test_single_fault_names_its_key_in_one_line(tmp_path, capsys, overrides,
                                                 message):
@@ -623,6 +656,59 @@ def test_oracle_subcommand_kiselman(tmp_path):
     assert abs(float(rows[0]["oracle"]) - (0.3 + 1.0 / 16)) <= 1e-4
 
 
+#: item 20's generalised Hartogs pair: radii that vary with z1
+VARIABLE_RADII_CONFIG = {
+    "experiment": "hartogs-variable-radii",
+    "pair": {"variant": "hartogs", "n": 2, "base_radius": 0.9,
+             "r": "0.25 + 0.25 * abs(z1) * abs(z1)",
+             "R": "1 - 0.5 * abs(z1) * abs(z1)"},
+    "obstacle": KISELMAN_OBSTACLE,
+    "points": [[[0.0, 0.0], [0.0, 0.0]], [[0.4, 0.0], [0.0, 0.0]],
+               [[-0.3, 0.5], [0.0, 0.0]], [[0.1, -0.7], [0.0, 0.0]]],
+    "families": [{"kind": "constant"},
+                 {"kind": "vertical", "winding": 1, "s_range": [0.25, 1.0]},
+                 {"kind": "vertical", "winding": 2, "s_range": [0.25, 1.0]},
+                 {"kind": "blaschke", "zeros": 1, "s_range": [0.25, 1.0]}],
+    "quadrature_m": 256, "starts": 4, "budget": 300, "seed": 1,
+    "oracle": {"kind": "kiselman"},
+    "tolerances": {"gap": 1e-5},
+}
+
+
+def test_kiselman_oracle_with_variable_radii(tmp_path):
+    """Over the hole the envelope is re z1 + r(z1)^2, the fibre infimum;
+    R is an expression, so X is checked by the probes."""
+    out = tmp_path / "run"
+    assert run(["compare", "--config",
+                write_config(tmp_path, VARIABLE_RADII_CONFIG), "--out", out,
+                "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    for row, point in zip(report["rows"], VARIABLE_RADII_CONFIG["points"]):
+        (x, y), _ = point
+        psi = x + (0.25 + 0.25 * (x * x + y * y)) ** 2
+        assert abs(row["oracle"] - psi) <= 1e-8
+        assert row["feasible"] and row["certificate"] == "probes"
+
+
+@pytest.mark.parametrize("command", ["compare", "oracle"])
+def test_kiselman_point_in_w_of_an_expression_r_exits_two(
+        tmp_path, capsys, monkeypatch, command):
+    """An expression r is read at the point, before any search."""
+    searches = []
+    monkeypatch.setattr(cli, "minimize_envelope", searches.append)
+    cfg = dict(VARIABLE_RADII_CONFIG,
+               points=[VARIABLE_RADII_CONFIG["points"][0], W_POINT],
+               families=[{"kind": "constant"}, {"kind": "blaschke"}])
+    out = tmp_path / "run"
+    assert run([command, "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: config.points[1]: kiselman oracle needs |z2| <= r, as in W "
+        "its value is not the envelope; got r = 0.2525 < |z2| = 0.5 < "
+        "R = 0.995\n")
+    assert searches == [] and not out.exists()
+
+
 @pytest.mark.parametrize("homotopy, message", [
     ({"z_prime": [[1.5, 0.0]]}, "base point outside Y"),
     ({"z_prime": [[0.1, 0.0]], "s": 2},
@@ -908,14 +994,14 @@ def test_oracle_point_outside_x_exits_two(tmp_path, capsys, monkeypatch,
 def test_non_finite_obstacle_exits_three(tmp_path, capsys):
     # log|z1| is -inf along the constant disc at z1 = 0: no disc has a
     # finite boundary average, which is an infeasible envelope, not a
-    # configuration error
+    # configuration error (no oracle: the Kiselman oracle refuses a point
+    # in W)
     cfg = {
         "experiment": "hartogs-log",
         "pair": {"variant": "hartogs"},
         "obstacle": {"builtin": "log_abs", "rotation_invariant": True},
         "points": [[[0.0, 0.0], [0.5, 0.0]]],
         "families": [{"kind": "constant"}],
-        "oracle": {"kind": "kiselman"},
     }
     cfg_path = write_config(tmp_path, cfg)
     out = tmp_path / "run"

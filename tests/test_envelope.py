@@ -698,6 +698,19 @@ def signed_zero(x):
     return 0.0 if np.signbit(x[0]) else 1.0
 
 
+#: 17 vertices; on the plateau numpy's argsort breaks ties in another
+#: order than a stable sort would, and at numpy's baseline SIMD level it
+#: moves the ties of the flat case too
+WIDE_CASES = [
+    (bowl, np.random.default_rng(16).standard_normal(16), 400),
+    (flat, np.arange(1.0, 17.0), 400),
+    (plateau, np.random.default_rng(0).standard_normal(16), 400),
+]
+
+#: numpy's x86 dispatch targets above its baseline
+ABOVE_BASELINE = ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]
+
+
 def evaluated_points(search, fun, x0):
     points = []
 
@@ -724,11 +737,7 @@ def evaluated_points(search, fun, x0):
     (bowl, np.zeros(3), 400),
     # a centroid of -0.0 alone is summed from 0.0, as numpy sums it
     (signed_zero, np.array([-0.0]), 50),
-    # 17 vertices; on the plateau numpy's argsort breaks ties in another
-    # order than a stable sort would
-    (bowl, np.random.default_rng(16).standard_normal(16), 400),
-    (flat, np.arange(1.0, 17.0), 400),
-    (plateau, np.random.default_rng(0).standard_normal(16), 400),
+    *WIDE_CASES,
 ])
 def test_minimize_evaluates_the_points_scipy_does(fun, x0, budget):
     optimize = pytest.importorskip("scipy.optimize")
@@ -741,6 +750,35 @@ def test_minimize_evaluates_the_points_scipy_does(fun, x0, budget):
                                    fun, x0)
     assert points == ref_points
     assert got.nfev == ref.nfev == len(points)
+
+
+def test_scipy_parity_holds_at_numpys_baseline_simd_level():
+    """The flat and plateau WIDE_CASES with numpy's dispatch above the
+    x86 baseline turned off, where argsort moves ties that it keeps at
+    the AVX2 and AVX-512 levels: with the second sort of the first
+    simplex, as in scipy, the points evaluated stay scipy's."""
+    pytest.importorskip("scipy.optimize")
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    if not set(ABOVE_BASELINE) <= set(__cpu_dispatch__):
+        pytest.skip(f"numpy dispatches to {list(__cpu_dispatch__)}")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(discenv.__file__))
+    code = ("import test_envelope as t\n"
+            "for fun, x0, budget in t.WIDE_CASES:\n"
+            "    if fun in (t.flat, t.plateau):\n"
+            "        t.test_minimize_evaluates_the_points_scipy_does(\n"
+            "            fun, x0, budget)\n"
+            "from discenv.cli import _simd\n"
+            "print(_simd())")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]),
+               NPY_DISABLE_CPU_FEATURES=" ".join(ABOVE_BASELINE))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"  # the baseline level ran
 
 
 @pytest.mark.parametrize("runs", [

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from discenv import hartogs
+from discenv import config, hartogs
 from discenv.discs import AnalyticDisc, _analytic_log_coeffs, \
     outer_interior, roots_of_unity, taylor_eval
 from discenv.domains import Obstacle, ball
@@ -17,6 +17,7 @@ from discenv.errors import (
     NonHolomorphicError,
     PreconditionError,
 )
+from discenv.families import VerticalFamily
 from discenv.functionals import poisson_functional
 from discenv.hartogs import (
     HartogsPair,
@@ -104,6 +105,49 @@ def test_vertical_disc_preconditions():
         vertical_disc(pair, [1.5], 0.5)
     with pytest.raises(ConfigurationError):
         vertical_disc(pair, [0.0], 0.5, k=0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_vertical_family_builds_the_tiled_discs_and_vertical_disc(k):
+    """build_many writes the discs that np.tile of the centre, with the
+    last column overwritten, gave, and vertical_disc's samples, bit for
+    bit."""
+    m, centre = 256, np.array([0.3 - 0.2j, 0.1j, 0.0])
+    family = VerticalFamily(centre, winding=k)
+    P = np.log([[0.3], [0.55], [0.9]])
+    built, excess = family.build_many(P, m)
+    s = np.exp(P[:, 0])
+    tiled = np.tile(centre, (len(P), m, 1))
+    tiled[:, :, -1] = s[:, None] * roots_of_unity(m) ** k
+    assert built.tobytes() == tiled.tobytes()
+    assert not np.any(excess)
+    pair = HartogsPair(ball(1.0, 2), lambda zp: 0.25, lambda zp: 1.0)
+    for row, scale in zip(built, s):
+        disc = vertical_disc(pair, centre[:-1], scale, k=k, m=m)
+        assert disc.samples.tobytes() == row.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(r=st.floats(-0.5, 1.0), width=st.floats(1e-9, 2.0),
+       base_radius=st.floats(0.1, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_scalar_radii_give_the_margins_of_full_arrays(r, width, base_radius,
+                                                     seed):
+    """The config pair's number radii, callables that return a float,
+    give the W and X margins of radii spread by np.full, bit for bit."""
+    R = r + width
+    W, X, _, pair = config._hartogs_pair(base_radius=base_radius, r=r, R=R)
+    full = HartogsPair(ball(base_radius, 1),
+                       lambda zp: np.full(zp.shape[:-1], r),
+                       lambda zp: np.full(zp.shape[:-1], R))
+    rng = np.random.default_rng(seed)
+    points = (rng.uniform(-2, 2, (3, 64, 2))
+              + 1j * rng.uniform(-2, 2, (3, 64, 2)))
+    points[0, :8, 1] = r  # on the radii, where a margin is 0
+    points[0, 8:16, 1] = R
+    for domain, other in ((W, full.W), (X, full.X)):
+        assert domain.margin(points).tobytes() == \
+            other.margin(points).tobytes()
+    assert pair.radii(points[0, 0, :1]) == full.radii(points[0, 0, :1])
 
 
 # ---------------------------------------------------------------------------
