@@ -119,11 +119,7 @@ def _oracle_values(cfg, points, w, x_spec, phi, hartogs, outdir):
         fn = obstacle_from_expression(oracle["expr"], x_spec.n,
                                       path="config.oracle.expr")
         return [float(fn(p[None, :])[0]) for p in points]
-    if oracle["kind"] == "kiselman":
-        # at load with number radii; an expression radius needs the point
-        for i, p in enumerate(points):
-            cfgmod.kiselman_point(i, (p[-1].real, p[-1].imag),
-                                  *hartogs.radii(p[:-1]), x_spec.n)
+    if oracle["kind"] == "kiselman":  # points in W are refused at load
         return [float(kiselman_psi(hartogs, phi, p[:-1])) for p in points]
     field = grid_obstacle_solver((w, x_spec), phi, **cfgmod.given(
         oracle, cfgmod.ORACLE_KINDS["grid"][1]))

@@ -177,17 +177,6 @@ def _default(block, key, builder, name=None):
         else inspect.signature(builder).parameters[name or key].default
 
 
-def kiselman_point(i, zn, r, R, n):
-    """Refuse point i of a Kiselman oracle run if its last coordinate,
-    [re, im] ``zn``, lies between the radii r < |zn| < R of its fibre: in
-    W the fibre infimum is not the envelope.  A point past R lies outside
-    X, which the runners name."""
-    size = math.hypot(*zn)  # inf, not OverflowError, past the float range
-    _require(not r < size < R, f"config.points[{i}]",
-             f"kiselman oracle needs |z{n}| <= r, as in W its value is not "
-             f"the envelope; got r = {r} < |z{n}| = {size} < R = {R}")
-
-
 def _spanning(cfg):
     """Check the rules that span keys, or need a key, in one fixed order;
     a key left out counts at the default of the builder it goes to."""
@@ -219,12 +208,22 @@ def _spanning(cfg):
     _require(kind != "kiselman" or obst is None
              or obst.get("rotation_invariant"), "config.oracle",
              "kiselman oracle needs an obstacle with rotation_invariant true")
-    if kind == "kiselman" and _is_number(r) and _is_number(R):
-        # an expression radius is read at each point at run time
-        n = _default(pair, "n", _hartogs_pair)
+    if kind == "kiselman":
+        # in W (r < |z_n| < R) the fibre infimum is not the envelope; a
+        # point past R, or where a radius is not finite, is left to the
+        # runners' check against X
+        hartogs = build_pair(cfg)[3]
+        n = hartogs.n
         for i, point in enumerate(cfg["points"]):
-            if len(point) == n:  # parse_point names the wrong length
-                kiselman_point(i, point[-1], r, R, n)
+            if len(point) != n:  # parse_point names a wrong length
+                continue
+            with np.errstate(all="ignore"):
+                r, R = hartogs.radii([complex(*c) for c in point[:-1]])
+            size = math.hypot(*point[-1])  # inf, not OverflowError
+            _require(not r < size < R, f"config.points[{i}]",
+                     f"kiselman oracle needs |z{n}| <= r, as in W its value "
+                     f"is not the envelope; got r = {r} < |z{n}| = {size} "
+                     f"< R = {R}")
     _require(kind != "grid" or pair["variant"] == "planar_annulus",
              "config.oracle", "grid oracle needs a planar pair (one complex "
              "dimension)")

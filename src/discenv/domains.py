@@ -58,7 +58,8 @@ class Obstacle:
 def ball(r, n):
     """The Euclidean ball of radius r in C^n."""
     def margin(p):
-        return r - np.linalg.norm(p, axis=-1)
+        # np.linalg.norm(p, axis=-1) of complex p, without its dispatch
+        return r - np.sqrt(np.add.reduce((p.conj() * p).real, axis=-1))
     return DomainSpec(f"ball(r={r}, n={n})", n, margin, max_principle=True)
 
 

@@ -221,15 +221,20 @@ def _violation(bm, im):
     node and every interior probe lies strictly inside its domain.  A NaN
     margin gives a NaN violation; no probes leave the nodes to decide.
     """
-    lo_b, lo_i = np.min(bm, axis=-1), np.min(im, axis=-1, initial=np.inf)
-    violation = np.maximum(0.0, -np.minimum(lo_b, lo_i))
-    return violation, (lo_b > 0) & (lo_i > 0)
+    lo_b = np.minimum.reduce(bm, axis=-1)
+    if not im.shape[-1]:  # the empty minimum, +inf: the nodes decide
+        return np.maximum(0.0, -lo_b), lo_b > 0
+    lo_i = np.minimum.reduce(im, axis=-1)
+    return np.maximum(0.0, -np.minimum(lo_b, lo_i)), (lo_b > 0) & (lo_i > 0)
 
 
 def _hinge(margins):
     """Squared hinge penalty on margins that fall below FEAS_MARGIN, one
     per disc."""
-    return np.sum(np.maximum(0.0, FEAS_MARGIN - margins) ** 2, axis=-1)
+    if not margins.shape[-1]:  # the empty sum, 0.0
+        return np.zeros(margins.shape[:-1])
+    return np.add.reduce(np.maximum(0.0, FEAS_MARGIN - margins) ** 2,
+                         axis=-1)
 
 
 def _no_disc(req):
@@ -253,19 +258,26 @@ def _evaluate(req, groups, boundary, objective):
     row whose objective is not finite gets BARRIER, and both get the
     value NaN: they record no disc.
     """
+    # over a generator, so each family's part is freed at the concatenate:
+    # parts kept in a list past it put a Hartogs round's page faults up
+    # twelvefold (glibc's heap trimming)
     samples, excess = map(np.concatenate, zip(*(
         family.build_many(P, req.grid.M) for family, P in groups)))
     built = excess == 0
+    every = built.all()
+    rows = samples if every else samples[built]
+    if len(rows):
+        o, v, vio, st = objective(rows, *_margins(boundary, req.pair[1], rows))
+        finite = np.isfinite(o)
+        if every and finite.all():  # nothing to bar: the objective's arrays
+            return o, v, vio, st, samples
     with np.errstate(over="ignore"):  # a huge excess: an infinite barrier
         obj = BARRIER * (1.0 + excess)
     value = np.full(len(excess), np.nan)
     violation = np.full(len(excess), np.inf)
     strict = np.zeros(len(excess), dtype=bool)
-    if built.any():
-        rows = samples if built.all() else samples[built]
-        o, v, violation[built], strict[built] = objective(
-            rows, *_margins(boundary, req.pair[1], rows))
-        finite = np.isfinite(o)
+    if len(rows):
+        violation[built], strict[built] = vio, st
         obj[built] = np.where(finite, o, BARRIER)
         value[built] = np.where(finite, v, np.nan)
     return obj, value, violation, strict, samples

@@ -167,13 +167,14 @@ class BlaschkeFamily(DiscFamily):
     def build_many(self, P, m):
         s, theta, zeros, excess = self._zeros(P)
         zeta = roots_of_unity(m)
-        fn = np.repeat((s * np.exp(1j * theta))[:, None], m, axis=1)
+        samples = np.empty((len(P), m, self.centre.size), dtype=complex)
+        samples[:, :, :-1] = self.centre[:-1]
+        fn = samples[:, :, -1]
+        fn[...] = (s * np.exp(1j * theta))[:, None]
         # rows past ZERO_CAP are built too, and may divide by zero
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for a in zeros.T[:, :, None]:
                 fn *= (zeta - a) / (1.0 - np.conj(a) * zeta)
-        samples = np.tile(self.centre, (len(P), m, 1))
-        samples[:, :, -1] = fn
         return samples, excess
 
     def initial(self, rng, start_index=0):

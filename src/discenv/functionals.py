@@ -54,7 +54,7 @@ def partial_stats(samples, phi, w):
     values = phi(samples[inside])
     ends = np.cumsum(counts).tolist()
     # each disc's sum runs over its own values alone, as for one disc
-    integral = np.array([np.sum(values[e - c:e])
+    integral = np.array([np.add.reduce(values[e - c:e])
                          for c, e in zip(counts.tolist(), ends)]) / m
     return counts / m, integral
 

@@ -690,10 +690,11 @@ def test_kiselman_oracle_with_variable_radii(tmp_path):
         assert row["feasible"] and row["certificate"] == "probes"
 
 
-@pytest.mark.parametrize("command", ["compare", "oracle"])
+@pytest.mark.parametrize("command", ["compare", "oracle", "envelope"])
 def test_kiselman_point_in_w_of_an_expression_r_exits_two(
         tmp_path, capsys, monkeypatch, command):
-    """An expression r is read at the point, before any search."""
+    """An expression r is read at the point when the document is loaded,
+    so every runner refuses it before any search."""
     searches = []
     monkeypatch.setattr(cli, "minimize_envelope", searches.append)
     cfg = dict(VARIABLE_RADII_CONFIG,

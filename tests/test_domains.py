@@ -36,6 +36,23 @@ def test_ball_margin_at_origin():
     assert abs(b.margin(np.zeros((1, 2), dtype=complex))[0] - 4.0) <= 1e-14
 
 
+COORD = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(r=st.floats(-1e300, 1e300), n=st.integers(1, 3),
+       coords=st.lists(st.tuples(COORD, COORD), min_size=12, max_size=12),
+       rows=st.integers(0, 4))
+def test_ball_margin_is_r_minus_the_norm_bit_for_bit(r, n, coords, rows):
+    """The ball's margin has the bits of r - np.linalg.norm(p, axis=-1)."""
+    p = np.array([complex(a, b) for a, b in coords[:rows * n]]
+                 ).reshape(rows, n)
+    with np.errstate(all="ignore"):  # huge coordinates overflow alike
+        got = ball(r, n).margin(p)
+        ref = r - np.linalg.norm(p, axis=-1)
+    assert got.tobytes() == ref.tobytes()
+
+
 def test_shell_margin_between_spheres():
     w, x = shell_pair(2)
     p = np.array([[3.0 + 0.0j, 0.0 + 0.0j]])

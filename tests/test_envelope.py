@@ -561,6 +561,105 @@ def test_batched_rows_equal_single_row_calls(rows, rows_1, constants,
     assert i == len(batch[0])
 
 
+def old_blaschke_build(family, P, m):
+    """The Blaschke batch as np.repeat, np.tile and an overwrite of the
+    last column built it, the construction build_many must keep bit for
+    bit."""
+    s, theta, zeros, excess = family._zeros(P)
+    zeta = roots_of_unity(m)
+    fn = np.repeat((s * np.exp(1j * theta))[:, None], m, axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for a in zeros.T[:, :, None]:
+            fn *= (zeta - a) / (1.0 - np.conj(a) * zeta)
+    samples = np.tile(family.centre, (len(P), m, 1))
+    samples[:, :, -1] = fn
+    return samples, excess
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n_zeros", [1, 2, 3])
+@pytest.mark.parametrize("target", [0.0, 0.3 - 0.4j])
+def test_blaschke_batch_is_the_repeat_and_tile_construction(n, n_zeros,
+                                                            target):
+    """Every row, those past ZERO_CAP included, has the bits of the
+    repeat/tile construction."""
+    family = BlaschkeFamily([0.2 + 0.1j] * (n - 1) + [target],
+                            n_zeros=n_zeros)
+    rng = np.random.default_rng([n, n_zeros])
+    P = np.column_stack([rng.uniform(-1.0, 1.0, 40),
+                         rng.uniform(0.0, 2 * np.pi, 40),
+                         rng.uniform(-1.2, 1.2, (40, 2 * n_zeros - 2))])
+    for m in (8, 64):
+        samples, excess = family.build_many(P, m)
+        ref_samples, ref_excess = old_blaschke_build(family, P, m)
+        assert samples.shape == ref_samples.shape == (40, m, n)
+        assert samples.tobytes() == ref_samples.tobytes()
+        assert excess.tobytes() == ref_excess.tobytes()
+
+
+EVALUATE_FAMILIES = [ConstantFamily([0.5]),
+                     BlaschkeFamily([0.5], n_zeros=1, s_range=(1.0, 2.0)),
+                     BlaschkeFamily([0.5], n_zeros=2, s_range=(1.0, 2.0))]
+# rows of the 1-zero family: scale 1.2 is finite, 1.7 puts the circle
+# where CAPPED_LOG is infinite; rows of the 2-zero family: a free zero at
+# 0.7 is built, one at 1.5 lies past ZERO_CAP
+FINITE_1, INFINITE_1 = [np.log(1.2), 0.4], [np.log(1.7), 0.4]
+BUILT_2, UNBUILT_2 = [np.log(1.2), 0.4, 0.7, 0.1], [np.log(1.2), 0.4, 1.5, 0.]
+
+
+@pytest.mark.parametrize("partial", [False, True])
+@pytest.mark.parametrize("rows, kinds", [
+    # every row built and finite: the objective's own arrays
+    ([[], [FINITE_1, [np.log(1.3), 2.0]], [BUILT_2]], "fff"),
+    # every row built, one not finite: the barrier without an excess
+    ([[], [FINITE_1, INFINITE_1], [BUILT_2]], "fif"),
+    ([[[]], [INFINITE_1, FINITE_1], [UNBUILT_2, BUILT_2, UNBUILT_2]],
+     "fifxfx"),
+])
+def test_evaluate_rows_are_one_row_batches_bit_for_bit(partial, rows, kinds):
+    """Each row of a batch that mixes built rows, rows with an excess
+    ("x") and rows whose obstacle is not finite ("i") gets the bits that
+    a batch of that row alone gets."""
+    req = EnvelopeRequest(pair=BATCH_PAIR, phi=CAPPED_LOG, x=[0.5],
+                          families=EVALUATE_FAMILIES,
+                          grid=QuadratureGrid(64))
+    if partial:
+        args = (req.pair[1], _partial_objective(req, 0.3))
+    else:
+        args = (req.pair[0], _envelope_objective(req))
+    groups = [(family,
+               np.array(P, dtype=float).reshape(len(P), family.n_params))
+              for family, P in zip(EVALUATE_FAMILIES, rows) if P]
+    batch = _evaluate(req, groups, *args)
+    i = 0
+    for family, P in groups:
+        for row in P:
+            alone = _evaluate(req, [(family, row[None])], *args)
+            for got, ref in zip(batch, alone):
+                assert got[i:i + 1].tobytes() == ref.tobytes()
+            obj, value = batch[0][i], batch[1][i]
+            if kinds[i] == "x":
+                assert obj > BARRIER and np.isnan(value)
+            elif kinds[i] == "i":
+                assert obj == BARRIER and np.isnan(value)
+            else:
+                assert np.isfinite(value)
+            i += 1
+    assert i == len(kinds) == len(batch[0])
+
+
+def test_empty_probes_add_no_penalty_and_leave_the_nodes_to_decide():
+    """On a max-principle X the probe block is (B, 0): its hinge is the
+    empty sum 0.0 and its minimum the empty minimum +inf."""
+    bm = np.array([[0.5, 1.0], [-0.25, 2.0], [np.nan, 1.0]])
+    none = np.empty((3, 0))
+    assert _hinge(none).tobytes() == np.sum(none, axis=-1).tobytes()
+    violation, strict = _violation(bm, none)
+    ref_violation, ref_strict = _violation(bm, np.full((3, 1), np.inf))
+    assert violation.tobytes() == ref_violation.tobytes()
+    assert strict.tolist() == ref_strict.tolist() == [True, False, False]
+
+
 STANDARD_HARTOGS = HartogsPair(ball(1.0, 1),
                               lambda zp: np.full(zp.shape[:-1], 0.25),
                               lambda zp: np.full(zp.shape[:-1], 1.0))
