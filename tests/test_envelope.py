@@ -613,6 +613,7 @@ BUILT_2, UNBUILT_2 = [np.log(1.2), 0.4, 0.7, 0.1], [np.log(1.2), 0.4, 1.5, 0.]
     ([[], [FINITE_1, [np.log(1.3), 2.0]], [BUILT_2]], "fff"),
     # every row built, one not finite: the barrier without an excess
     ([[], [FINITE_1, INFINITE_1], [BUILT_2]], "fif"),
+    # every kind of row in one batch
     ([[[]], [INFINITE_1, FINITE_1], [UNBUILT_2, BUILT_2, UNBUILT_2]],
      "fifxfx"),
 ])
