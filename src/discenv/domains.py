@@ -124,9 +124,10 @@ def _curve_points(delta, t):
 CURVE_SAMPLES = 4096
 _BLOCK = 64       # consecutive samples per pruning block; divides CURVE_SAMPLES
 # points per pass: a pass holds a few complex (_CHUNK, 64) arrays of block
-# distances; 128 points (one M = 128 disc) keep that near 0.5 MB when the
-# envelope search hands over batches of discs
-_CHUNK = 128
+# distances, 64 KiB each at 64 points, below glibc's default mmap
+# threshold (128 KiB); at 128 points glibc mapped and unmapped them on
+# every pass, a page fault per page touched
+_CHUNK = 64
 
 
 def _curve_table(delta):

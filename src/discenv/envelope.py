@@ -71,7 +71,8 @@ def nelder_mead(x0, budget):
     """Adaptive Nelder-Mead (Gao & Han, Comput. Optim. Appl. 51, 2012) as
     an ask/tell generator.
 
-    Yields each point to evaluate as a new array and takes its value by
+    Yields each point to evaluate as a new list of floats, which the
+    simplex keeps as it is (do not change it), and takes its value by
     ``send``; returns the MinimizeResult when it stops.  The points are
     those that scipy.optimize.minimize(fun, x0, method="Nelder-Mead",
     options={"maxfev": budget, "xatol": 1e-9, "fatol": 1e-12,
@@ -90,7 +91,7 @@ def nelder_mead(x0, budget):
     fsim = [math.inf] * (n + 1)
     nfev = min(n + 1, budget)
     for k in range(nfev):
-        fsim[k] = float((yield np.array(sim[k])))
+        fsim[k] = float((yield sim[k]))
     # scipy sorts the first simplex twice; where argsort does not keep
     # the order of ties (at numpy's baseline SIMD level), the second sort
     # moves them again
@@ -105,12 +106,12 @@ def nelder_mead(x0, budget):
         xbar = [reduce(add, column, 0.0) / n for column in zip(*sim[:-1])]
         xr = _along(xbar, sim[-1], 1)
         nfev += 1
-        fxr = float((yield np.array(xr)))
+        fxr = float((yield xr))
         if fxr < fsim[0]:
             if nfev < budget:
                 xe = _along(xbar, sim[-1], chi)
                 nfev += 1
-                fxe = float((yield np.array(xe)))
+                fxe = float((yield xe))
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
@@ -118,7 +119,7 @@ def nelder_mead(x0, budget):
             outside = fxr < fsim[-1]  # else an inside contraction
             xc = _along(xbar, sim[-1], psi if outside else -psi)
             nfev += 1
-            fxc = float((yield np.array(xc)))
+            fxc = float((yield xc))
             if fxc <= fxr if outside else fxc < fsim[-1]:
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink; a vertex whose evaluation the budget refuses
@@ -129,7 +130,7 @@ def nelder_mead(x0, budget):
                     if nfev >= budget:
                         break
                     nfev += 1
-                    fsim[j] = float((yield np.array(sim[j])))
+                    fsim[j] = float((yield sim[j]))
     return MinimizeResult(np.array(sim[0]), fsim[0], nfev)
 
 
@@ -140,7 +141,7 @@ def minimize(fun, x0, budget):
     try:
         x = next(search)
         while True:
-            x = search.send(fun(x))
+            x = search.send(fun(np.array(x)))
     except StopIteration as stop:
         return stop.value
 
@@ -345,9 +346,10 @@ def _search(req, boundary, objective):
             # sooner makes the same calls but runs slower (heap placement)
             obj, value, violation, strict, samples = _evaluate(
                 req, groups, boundary, objective)
-            live += [start for start, *row in zip(
+            live += [start for start, smp, o, v, vio, st in zip(
                 batch, samples, obj.tolist(), value.tolist(),
-                violation.tolist(), strict.tolist()) if start.tell(*row)]
+                violation.tolist(), strict.tolist())
+                if start.tell(smp, o, v, vio, st)]
     recorded = [start for start in starts if start.record is not None]
     if not recorded:
         raise _no_disc(req)
@@ -377,7 +379,7 @@ def minimize_envelope(req):
     best = _search(req, req.pair[0], _envelope_objective(req))
     (blocked, violation, value), params, samples = best.record
     return EnvelopeResult(
-        value=value, best_params=params, family=best.family.name,
+        value=value, best_params=np.array(params), family=best.family.name,
         start_index=best.index, max_violation=violation, feasible=not blocked,
         trace=best.trace, disc=AnalyticDisc(samples),
         certificate="max_principle" if req.pair[1].max_principle

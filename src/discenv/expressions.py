@@ -8,6 +8,7 @@ Anything else is rejected; this is deliberately not a scripting hook.
 from __future__ import annotations
 
 import ast
+import operator
 
 import numpy as np
 
@@ -22,10 +23,12 @@ _FUNCS = {
     "max": np.maximum,
 }
 
-#: Deepest syntax tree accepted.  Evaluation recurses once per level, so
-#: a tree near the interpreter's recursion limit that compiles could
-#: still fail when evaluated from deep inside a search.
+#: Deepest syntax tree accepted.  Compiling recurses once per level, and
+#: evaluation runs the flat tape in a loop, so depth costs no stack there.
 _MAX_DEPTH = 100
+
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul}
 
 
 def _depth(tree):
@@ -37,9 +40,42 @@ def _depth(tree):
     return depth
 
 
-def _compile_node(node, n):
+class _Tape:
+    """One step per distinct subexpression, operands first, each filling
+    its own slot.  Slot 0 holds the points, a constant's slot its value."""
+
+    def __init__(self):
+        self.values, self.steps, self.slots = [None], [], {}
+
+    def slot(self, key, step=None, value=None):
+        """The slot of the subexpression ``key``: a new slot holds
+        ``value``, or is filled by ``step``, (fn, a, b) over slots (b is
+        None for one operand)."""
+        if key not in self.slots:
+            self.slots[key] = len(self.values)
+            self.values.append(value)
+            if step:
+                self.steps.append((*step, self.slots[key]))
+        return self.slots[key]
+
+    def program(self):
+        """The steps, each with the slots it frees: the intermediates it
+        uses last, so each lives as long as under nested calls."""
+        last = {}  # intermediate slot -> the step that uses it last
+        for k, (_, a, b, _) in enumerate(self.steps):
+            for slot in (a, b):
+                if slot and self.values[slot] is None:
+                    last[slot] = k
+        return [(fn, a, b, out,
+                 tuple(s for s in dict.fromkeys((a, b)) if last.get(s) == k))
+                for k, (fn, a, b, out) in enumerate(self.steps)]
+
+
+def _compile_node(node, n, tape):
+    """The slot of node's value, with a step on the tape for each of its
+    subexpressions the tape does not hold yet, operands first."""
     if isinstance(node, ast.Expression):
-        return _compile_node(node.body, n)
+        return _compile_node(node.body, n, tape)
     if isinstance(node, ast.Constant):
         if type(node.value) not in (int, float):  # bool is an int subclass
             raise ConfigurationError(f"unsupported constant {node.value!r}")
@@ -47,7 +83,7 @@ def _compile_node(node, n):
             v = float(node.value)
         except OverflowError as exc:
             raise ConfigurationError(f"constant too large: {exc}") from exc
-        return lambda pts: v
+        return tape.slot(("const", v), value=v)
     if isinstance(node, ast.Name):
         name = node.id
         if not (name.startswith("z") and name[1:].isdigit()):
@@ -61,58 +97,66 @@ def _compile_node(node, n):
         if not 0 <= idx < n:
             raise ConfigurationError(
                 f"coordinate {name} out of range for C^{n}")
-        return lambda pts: pts[..., idx]
+        getter = operator.itemgetter((..., idx))
+        return tape.slot(("z", idx), (getter, 0, None))
     if isinstance(node, ast.UnaryOp):
-        inner = _compile_node(node.operand, n)
+        inner = _compile_node(node.operand, n, tape)
         if isinstance(node.op, ast.USub):
-            return lambda pts: -inner(pts)
+            step = (operator.neg, inner, None)
+            return tape.slot(step, step)
         if isinstance(node.op, ast.UAdd):
             return inner
         raise ConfigurationError("unsupported unary op")
     if isinstance(node, ast.BinOp):
-        left = _compile_node(node.left, n)
-        right = _compile_node(node.right, n)
-        if isinstance(node.op, ast.Add):
-            return lambda pts: left(pts) + right(pts)
-        if isinstance(node.op, ast.Sub):
-            return lambda pts: left(pts) - right(pts)
-        if isinstance(node.op, ast.Mult):
-            return lambda pts: left(pts) * right(pts)
-        raise ConfigurationError("only +, - and * are allowed")
+        left = _compile_node(node.left, n, tape)
+        right = _compile_node(node.right, n, tape)
+        fn = _BINOPS.get(type(node.op))
+        if fn is None:
+            raise ConfigurationError("only +, - and * are allowed")
+        step = (fn, left, right)
+        return tape.slot(step, step)
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS:
             raise ConfigurationError("only re/im/abs/log/max calls allowed")
         if node.keywords:
             raise ConfigurationError("keyword arguments not allowed")
         fn = _FUNCS[node.func.id]
-        args = [_compile_node(a, n) for a in node.args]
+        args = tuple(_compile_node(a, n, tape) for a in node.args)
         if node.func.id == "max":
             if len(args) != 2:
                 raise ConfigurationError("max takes exactly two arguments")
-            return lambda pts: fn(args[0](pts), args[1](pts))
-        if len(args) != 1:
+        elif len(args) != 1:
             raise ConfigurationError(f"{node.func.id} takes one argument")
-        return lambda pts: fn(args[0](pts))
+        step = (fn, *args, None)[:3]  # (fn, a, None) or (fn, a, b)
+        return tape.slot(step, step)
     raise ConfigurationError(f"unsupported syntax {type(node).__name__}")
 
 
 def compile_expression(text, n, path="expression"):
     """Compile an expression string into a vectorised points -> real
     function; an error message starts with ``path``, the expression's
-    config key."""
+    config key.  Each distinct subexpression is evaluated once per call."""
     try:
         tree = ast.parse(text, mode="eval")
         if _depth(tree) > _MAX_DEPTH:
             raise ConfigurationError(f"nested deeper than {_MAX_DEPTH} levels")
-        fn = _compile_node(tree, n)
+        tape = _Tape()
+        result = _compile_node(tree, n, tape)
     except (ConfigurationError, SyntaxError, ValueError,
             RecursionError) as exc:
         # Python 3.10 raises ValueError for a null byte in the source
         raise ConfigurationError(f"{path}: {exc}") from exc
+    values, program = tape.values, tape.program()
 
     def evaluate(pts):
         pts = np.asarray(pts, dtype=complex)
-        out = np.real(fn(pts))
+        reg = values.copy()
+        reg[0] = pts
+        for fn, a, b, out, dead in program:
+            reg[out] = fn(reg[a]) if b is None else fn(reg[a], reg[b])
+            for d in dead:
+                reg[d] = None
+        out = np.real(reg[result])
         # a constant expression gives one scalar: spread it over the points
         return np.full(pts.shape[:-1], out) if np.ndim(out) == 0 else out
 

@@ -1,15 +1,17 @@
 """Obstacle expression grammar and JSON config validation."""
 
+import ast
 import contextlib
 import json
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from discenv import cli, config
+from discenv import cli, config, expressions
 from discenv.config import build_families, build_obstacle, build_pair, \
     parse_point, validate_config
 from discenv.errors import ConfigurationError, DiscenvError
@@ -38,6 +40,45 @@ def test_max_and_log():
 def test_unary_minus():
     fn = compile_expression("-abs(z1)", 1)
     assert abs(fn(np.array([[3.0 + 4.0j]]))[0] + 5.0) <= 1e-12
+
+
+def test_each_distinct_subexpression_is_evaluated_once(monkeypatch):
+    calls = []
+
+    def counting_abs(x):
+        calls.append(x)
+        return np.abs(x)
+
+    monkeypatch.setitem(expressions._FUNCS, "abs", counting_abs)
+    fn = compile_expression("re(z1) + abs(z2)*abs(z2)", 2)
+    pts = np.array([[0.5 + 1.0j, 0.3 - 0.4j], [-2.0 + 0.0j, 1.5 + 2.0j]])
+    out = fn(pts)
+    assert len(calls) == 1
+    a = np.abs(pts[:, 1])
+    assert out.tobytes() == (pts[:, 0].real + a * a).tobytes()
+
+
+def frames():
+    """Python frames on the stack of the caller."""
+    frame, count = sys._getframe(1), 0
+    while frame is not None:
+        frame, count = frame.f_back, count + 1
+    return count
+
+
+def test_deepest_expression_evaluates_a_few_frames_below_the_limit():
+    text = "-" * (expressions._MAX_DEPTH - 3) + "z1"
+    assert expressions._depth(ast.parse(text, mode="eval")) \
+        == expressions._MAX_DEPTH
+    fn = compile_expression(text, 1)
+    pts = np.array([[1.5 - 2.0j]])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames() + 10)
+    try:
+        out = fn(pts)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.tolist() == [-1.5]
 
 
 @pytest.mark.parametrize("text", [

@@ -900,9 +900,10 @@ def test_nelder_mead_driven_by_hand_in_lockstep_matches_minimize(runs):
     while any(r is None for r in results):
         for i, (fun, _, _) in enumerate(runs):
             if results[i] is None:
-                points[i].append(pending[i].tobytes())
+                point = np.asarray(pending[i], dtype=float)
+                points[i].append(point.tobytes())
                 try:
-                    pending[i] = searches[i].send(fun(pending[i]))
+                    pending[i] = searches[i].send(fun(point))
                 except StopIteration as stop:
                     results[i] = stop.value
     for (fun, x0, budget), got, got_points in zip(runs, results, points):
@@ -911,6 +912,21 @@ def test_nelder_mead_driven_by_hand_in_lockstep_matches_minimize(runs):
         assert got_points == ref_points
         assert got.nfev == ref.nfev == len(got_points) <= budget
         assert np.array_equal(got.x, ref.x) and got.fun == ref.fun
+
+
+def test_nelder_mead_yields_lists_and_minimize_hands_fun_copies():
+    point = next(nelder_mead(np.array([0.5, -0.5]), 10))
+    assert type(point) is list and [type(c) for c in point] == [float] * 2
+
+    def scribbling(x):
+        value = bowl(x)
+        x[:] = np.nan  # on a copy, so the search never sees it
+        return value
+
+    x0 = np.array([0.5, -0.5, 1.0])
+    got, ref = minimize(scribbling, x0, 200), minimize(bowl, x0, 200)
+    assert np.array_equal(got.x, ref.x) and got.fun == ref.fun
+    assert got.nfev == ref.nfev
 
 
 def test_nan_margin_gives_nan_violation():
