@@ -203,6 +203,9 @@ def _spanning(cfg):
     kind = oracle.get("kind")
     _require(kind != "closed_form" or "expr" in oracle,
              "config.oracle.expr", "closed_form oracle needs 'expr'")
+    if kind == "closed_form":
+        compile_expression(oracle["expr"], build_pair(cfg)[1].n,
+                           "config.oracle.expr")
     _require(kind != "kiselman" or pair["variant"] == "hartogs",
              "config.oracle", "kiselman oracle needs a hartogs pair")
     _require(kind != "kiselman" or obst is None

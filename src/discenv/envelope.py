@@ -196,46 +196,39 @@ class EnvelopeResult:
     certificate: str = "probes"  # or "max_principle": how X was checked
 
 
-def _margins(boundary_domain, x_spec, samples):
-    """Signed margins of the boundary nodes in ``boundary_domain`` and of
-    the interior probes in X (positive means strictly inside) of each disc
-    of a batch of boundary samples (B, M, n): arrays (B, M) and (B, P).
-
-    The probes are evaluated in ``interior_probe_points`` order.  On an X
-    with the maximum principle P is 0: boundary nodes in W, or in X for
-    the partial search, already place the disc in X (nodes only, as the
-    boundary check itself)."""
-    b, m, n = samples.shape
-    if x_spec.max_principle:
-        return boundary_domain.margin(samples), np.empty((b, 0))
-    coeffs = np.fft.fft(samples, axis=1)[:, :m // 2] / m
-    probes = circle_eval(coeffs, INTERIOR_RADII,
-                         INTERIOR_ANGLES).reshape(b, -1, n)
-    return boundary_domain.margin(samples), x_spec.margin(probes)
-
-
-def _violation(bm, im):
-    """Max constraint violation of the boundary and interior margins of
-    each disc (the last axis runs over nodes and probes).
-
-    Returns (violation, strict) where strict certifies that every boundary
-    node and every interior probe lies strictly inside its domain.  A NaN
-    margin gives a NaN violation; no probes leave the nodes to decide.
-    """
-    lo_b = np.minimum.reduce(bm, axis=-1)
-    if not im.shape[-1]:  # the empty minimum, +inf: the nodes decide
-        return np.maximum(0.0, -lo_b), lo_b > 0
-    lo_i = np.minimum.reduce(im, axis=-1)
-    return np.maximum(0.0, -np.minimum(lo_b, lo_i)), (lo_b > 0) & (lo_i > 0)
-
-
 def _hinge(margins):
-    """Squared hinge penalty on margins that fall below FEAS_MARGIN, one
-    per disc."""
-    if not margins.shape[-1]:  # the empty sum, 0.0
-        return np.zeros(margins.shape[:-1])
+    """Squared hinge penalty on margins below FEAS_MARGIN, one per disc."""
     return np.add.reduce(np.maximum(0.0, FEAS_MARGIN - margins) ** 2,
                          axis=-1)
+
+
+def _probes(samples):
+    """The values of each disc of a batch of boundary samples (B, M, n) at
+    its interior probes, in ``interior_probe_points`` order: (B, P, n)."""
+    b, m, n = samples.shape
+    coeffs = np.fft.fft(samples, axis=1)[:, :m // 2] / m
+    return circle_eval(coeffs, INTERIOR_RADII,
+                       INTERIOR_ANGLES).reshape(b, -1, n)
+
+
+def _constraints(boundary, x_spec, samples, pen=0.0):
+    """The admissibility test of a batch of boundary samples (B, M, n):
+    each disc's nodes in ``boundary`` and, where X lacks the maximum
+    principle, its interior probes in X (else the nodes place it in X).
+    Returns pen plus the hinge penalties of the nodes then the probes, the
+    max violation (NaN at a NaN margin) and strictness (every node and
+    probe strictly inside), one each per disc."""
+    margins = boundary.margin(samples)
+    pen = pen + _hinge(margins)
+    lo = np.minimum.reduce(margins, axis=-1)
+    strict = lo > 0
+    if not x_spec.max_principle:
+        margins = x_spec.margin(_probes(samples))
+        pen = pen + _hinge(margins)
+        lo_probes = np.minimum.reduce(margins, axis=-1)
+        lo = np.minimum(lo, lo_probes)
+        strict &= lo_probes > 0
+    return pen, np.maximum(0.0, -lo), strict
 
 
 def _no_disc(req):
@@ -247,12 +240,11 @@ def _no_disc(req):
         f"no disc centred at {point} had a finite boundary average")
 
 
-def _evaluate(req, groups, boundary, objective):
+def _evaluate(req, groups, objective):
     """Build and score the disc of each row of each (family, P) group as
     one batch, rows in group order.
 
-    ``objective(samples, bm, im)`` maps the built discs' samples and
-    margins (boundary nodes in ``boundary``, interior probes in X) to
+    ``objective(samples)`` maps the built discs' boundary samples to
     their penalised objective, value, violation and strictness.  Returns
     those four per row, and the boundary samples of all rows.  A row
     whose disc cannot be built gets the barrier BARRIER * (1 + excess), a
@@ -268,7 +260,7 @@ def _evaluate(req, groups, boundary, objective):
     every = built.all()
     rows = samples if every else samples[built]
     if len(rows):
-        o, v, vio, st = objective(rows, *_margins(boundary, req.pair[1], rows))
+        o, v, vio, st = objective(rows)
         finite = np.isfinite(o)
         if every and finite.all():  # nothing to bar: the objective's arrays
             return o, v, vio, st, samples
@@ -322,7 +314,7 @@ class _Start:
         return True
 
 
-def _search(req, boundary, objective):
+def _search(req, objective):
     """The winning start: the first in (family, start) order whose record
     has the least key, so ties go to the lowest index.
 
@@ -345,7 +337,7 @@ def _search(req, boundary, objective):
             # bound until the next batch is scored: freeing the samples
             # sooner makes the same calls but runs slower (heap placement)
             obj, value, violation, strict, samples = _evaluate(
-                req, groups, boundary, objective)
+                req, groups, objective)
             live += [start for start, smp, o, v, vio, st in zip(
                 batch, samples, obj.tolist(), value.tolist(),
                 violation.tolist(), strict.tolist())
@@ -358,12 +350,13 @@ def _search(req, boundary, objective):
 
 def _envelope_objective(req):
     """The objective of the full search: the boundary average plus the
-    hinge penalties of the boundary and interior margins."""
+    penalties of the constraints, boundary nodes in W."""
+    w, x_spec = req.pair
 
-    def objective(samples, bm, im):
+    def objective(samples):
         value = boundary_averages(samples, req.phi)
-        pen = req.penalty_weight * (_hinge(bm) + _hinge(im))
-        return (value + pen, value, *_violation(bm, im))
+        pen, violation, strict = _constraints(w, x_spec, samples)
+        return value + req.penalty_weight * pen, value, violation, strict
 
     return objective
 
@@ -376,7 +369,7 @@ def minimize_envelope(req):
     for the true envelope, which in turn dominates the largest
     plurisubharmonic subextension.
     """
-    best = _search(req, req.pair[0], _envelope_objective(req))
+    best = _search(req, _envelope_objective(req))
     (blocked, violation, value), params, samples = best.record
     return EnvelopeResult(
         value=value, best_params=np.array(params), family=best.family.name,
@@ -388,22 +381,23 @@ def minimize_envelope(req):
 
 def _partial_objective(req, eps):
     """The objective of the partial search at tolerance eps: the integral
-    over the in-W nodes plus the penalties of a short in-W mass and of
-    the margins in X.  A disc with in-W mass at most 1 - eps is not
+    over the in-W nodes plus the penalties of a short in-W mass and of the
+    constraints, nodes in X.  A disc with in-W mass at most 1 - eps is not
     strictly feasible, and its shortfall counts as violation."""
     need = 1.0 - eps + 0.5 / req.grid.M
+    w, x_spec = req.pair
 
-    def objective(samples, bm, im):
-        mass, integral = partial_stats(samples, req.phi, req.pair[0])
+    def objective(samples):
+        mass, integral = partial_stats(samples, req.phi, w)
         # Python's float power: numpy's square can differ in the last bit
         short = np.array([max(0.0, need - m) ** 2 for m in mass.tolist()])
-        pen = req.penalty_weight * (short + _hinge(bm) + _hinge(im))
-        violation, strict = _violation(bm, im)
+        pen, violation, strict = _constraints(x_spec, x_spec, samples, short)
         thin = mass <= 1.0 - eps
         violation = np.where(
             thin, np.maximum(violation, (1.0 - eps) - mass + 1e-12),
             violation)
-        return integral + pen, integral, violation, strict & ~thin
+        return (integral + req.penalty_weight * pen, integral, violation,
+                strict & ~thin)
 
     return objective
 
@@ -424,8 +418,7 @@ def partial_envelope(req, eps):
     if eps <= 2.0 / req.grid.M:
         raise ConfigurationError(
             f"eps={eps} unresolvable at M={req.grid.M}; need eps > 2/M")
-    return _search(req, req.pair[1],
-                   _partial_objective(req, eps)).record[0][2]
+    return _search(req, _partial_objective(req, eps)).record[0][2]
 
 
 def sample_feasible_values(req, n_samples):
@@ -447,7 +440,7 @@ def sample_feasible_values(req, n_samples):
         rows = max(1, SAMPLE_BATCH_NODES // req.grid.M)
         for lo in range(0, draws, rows):
             _, value, _, strict, _ = _evaluate(
-                req, [(family, P[lo:lo + rows])], req.pair[0], objective)
+                req, [(family, P[lo:lo + rows])], objective)
             if np.any(strict & np.isnan(value)):
                 raise EvaluationError(
                     "obstacle evaluation not finite along a feasible disc")

@@ -23,8 +23,9 @@ _FUNCS = {
     "max": np.maximum,
 }
 
-#: Deepest syntax tree accepted.  Compiling recurses once per level, and
-#: evaluation runs the flat tape in a loop, so depth costs no stack there.
+#: Deepest expression accepted, in levels of expression nodes (``z1`` is
+#: one, ``-z1`` two).  Compiling recurses once per level; evaluation runs
+#: the flat tape in a loop, so depth costs no stack there.
 _MAX_DEPTH = 100
 
 _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
@@ -32,11 +33,12 @@ _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
 
 
 def _depth(tree):
-    """Levels of the syntax tree, counted without recursion."""
-    depth, level = 0, [tree]
+    """Levels of expression nodes, counted without recursion."""
+    depth, level = 0, [tree.body]
     while level:
         depth += 1
-        level = [c for node in level for c in ast.iter_child_nodes(node)]
+        level = [c for node in level for c in ast.iter_child_nodes(node)
+                 if isinstance(c, ast.expr)]
     return depth
 
 

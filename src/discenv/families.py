@@ -165,6 +165,8 @@ class BlaschkeFamily(DiscFamily):
             excess
 
     def build_many(self, P, m):
+        if m // 2 <= self.k:
+            raise ConfigurationError("sample grid too small for zeros")
         s, theta, zeros, excess = self._zeros(P)
         zeta = roots_of_unity(m)
         samples = np.empty((len(P), m, self.centre.size), dtype=complex)

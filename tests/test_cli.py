@@ -942,6 +942,8 @@ def test_point_past_the_last_node_exits_two_before_the_solve(
      "config.oracle: kiselman oracle needs a hartogs pair"),
     ({"oracle": {"kind": "grid", "bounds": [-2, 1, -2, 2]}},
      "config.points[1]: outside the grid oracle's bounds [-2, 1, -2, 2]"),
+    ({"oracle": {"kind": "closed_form", "expr": "foo(z1"}},
+     "config.oracle.expr: '(' was never closed (<unknown>, line 1)"),
 ])
 def test_envelope_rejects_the_oracle_faults_that_compare_rejects(
         tmp_path, capsys, overrides, message):

@@ -67,9 +67,13 @@ def frames():
 
 
 def test_deepest_expression_evaluates_a_few_frames_below_the_limit():
-    text = "-" * (expressions._MAX_DEPTH - 3) + "z1"
+    """A level is an expression node: ``z1`` under _MAX_DEPTH - 1 unary
+    minuses is the deepest accepted, one minus more is rejected."""
+    text = "-" * (expressions._MAX_DEPTH - 1) + "z1"
     assert expressions._depth(ast.parse(text, mode="eval")) \
         == expressions._MAX_DEPTH
+    with pytest.raises(ConfigurationError, match="nested deeper than"):
+        compile_expression("-" + text, 1)
     fn = compile_expression(text, 1)
     pts = np.array([[1.5 - 2.0j]])
     limit = sys.getrecursionlimit()

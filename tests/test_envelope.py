@@ -1,6 +1,8 @@
 """Penalised envelope search: feasibility, determinism, monotonicity."""
 
+import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -10,17 +12,17 @@ import pytest
 import discenv
 from discenv import config, envelope
 from discenv.discs import AnalyticDisc, roots_of_unity
-from discenv.domains import Obstacle, ball, counterexample_pair, \
-    planar_annulus_pair, shell_pair
+from discenv.domains import DomainSpec, Obstacle, ball, \
+    counterexample_pair, planar_annulus_pair, shell_pair
 from discenv.envelope import (
     BARRIER,
+    FEAS_MARGIN,
     EnvelopeRequest,
+    _constraints,
     _envelope_objective,
     _evaluate,
-    _hinge,
-    _margins,
     _partial_objective,
-    _violation,
+    _probes,
     interior_probe_points,
     minimize,
     minimize_envelope,
@@ -48,7 +50,7 @@ def assert_recorded_disc(res):
     w, x_spec = planar_annulus_pair()
     assert res.value == poisson_functional(res.disc, LOG_ABS)
     assert res.max_violation == \
-        _violation(*_margins(w, x_spec, res.disc.samples[None]))[0][0]
+        _constraints(w, x_spec, res.disc.samples[None])[1][0]
 
 
 def build_one(family, params, m):
@@ -202,9 +204,10 @@ def test_polynomial_family_keeps_centre():
 
 
 @pytest.mark.parametrize("family", [PolynomialFamily([0.0], degree=4),
-                                    VerticalFamily([0.1, 0.0], winding=4)])
+                                    VerticalFamily([0.1, 0.0], winding=4),
+                                    BlaschkeFamily([0.1, 0.0], n_zeros=4)])
 def test_family_refuses_a_size_its_nodes_alias(family):
-    """A degree or winding k on m nodes needs k < m/2."""
+    """A degree, winding or zero count k on m nodes needs k < m/2."""
     with pytest.raises(ConfigurationError, match="sample grid too small"):
         build_one(family, np.zeros(family.n_params), 8)
     build_one(family, np.zeros(family.n_params), 16)
@@ -311,16 +314,24 @@ def hartogs_pair(R):
 ])
 def test_margins_probe_the_disc_at_interior_probe_points(family, pair):
     """On an X without the maximum principle the probes are the disc's
-    values at ``interior_probe_points``."""
+    values at ``interior_probe_points``, and the constraints penalise the
+    nodes in W, then the probes in X."""
     w, x_spec = pair
     assert not x_spec.max_principle
     rng = np.random.default_rng(0)
     disc, _ = build_one(family, family.initial(rng, 1), 512)
-    bm, im = _margins(w, x_spec, disc.samples[None])
-    assert np.array_equal(bm[0], w.margin(disc.samples))
+    im = x_spec.margin(_probes(disc.samples[None]))
     expected = x_spec.margin(disc.evaluate(interior_probe_points()))
     assert im.shape == (1,) + expected.shape
     assert np.max(np.abs(im[0] - expected)) <= 1e-12
+    bm = w.margin(disc.samples)
+    pen, violation, strict = _constraints(w, x_spec, disc.samples[None],
+                                          pen=0.5)
+    hinge = [np.sum(np.maximum(0.0, FEAS_MARGIN - m) ** 2) for m in (bm, im)]
+    assert pen.tolist() == [0.5 + hinge[0] + hinge[1]]
+    lo = min(np.min(bm), np.min(im))
+    assert violation.tolist() == [max(0.0, -lo)]
+    assert strict.tolist() == [bool(lo > 0)]
 
 
 @pytest.mark.parametrize("family, pair", [
@@ -332,19 +343,22 @@ def test_margins_probe_the_disc_at_interior_probe_points(family, pair):
     (VerticalFamily([0.1, 0.0]), hartogs_pair(1.0)),
 ])
 def test_margins_skip_the_probes_on_a_max_principle_x(family, pair):
-    """On a ball, or a Hartogs X of constant radius, the probe block is
-    empty: the boundary nodes alone decide violation and strictness."""
+    """On a ball, or a Hartogs X of constant radius, no probe is scored:
+    the boundary nodes alone give the penalty, the violation and the
+    strictness, and a NaN node gives a NaN violation and no strictness."""
     w, x_spec = pair
     assert x_spec.max_principle
     rng = np.random.default_rng(0)
     disc, _ = build_one(family, family.initial(rng, 1), 512)
-    bm, im = _margins(w, x_spec, disc.samples[None])
-    assert np.array_equal(bm[0], w.margin(disc.samples))
-    assert im.shape == (1, 0)
-    violation, strict = _violation(bm, im)
+    samples = np.stack([disc.samples, disc.samples])
+    samples[1, 3] = np.nan
+    bm = w.margin(samples)
+    pen, violation, strict = _constraints(w, x_spec, samples)
+    hinge = np.sum(np.maximum(0.0, FEAS_MARGIN - bm) ** 2, axis=-1)
+    assert np.array_equal(pen, hinge, equal_nan=True)
     lo = np.min(bm[0])
-    assert violation[0] == max(0.0, -lo) and strict[0] == (lo > 0)
-    assert _hinge(im)[0] == 0.0
+    assert violation[0] == max(0.0, -lo) and np.isnan(violation[1])
+    assert strict.tolist() == [bool(lo > 0), False]
 
 
 def in_disc(rng, radius, size=None):
@@ -419,7 +433,7 @@ def test_evaluate_never_reaches_circle_eval_on_a_max_principle_x(
     req = annulus_request(1.5, families)
     groups = [(fam, np.array([fam.initial(rng, s) for s in range(3)])
                .reshape(3, fam.n_params)) for fam in families]
-    obj = _evaluate(req, groups, req.pair[0], _envelope_objective(req))[0]
+    obj = _evaluate(req, groups, _envelope_objective(req))[0]
     assert obj.shape == (9,) and np.all(np.isfinite(obj))
     assert minimize_envelope(req).certificate == "max_principle"
     assert np.isfinite(partial_envelope(req, 0.3))
@@ -531,9 +545,9 @@ def test_batched_rows_equal_single_row_calls(rows, rows_1, constants,
     req = EnvelopeRequest(pair=BATCH_PAIR, phi=CAPPED_LOG, x=[x],
                           families=families, grid=QuadratureGrid(64))
     if partial:
-        args = (req.pair[1], _partial_objective(req, 0.3))
+        args = (_partial_objective(req, 0.3),)
     else:
-        args = (req.pair[0], _envelope_objective(req))
+        args = (_envelope_objective(req),)
     params = [np.zeros((constants, 0)), np.array(rows_1).reshape(-1, 2),
               np.array([[log_s, theta, r * np.cos(a), r * np.sin(a)]
                         for log_s, theta, r, a in rows])]
@@ -625,9 +639,9 @@ def test_evaluate_rows_are_one_row_batches_bit_for_bit(partial, rows, kinds):
                           families=EVALUATE_FAMILIES,
                           grid=QuadratureGrid(64))
     if partial:
-        args = (req.pair[1], _partial_objective(req, 0.3))
+        args = (_partial_objective(req, 0.3),)
     else:
-        args = (req.pair[0], _envelope_objective(req))
+        args = (_envelope_objective(req),)
     groups = [(family,
                np.array(P, dtype=float).reshape(len(P), family.n_params))
               for family, P in zip(EVALUATE_FAMILIES, rows) if P]
@@ -647,18 +661,6 @@ def test_evaluate_rows_are_one_row_batches_bit_for_bit(partial, rows, kinds):
                 assert np.isfinite(value)
             i += 1
     assert i == len(kinds) == len(batch[0])
-
-
-def test_empty_probes_add_no_penalty_and_leave_the_nodes_to_decide():
-    """On a max-principle X the probe block is (B, 0): its hinge is the
-    empty sum 0.0 and its minimum the empty minimum +inf."""
-    bm = np.array([[0.5, 1.0], [-0.25, 2.0], [np.nan, 1.0]])
-    none = np.empty((3, 0))
-    assert _hinge(none).tobytes() == np.sum(none, axis=-1).tobytes()
-    violation, strict = _violation(bm, none)
-    ref_violation, ref_strict = _violation(bm, np.full((3, 1), np.inf))
-    assert violation.tobytes() == ref_violation.tobytes()
-    assert strict.tolist() == ref_strict.tolist() == [True, False, False]
 
 
 STANDARD_HARTOGS = HartogsPair(ball(1.0, 1),
@@ -685,6 +687,57 @@ def test_search_value_is_at_least_the_kiselman_psi(r, angle):
     assert res.feasible
     assert res.value >= kiselman_psi(STANDARD_HARTOGS, HARTOGS_PHI,
                                      [z1]) - 1e-3
+
+
+#: The Hartogs compare of the benchmark's seed-1 hartogs_kiselman workload
+HARTOGS_COMPARE = {
+    "experiment": "hartogs-faults",
+    "pair": {"variant": "hartogs", "n": 2, "base_radius": 1.0, "r": 0.25,
+             "R": 1.0},
+    "obstacle": {"expr": "re(z1) + abs(z2)*abs(z2)",
+                 "rotation_invariant": True},
+    "points": [[[-0.3452527937951409, -0.016570137270586927], [0.0, 0.0]],
+               [[0.26063468261494765, 0.39032308762183493], [0.0, 0.0]]],
+    "families": [
+        {"kind": "vertical", "winding": 1, "s_range": [0.25, 1.0]},
+        {"kind": "vertical", "winding": 2, "s_range": [0.25, 1.0]}],
+    "quadrature_m": 512, "starts": 8, "budget": 400, "seed": 0,
+    "oracle": {"kind": "kiselman"},
+    "tolerances": {"gap": 0.01},
+}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults of glibc's heap on Linux")
+def test_search_holds_each_batch_until_the_next_is_scored(tmp_path):
+    """Holding each batch's samples until the next batch is scored keeps
+    glibc's heap from trimming and regrowing: a Hartogs compare round
+    then takes under a thousand minor page faults, where a search that
+    freed each batch at once took about 12 000 (x86-64, glibc 2.36).  The
+    rounds run in a fresh process, after one round to warm it up."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(HARTOGS_COMPARE))
+    code = (
+        "import os, resource, sys\n"
+        "from discenv.cli import main\n"
+        "cfg, out = sys.argv[1:]\n"
+        "def compare(i):\n"
+        "    args = ['--config', cfg, '--out', f'{out}/{i}', '--quiet']\n"
+        "    assert main(['compare', *args]) == 0\n"
+        "compare(0)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for i in range(1, 6):\n"
+        "    compare(i)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "print((after - before) / 5)")
+    src = os.path.dirname(os.path.dirname(discenv.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(cfg), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 5000
 
 
 # ---------------------------------------------------------------------------
@@ -752,12 +805,11 @@ def test_partial_mass_penalty_squares_as_python_floats_do():
                           grid=QuadratureGrid(64))
     samples = np.full((1, 64, 1), 0.5 + 0j)
     samples[0, :9] = 1.5
-    bm, im = _margins(x_spec, x_spec, samples)
-    obj, integral, _, strict = _partial_objective(req, 0.28)(samples, bm, im)
+    obj, integral, _, strict = _partial_objective(req, 0.28)(samples)
     short = 1.0 - 0.28 + 0.5 / 64 - 9 / 64
     assert short ** 2 != short * short
-    pen = req.penalty_weight * (
-        short ** 2 + float(_hinge(bm)[0]) + float(_hinge(im)[0]))
+    hinge = np.sum(np.maximum(0.0, FEAS_MARGIN - x_spec.margin(samples)) ** 2)
+    pen = req.penalty_weight * (short ** 2 + float(hinge))
     assert obj[0] == integral[0] + pen and not strict[0]
 
 
@@ -930,11 +982,19 @@ def test_nelder_mead_yields_lists_and_minimize_hands_fun_copies():
 
 
 def test_nan_margin_gives_nan_violation():
-    ok = np.ones(4)
-    nan = np.array([1.0, np.nan, 1.0, 1.0])
-    for bm, im in ((nan, ok), (ok, nan)):
-        violation, strict = _violation(bm, im)
-        assert np.isnan(violation) and not strict
+    """A NaN margin at a node, or at an interior probe, gives a NaN
+    violation and no strictness."""
+    circle = roots_of_unity(64)[None, :, None]  # its probes: |z| <= 0.95
+
+    def nan_where(on_circle):
+        return DomainSpec("nan", 1, lambda p: np.where(
+            (np.abs(p[..., 0]) > 0.99) == on_circle, np.nan, 1.0))
+
+    fine = DomainSpec("fine", 1, lambda p: np.ones(p.shape[:-1]))
+    for boundary, x_spec in ((nan_where(True), fine),
+                             (fine, nan_where(False))):
+        _, violation, strict = _constraints(boundary, x_spec, circle)
+        assert np.isnan(violation[0]) and not strict[0]
 
 
 def test_import_leaves_scipy_unloaded():
