@@ -172,6 +172,11 @@ class EnvelopeRequest:
             raise ConfigurationError(
                 f"need starts >= 1 and budget >= 1, got starts="
                 f"{self.starts} and budget={self.budget}")
+        if not 0 < self.penalty_weight < math.inf:  # NaN fails too
+            raise ConfigurationError(f"need a finite penalty_weight > 0, got "
+                                     f"{self.penalty_weight}")
+        if not self.families:
+            raise ConfigurationError("need at least one disc family")
         w, x_spec = self.pair
         if not np.all(x_spec.margin(self.x[None, :]) > 0):
             raise PreconditionError(
@@ -231,15 +236,6 @@ def _constraints(boundary, x_spec, samples, pen=0.0):
     return pen, np.maximum(0.0, -lo), strict
 
 
-def _no_disc(req):
-    """The error for a search that recorded no disc."""
-    if not req.families:
-        return ConfigurationError("no family produced any disc")
-    point = " ".join(repr(complex(c)) for c in req.x)
-    return InfeasibleEnvelope(
-        f"no disc centred at {point} had a finite boundary average")
-
-
 def _evaluate(req, groups, objective):
     """Build and score the disc of each row of each (family, P) group as
     one batch, rows in group order.
@@ -285,7 +281,7 @@ class _Start:
     """Start ``s_idx`` of family ``f_idx``, from the RNG key [seed, f_idx,
     s_idx]: its family, index and search (``nelder_mead``, or ``_once``
     without parameters), the point it waits on, its least-keyed record
-    (key, params, samples) and the trace of its best objective so far."""
+    (key, params) and the trace of its best objective so far."""
 
     def __init__(self, req, f_idx, s_idx):
         self.family = req.families[f_idx]
@@ -298,14 +294,14 @@ class _Start:
         self.record = None
         self.trace = []
 
-    def tell(self, samples, obj, value, violation, strict):
+    def tell(self, obj, value, violation, strict):
         """Record the pending point, now evaluated, and send its
         objective to the search; False once the search has stopped."""
         if not math.isnan(value):
             # a strict disc's violation is 0.0, so strict discs rank by value
             key = (not strict, violation, value)
             if self.record is None or key < self.record[0]:
-                self.record = (key, self.point, samples.copy())
+                self.record = (key, self.point)
             self.trace.append(min(self.trace[-1], obj) if self.trace else obj)
         try:
             self.point = self.search.send(obj)
@@ -334,17 +330,18 @@ def _search(req, objective):
             batch = todo[lo:lo + per_batch]
             groups = [(family, np.array([s.point for s in rows]))
                       for family, rows in groupby(batch, lambda s: s.family)]
-            # bound until the next batch is scored: freeing the samples
-            # sooner makes the same calls but runs slower (heap placement)
+            # the samples are only held, until the next batch is scored:
+            # freeing them sooner runs slower (glibc heap placement)
             obj, value, violation, strict, samples = _evaluate(
                 req, groups, objective)
-            live += [start for start, smp, o, v, vio, st in zip(
-                batch, samples, obj.tolist(), value.tolist(),
-                violation.tolist(), strict.tolist())
-                if start.tell(smp, o, v, vio, st)]
+            live += [start for start, o, v, vio, st in zip(
+                batch, obj.tolist(), value.tolist(), violation.tolist(),
+                strict.tolist()) if start.tell(o, v, vio, st)]
     recorded = [start for start in starts if start.record is not None]
     if not recorded:
-        raise _no_disc(req)
+        point = " ".join(repr(complex(c)) for c in req.x)
+        raise InfeasibleEnvelope(
+            f"no disc centred at {point} had a finite boundary average")
     return min(recorded, key=lambda start: start.record[0])
 
 
@@ -370,11 +367,13 @@ def minimize_envelope(req):
     plurisubharmonic subextension.
     """
     best = _search(req, _envelope_objective(req))
-    (blocked, violation, value), params, samples = best.record
+    (blocked, violation, value), params = best.record
+    # each row is built from itself alone, so this is the scored disc
+    samples, _ = best.family.build_many(np.array([params]), req.grid.M)
     return EnvelopeResult(
         value=value, best_params=np.array(params), family=best.family.name,
         start_index=best.index, max_violation=violation, feasible=not blocked,
-        trace=best.trace, disc=AnalyticDisc(samples),
+        trace=best.trace, disc=AnalyticDisc(samples[0]),
         certificate="max_principle" if req.pair[1].max_principle
         else "probes")
 

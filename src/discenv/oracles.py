@@ -76,7 +76,7 @@ def kiselman_psi(pair, phi, zp):
 
 #: Multigrid cycle cap per solve, and sweeps per coarse level of a
 #: V-cycle.
-MAX_SWEEPS = 1_000
+MAX_CYCLES = 1_000
 COARSE_SWEEPS = 3
 
 
@@ -271,7 +271,7 @@ def _relax(u, obst, active, tol):
     with e from _correction on the free set (active interior nodes below
     obst), a second sweep.  Returns the cycle count once a cycle changes u
     by at most tol, 0 with no active interior node; raises EvaluationError
-    when MAX_SWEEPS cycles do not get there, or when the stopping cycle
+    when MAX_CYCLES cycles do not get there, or when the stopping cycle
     leaves a fixed-point step |min(obst, mean of neighbours) - u| above
     10 tol (a coarse correction that undoes its sweeps stalls that way).
     """
@@ -282,7 +282,7 @@ def _relax(u, obst, active, tol):
     # nodes off the interior keep their value: lo = hi = u there
     hi = np.where(inner, obst, u)
     lo = np.where(inner, -np.inf, u)
-    for cycle in range(MAX_SWEEPS):
+    for cycle in range(MAX_CYCLES):
         before = u.copy()
         _sweep(u, lo, hi)
         free = inner & (u < obst)
@@ -300,7 +300,7 @@ def _relax(u, obst, active, tol):
             return cycle + 1
     raise EvaluationError(
         f"grid relaxation on {u.shape[0]}x{u.shape[1]} nodes not converged "
-        f"after {MAX_SWEEPS} cycles (last change {change:.3e} > {tol:.3e})")
+        f"after {MAX_CYCLES} cycles (last change {change:.3e} > {tol:.3e})")
 
 
 def grid_obstacle_solver(pair, phi,

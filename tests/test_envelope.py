@@ -45,12 +45,14 @@ from discenv.oracles import kiselman_psi
 LOG_ABS = obstacle_from_expression("log(abs(z1))", 1)
 
 
-def assert_recorded_disc(res):
-    """The result's value and violation are those of its own disc."""
-    w, x_spec = planar_annulus_pair()
-    assert res.value == poisson_functional(res.disc, LOG_ABS)
-    assert res.max_violation == \
-        _constraints(w, x_spec, res.disc.samples[None])[1][0]
+def assert_recorded_disc(res, req):
+    """The result's value, violation and feasibility are those of its own
+    disc, bit for bit."""
+    w, x_spec = req.pair
+    _, violation, strict = _constraints(w, x_spec, res.disc.samples[None])
+    assert res.value == poisson_functional(res.disc, req.phi)
+    assert res.max_violation == violation[0]
+    assert res.feasible == strict[0]
 
 
 def build_one(family, params, m):
@@ -77,7 +79,7 @@ def test_constant_family_attains_point_value():
     assert res.feasible
     assert res.value <= np.log(x) + 1e-10
     assert res.family == "constant"
-    assert_recorded_disc(res)
+    assert_recorded_disc(res, req)
 
 
 def test_centre_outside_x_rejected():
@@ -98,7 +100,7 @@ def test_infeasible_point_reports_least_violating_disc():
     res = minimize_envelope(req)
     assert not res.feasible
     assert res.max_violation > 0
-    assert_recorded_disc(res)
+    assert_recorded_disc(res, req)
 
 
 def test_feasible_disc_outranks_a_lower_infeasible_one():
@@ -111,7 +113,7 @@ def test_feasible_disc_outranks_a_lower_infeasible_one():
     assert res.family == "blaschke"
     assert res.feasible
     assert 0.0 < res.value < 1e-5
-    assert_recorded_disc(res)
+    assert_recorded_disc(res, req)
 
 
 @pytest.mark.parametrize("starts, budget", [(0, 400), (8, 0), (8, -3)])
@@ -122,10 +124,67 @@ def test_no_start_or_no_budget_is_a_configuration_error(starts, budget):
 
 
 def test_no_family_is_a_configuration_error():
-    req = annulus_request(1.5, [ConstantFamily([1.5])])
-    req.families = []
-    with pytest.raises(ConfigurationError):
-        minimize_envelope(req)
+    with pytest.raises(ConfigurationError, match="at least one disc family"):
+        annulus_request(1.5, [])
+
+
+@pytest.mark.parametrize("weight", [np.nan, 0.0, -1.0, np.inf])
+def test_penalty_weight_not_finite_and_positive_is_a_configuration_error(
+        weight):
+    # a NaN weight made every objective NaN, so the search recorded no
+    # disc and reported an infeasible envelope
+    with pytest.raises(ConfigurationError, match="penalty_weight"):
+        annulus_request(0.5, [BlaschkeFamily([0.5], n_zeros=1)],
+                        penalty_weight=weight)
+
+
+#: One search per family kind, plus an infeasible winner: (a maker of
+#: the request, the winning family, whether the winner is feasible)
+RECORDED_DISC_SEARCHES = {
+    # won by start 2, not by start 0
+    "polynomial": (lambda: annulus_request(
+        1.5, [PolynomialFamily([1.5], degree=2, scale=0.1)], budget=60,
+        phi=obstacle_from_expression("abs(z1 - 1.2)", 1), seed=1),
+        "polynomial", True),
+    "vertical-1": (lambda: hartogs_request(1), "vertical", True),
+    "vertical-2": (lambda: hartogs_request(2), "vertical", True),
+    "blaschke-target-0": (lambda: annulus_request(
+        0.0, [BlaschkeFamily([0.0], n_zeros=2)], budget=60),
+        "blaschke", True),
+    "blaschke-solved-zero": (lambda: annulus_request(
+        0.5, [BlaschkeFamily([0.5], n_zeros=2)], budget=60),
+        "blaschke", True),
+    "shell": (lambda: EnvelopeRequest(
+        pair=shell_pair(2), phi=obstacle_from_expression("re(z1)", 2),
+        x=[0.3, 0.2j], families=[ShellFamily([0.3, 0.2j])],
+        grid=QuadratureGrid(256)), "shell", True),
+    "infeasible": (lambda: annulus_request(
+        0.5, [PolynomialFamily([0.5], degree=1)], starts=1, budget=4),
+        "polynomial", False),
+}
+
+
+def hartogs_request(winding):
+    """A search over one vertical family on the standard Hartogs pair,
+    whose X has no maximum principle, so the probes run."""
+    x = [0.2 + 0.1j, 0.0]
+    return EnvelopeRequest(
+        pair=(STANDARD_HARTOGS.W, STANDARD_HARTOGS.X), phi=HARTOGS_PHI,
+        x=x, families=[VerticalFamily(x, winding=winding,
+                                      s_range=(0.25, 1.0))],
+        grid=QuadratureGrid(64), starts=2, budget=40)
+
+
+@pytest.mark.parametrize("name", list(RECORDED_DISC_SEARCHES))
+def test_winning_disc_is_rebuilt_from_its_parameters(name):
+    """The winner's disc, built once from its parameters after the search,
+    is the disc the search scored: its value, violation and feasibility
+    recompute to the recorded ones, bit for bit."""
+    make, family, feasible = RECORDED_DISC_SEARCHES[name]
+    req = make()
+    res = minimize_envelope(req)
+    assert (res.family, res.feasible) == (family, feasible)
+    assert_recorded_disc(res, req)
 
 
 @pytest.mark.parametrize("search", [

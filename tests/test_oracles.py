@@ -282,7 +282,7 @@ def test_non_finite_obstacle_at_a_w_node_raises():
 
 
 def test_relaxation_at_the_sweep_cap_raises(monkeypatch):
-    monkeypatch.setattr(oracles, "MAX_SWEEPS", 2)
+    monkeypatch.setattr(oracles, "MAX_CYCLES", 2)
     phi = obstacle_from_expression("log(abs(z1))", 1)
     with pytest.raises(EvaluationError, match="not converged after 2 cycles"):
         grid_obstacle_solver(planar_annulus_pair(), phi,
