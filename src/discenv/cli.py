@@ -24,8 +24,7 @@ import numpy as np
 from . import config as cfgmod
 from .discs import cesaro_convergence
 from .envelope import EnvelopeRequest, minimize_envelope
-from .errors import ConfigurationError, DiscenvError, InfeasibleEnvelope, \
-    PreconditionError
+from .errors import ConfigurationError, DiscenvError, InfeasibleEnvelope
 from .expressions import obstacle_from_expression
 from .functionals import QuadratureGrid
 from .hartogs import homotopy_trace, vertical_disc
@@ -102,12 +101,7 @@ def _problem(cfg):
     w, x_spec, builtin_phi, hartogs = cfgmod.build_pair(cfg)
     phi = builtin_phi if cfg.get("obstacle") is None and builtin_phi \
         else cfgmod.build_obstacle(cfg, x_spec.n)
-    points = [cfgmod.parse_point(p, x_spec.n, f"config.points[{i}]")
-              for i, p in enumerate(cfg["points"])]
-    for i, point in enumerate(points):
-        if not x_spec.margin(point[None, :])[0] > 0:
-            raise PreconditionError(f"config.points[{i}]: centre "
-                                    f"{tuple(point.tolist())} lies outside X")
+    points = [cfgmod.parse_point(p, x_spec.n) for p in cfg["points"]]
     return w, x_spec, phi, hartogs, points
 
 

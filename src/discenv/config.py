@@ -201,32 +201,11 @@ def _spanning(cfg):
             _require(2 * k < nodes, f"{path}.{key}",
                      f"expected < quadrature_m / 2 = {nodes // 2}")
     kind = oracle.get("kind")
-    _require(kind != "closed_form" or "expr" in oracle,
-             "config.oracle.expr", "closed_form oracle needs 'expr'")
-    if kind == "closed_form":
-        compile_expression(oracle["expr"], build_pair(cfg)[1].n,
-                           "config.oracle.expr")
     _require(kind != "kiselman" or pair["variant"] == "hartogs",
              "config.oracle", "kiselman oracle needs a hartogs pair")
     _require(kind != "kiselman" or obst is None
              or obst.get("rotation_invariant"), "config.oracle",
              "kiselman oracle needs an obstacle with rotation_invariant true")
-    if kind == "kiselman":
-        # in W (r < |z_n| < R) the fibre infimum is not the envelope; a
-        # point past R, or where a radius is not finite, is left to the
-        # runners' check against X
-        hartogs = build_pair(cfg)[3]
-        n = hartogs.n
-        for i, point in enumerate(cfg["points"]):
-            if len(point) != n:  # parse_point names a wrong length
-                continue
-            with np.errstate(all="ignore"):
-                r, R = hartogs.radii([complex(*c) for c in point[:-1]])
-            size = math.hypot(*point[-1])  # inf, not OverflowError
-            _require(not r < size < R, f"config.points[{i}]",
-                     f"kiselman oracle needs |z{n}| <= r, as in W its value "
-                     f"is not the envelope; got r = {r} < |z{n}| = {size} "
-                     f"< R = {R}")
     _require(kind != "grid" or pair["variant"] == "planar_annulus",
              "config.oracle", "grid oracle needs a planar pair (one complex "
              "dimension)")
@@ -243,14 +222,34 @@ def _spanning(cfg):
                  f"expected at most {MAX_GRID_NODES} nodes per side at "
                  f"spacing / 2, got {sides:.4g} from spacing {spacing} and "
                  f"bounds {list(bounds)}")
-        for i, point in enumerate(cfg["points"]):
-            for coords in point[:1]:  # parse_point rejects an empty point
-                # inside the bounds and before the last node, where
-                # GridField.interpolate finds the point's cell
-                _require(all(lo <= v < hi and (v - lo) / h < n - 1
-                             for v, (lo, hi, n) in zip(coords, axes)),
-                         f"config.points[{i}]", "outside the grid oracle's "
-                         f"bounds {list(bounds)}")
+    _require(kind != "closed_form" or "expr" in oracle,
+             "config.oracle.expr", "closed_form oracle needs 'expr'")
+    if kind == "closed_form" or cfg["points"]:  # built once, for both
+        _, x_spec, _, hartogs = build_pair(cfg)
+    if kind == "closed_form":
+        compile_expression(oracle["expr"], x_spec.n, "config.oracle.expr")
+    points = [parse_point(p, x_spec.n, f"config.points[{i}]")
+              for i, p in enumerate(cfg["points"])]
+    for i, point in enumerate(points):
+        path = f"config.points[{i}]"
+        if kind == "grid":
+            # inside the bounds and before the last node, where
+            # GridField.interpolate finds the point's cell
+            z = point[0]
+            _require(all(lo <= v < hi and (v - lo) / h < n - 1
+                         for v, (lo, hi, n) in zip((z.real, z.imag), axes)),
+                     path, f"outside the grid oracle's bounds {list(bounds)}")
+        _require(x_spec.margin(point[None, :])[0] > 0, path,
+                 f"centre {tuple(point.tolist())} lies outside X")
+        if kind == "kiselman":
+            # in W (r < |z_n| < R) the fibre infimum is not the envelope
+            with np.errstate(all="ignore"):
+                r, R = hartogs.radii(point[:-1])
+                size = abs(point[-1])
+            _require(not r < size < R, path,
+                     f"kiselman oracle needs |z{x_spec.n}| <= r, as in W its "
+                     f"value is not the envelope; got r = {r} < "
+                     f"|z{x_spec.n}| = {size} < R = {R}")
     _require(homotopy is None or "z_prime" in homotopy,
              "config.homotopy.z_prime", "required")
     if cesaro is not None:
@@ -412,6 +411,4 @@ def build_families(cfg, centre, hartogs=None):
         if "s_range" in kwargs:
             kwargs["s_range"] = tuple(kwargs["s_range"])
         fams.append(cls(centre, **kwargs))
-    if not fams:
-        raise ConfigurationError("config.families: at least one family needed")
     return fams

@@ -601,6 +601,39 @@ def test_centre_outside_x_is_named_by_its_index(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("point, message", [
+    ([[0.3, 0.0], [1.2, 0.0]], "centre ((0.3+0j), (1.2+0j)) lies outside X"),
+    ([[0.3, 0.0]], "point must list 2 coordinates as [re, im] pairs"),
+])
+@pytest.mark.parametrize("command", list(cli.RUNNERS))
+def test_every_subcommand_refuses_a_bad_point_at_load(tmp_path, capsys,
+                                                      command, point,
+                                                      message):
+    # homotopy and cesaro read no point, but load the same document
+    cfg = {"experiment": "bad-point", "pair": {"variant": "hartogs"},
+           "obstacle": KISELMAN_OBSTACLE,
+           "points": [C2_POINT[0], point],
+           "families": [{"kind": "vertical", "s_range": [0.3, 0.7]}],
+           "oracle": {"kind": "kiselman"},
+           "homotopy": {"z_prime": [[0.0, 0.0]]}, "cesaro": {}}
+    out = tmp_path / "run"
+    assert run([command, "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: config.points[1]: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["envelope", "compare"])
+def test_points_without_families_exit_two(tmp_path, capsys, command):
+    cfg = dict(ANNULUS_CONFIG, families=[])
+    out = tmp_path / "run"
+    assert run([command, "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err == \
+        "error: config.families: at least one family needed\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides, command, key", [
     ({"obstacle": {"expr": "nonsense(("}}, "envelope", "obstacle.expr"),
     ({"obstacle": {"expr": "z2"}}, "envelope", "obstacle.expr"),

@@ -14,9 +14,12 @@ from hypothesis import given, settings, strategies as st
 from discenv import cli, config, expressions
 from discenv.config import build_families, build_obstacle, build_pair, \
     parse_point, validate_config
-from discenv.errors import ConfigurationError, DiscenvError
+from discenv.envelope import EnvelopeRequest
+from discenv.errors import ConfigurationError, DiscenvError, \
+    PreconditionError
 from discenv.expressions import compile_expression
-from discenv.families import BlaschkeFamily, PolynomialFamily, VerticalFamily
+from discenv.families import BlaschkeFamily, ConstantFamily, \
+    PolynomialFamily, VerticalFamily
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +516,44 @@ def test_parse_point_shape():
         parse_point([[0.5]], 1)
 
 
+#: Each pair variant's config block, and the radius of the ball or disc
+#: that bounds each coordinate of its X
+POINT_PAIRS = st.sampled_from([
+    ({"variant": "planar_annulus"}, 2.0), ({"variant": "shell"}, 4.0),
+    ({"variant": "shell", "n": 3}, 4.0), ({"variant": "counterexample"}, 1.0),
+    ({"variant": "hartogs"}, 1.0), ({"variant": "hartogs", "n": 3}, 1.0)])
+#: A coordinate's real or imaginary part, as a share of that radius: in
+#: and out of X, and on its boundary
+POINT_PARTS = st.one_of(st.floats(-1.3, 1.3),
+                        st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_and_envelope_request_refuse_the_same_points(data):
+    """A one-point config is refused at load, at its point, exactly when
+    an EnvelopeRequest at that point finds it outside X."""
+    block, size = data.draw(POINT_PAIRS)
+    w, x_spec = build_pair(minimal_config(pair=block))[:2]
+    coords = data.draw(st.lists(st.tuples(POINT_PARTS, POINT_PARTS),
+                                min_size=x_spec.n, max_size=x_spec.n))
+    point = [[size * re, size * im] for re, im in coords]
+    x = parse_point(point, x_spec.n)
+    try:
+        EnvelopeRequest(pair=(w, x_spec), phi=None, x=x,
+                        families=[ConstantFamily(x)])
+        outside = False
+    except PreconditionError:
+        outside = True
+    if outside:
+        with pytest.raises(ConfigurationError,
+                           match=r"^config\.points\[0\]: centre .* lies "
+                                 r"outside X$"):
+            validate_config(minimal_config(pair=block, points=[point]))
+    else:
+        validate_config(minimal_config(pair=block, points=[point]))
+
+
 def test_build_pair_variants():
     w, x, phi, hp = build_pair(validate_config(minimal_config()))
     assert w.n == 1 and x.n == 1 and phi is None and hp is None
@@ -543,8 +584,6 @@ def test_build_families_from_config():
     ]))
     fams = build_families(cfg, np.array([1.5 + 0.0j]))
     assert [f.name for f in fams] == ["constant", "blaschke", "polynomial"]
-    with pytest.raises(ConfigurationError):
-        build_families(validate_config(minimal_config()), np.array([0.0j]))
 
 
 def test_build_families_leaves_unset_keys_to_the_family_defaults():
