@@ -95,16 +95,6 @@ def _write_outputs(outdir, cfg, rows, passed, extras=None):
                   _results_csv_text(rows))
 
 
-def _problem(cfg):
-    """The pair, obstacle and points of a validated config:
-    (w, x_spec, phi, hartogs, points)."""
-    w, x_spec, builtin_phi, hartogs = cfgmod.build_pair(cfg)
-    phi = builtin_phi if cfg.get("obstacle") is None and builtin_phi \
-        else cfgmod.build_obstacle(cfg, x_spec.n)
-    points = [cfgmod.parse_point(p, x_spec.n) for p in cfg["points"]]
-    return w, x_spec, phi, hartogs, points
-
-
 def _oracle_values(cfg, points, w, x_spec, phi, hartogs, outdir):
     """The configured oracle's value at each point.  The grid oracle is
     solved once for all points and its field written to grid_field.csv."""
@@ -133,30 +123,29 @@ def _row(point, envelope=None, oracle=None, feasible=True,
             "runtime_s": runtime_s, **extra}
 
 
-def _failed(rows, gap_tol=None):
-    """Whether a row fails: its oracle value is not finite, or, given a
-    gap tolerance, its gap is not within it (a gap that is not a number
-    fails too)."""
-    return any((r["oracle"] is not None and not math.isfinite(r["oracle"]))
-               or (gap_tol is not None and r["gap"] is not None
-                   and not abs(r["gap"]) <= gap_tol) for r in rows)
-
-
-def run_envelope(cfg, outdir, compare=False, quiet=False):
-    w, x_spec, phi, hartogs, points = _problem(cfg)
-    grid = QuadratureGrid(cfg["quadrature_m"])
+def run_points(cfg, outdir, search=True, compare=True, quiet=False):
+    """Run the search, the oracle or both at each config point and write
+    one row per point.  ``oracle`` compares without searching and needs
+    an oracle block; ``envelope`` searches without comparing."""
+    w, x_spec, phi, hartogs = cfgmod.build_pair(cfg)
+    if cfg.get("obstacle") is not None or phi is None:
+        phi = cfgmod.build_obstacle(cfg, x_spec.n)
+    points = [cfgmod.parse_point(p, x_spec.n) for p in cfg["points"]]
+    if not search and cfg.get("oracle") is None:
+        raise ConfigurationError("config.oracle: required for this command")
     # every point's families and request are built, and checked, before
     # any search; a fault names the point it was raised for
-    if points and not cfg["families"]:
+    if search and points and not cfg["families"]:
         raise ConfigurationError("config.families: at least one family needed")
-    requests = []
-    for i, point in enumerate(points):
+    grid = QuadratureGrid(cfg["quadrature_m"])
+    requests = [None] * len(points)
+    for i, point in enumerate(points if search else ()):
         try:
-            requests.append(EnvelopeRequest(
+            requests[i] = EnvelopeRequest(
                 pair=(w, x_spec), phi=phi, x=point,
                 families=cfgmod.build_families(cfg, point, hartogs),
                 penalty_weight=cfg["penalty_weight"], starts=cfg["starts"],
-                budget=cfg["budget"], seed=cfg["seed"], grid=grid))
+                budget=cfg["budget"], seed=cfg["seed"], grid=grid)
         except DiscenvError as exc:
             raise type(exc)(f"config.points[{i}]: {exc}") from None
     oracle_vals = [None] * len(points)
@@ -166,39 +155,33 @@ def run_envelope(cfg, outdir, compare=False, quiet=False):
 
     rows = []
     for point, req, oracle_val in zip(points, requests, oracle_vals):
-        t0 = time.perf_counter()
-        res = minimize_envelope(req)
-        runtime = time.perf_counter() - t0
-        rows.append(_row(_point_label(point), res.value, oracle_val,
-                         bool(res.feasible), res.max_violation, runtime,
-                         family=res.family, start_index=res.start_index,
-                         certificate=res.certificate,
-                         trace=[float(v) for v in res.trace]))
+        label = _point_label(point)
+        if search:
+            t0 = time.perf_counter()
+            res = minimize_envelope(req)
+            runtime = time.perf_counter() - t0
+            rows.append(_row(label, res.value, oracle_val, bool(res.feasible),
+                             res.max_violation, runtime, family=res.family,
+                             start_index=res.start_index,
+                             certificate=res.certificate,
+                             trace=[float(v) for v in res.trace]))
+            line = (f"envelope={res.value:.6f} oracle={oracle_val} "
+                    f"feasible={res.feasible}")
+        else:
+            rows.append(_row(label, oracle=oracle_val))
+            line = f"oracle={oracle_val}"
         if not quiet:
-            print(f"{_point_label(point)}: envelope={res.value:.6f} "
-                  f"oracle={oracle_val} feasible={res.feasible}")
+            print(f"{label}: {line}")
 
-    any_infeasible = not all(r["feasible"] for r in rows)
-    failed = _failed(rows, cfg.get("tolerances", {}).get("gap"))
-    _write_outputs(outdir, cfg, rows, not failed and not any_infeasible)
-    if any_infeasible:
-        return 3
-    return 1 if failed else 0
-
-
-def run_oracle(cfg, outdir, quiet=False):
-    w, x_spec, phi, hartogs, points = _problem(cfg)
-    if cfg.get("oracle") is None:
-        raise ConfigurationError("config.oracle: required for this command")
-    values = _oracle_values(cfg, points, w, x_spec, phi, hartogs, outdir)
-    rows = []
-    for point, v in zip(points, values):
-        rows.append(_row(_point_label(point), oracle=v))
-        if not quiet:
-            print(f"{_point_label(point)}: oracle={v}")
-    failed = _failed(rows)
-    _write_outputs(outdir, cfg, rows, not failed)
-    return 1 if failed else 0
+    # a row fails when its oracle value is not finite or its gap is not
+    # within the tolerance (a gap that is not a number fails too)
+    gap_tol = cfg.get("tolerances", {}).get("gap")
+    failed = any((r["oracle"] is not None and not math.isfinite(r["oracle"]))
+                 or (gap_tol is not None and r["gap"] is not None
+                     and not abs(r["gap"]) <= gap_tol) for r in rows)
+    infeasible = not all(r["feasible"] for r in rows)
+    _write_outputs(outdir, cfg, rows, not failed and not infeasible)
+    return 3 if infeasible else int(failed)
 
 
 def run_homotopy(cfg, outdir, quiet=False):
@@ -212,7 +195,7 @@ def run_homotopy(cfg, outdir, quiet=False):
                             "config.homotopy.z_prime")
     try:
         disc = vertical_disc(hartogs, zp, m=cfg["quadrature_m"],
-                             **cfgmod.given(spec, {"s": "s", "winding": "k"}))
+                             **cfgmod.given(spec, cfgmod.HOMOTOPY_DISC[1]))
         trace = homotopy_trace(hartogs, disc, **cfgmod.given(spec, ["steps"]))
     except DiscenvError as exc:
         raise type(exc)(f"config.homotopy: {exc}") from None
@@ -278,8 +261,9 @@ def emit_plot_data(report_path, kind, outdir):
 
 
 #: Each config subcommand's runner, run as runner(cfg, outdir, quiet=...)
-RUNNERS = {"envelope": run_envelope, "oracle": run_oracle,
-           "compare": functools.partial(run_envelope, compare=True),
+RUNNERS = {"envelope": functools.partial(run_points, compare=False),
+           "oracle": functools.partial(run_points, search=False),
+           "compare": run_points,
            "homotopy": run_homotopy, "cesaro": run_cesaro}
 
 

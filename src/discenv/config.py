@@ -86,6 +86,9 @@ FAMILY_KINDS = {
     "vertical": (VerticalFamily, {"winding": "winding", "s_range": "s_range"}),
     "blaschke": (BlaschkeFamily, {"zeros": "n_zeros", "s_range": "s_range"}),
 }
+#: The homotopy's disc builder and the config keys it takes, as in
+#: FAMILY_KINDS.
+HOMOTOPY_DISC = (vertical_disc, {"s": "s", "winding": "k"})
 
 
 def _require(cond, path, message):
@@ -193,8 +196,7 @@ def _spanning(cfg):
     sized = [(f"config.families[{i}]", fam, *FAMILY_KINDS[fam["kind"]])
              for i, fam in enumerate(cfg["families"])]
     if homotopy is not None:
-        sized.append(("config.homotopy", homotopy, vertical_disc,
-                      {"winding": "k"}))
+        sized.append(("config.homotopy", homotopy, *HOMOTOPY_DISC))
     for path, block, builder, keys in sized:
         for key in [k for k in keys if k in ("degree", "zeros", "winding")]:
             k = _default(block, key, builder, keys[key])
@@ -277,7 +279,12 @@ _RADIUS = (lambda value: _is_number(value) or isinstance(value, str),
 #: checked; a block with kinds has its kind's name as its first key.
 PAIR_RULES = {
     "variant": _named(PAIR_VARIANTS, "variant"),
-    "delta": _NUMBER, "tau": _NUMBER, "rho_u": _NUMBER, "eps_moll": _NUMBER,
+    # the ranges that counterexample_pair itself checks
+    "delta": (lambda v: _is_number(v) and 0 < v < 0.5,
+              "expected a number in (0, 1/2)"),
+    "tau": (lambda v: _is_number(v) and 0 < v < 0.2,
+            "expected a number in (0, 0.2)"),
+    "rho_u": _NUMBER, "eps_moll": _POSITIVE,
     "base_radius": _NUMBER, "n": _at_least(2), "r": _RADIUS, "R": _RADIUS,
 }
 OBSTACLE_RULES = {

@@ -48,3 +48,26 @@ def test_tracer_restores_every_name_it_patches():
         tracer.uninstall()
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original
+
+
+class _SameSpeed:
+    """A speed probe under which a reference second is a measured second."""
+
+    def measured_seconds(self, a, b):
+        return b - a
+
+    def reference_seconds(self, a, b, kind="small"):
+        return b - a
+
+
+def test_hartogs_kiselman_round_times_each_search(tmp_path):
+    workload = workloads.WORKLOADS["hartogs_kiselman"]
+    state = workload.setup(workload.generate(1), tmp_path)
+    raw = workload.run_round(state, tmp_path / "round", None)
+    assert raw["rc"] == 0
+    # one minimize_envelope call, looked up in discenv.cli, per point
+    assert len(raw["searches"]) == len(state["points"])
+    workload.finish_round(raw, _SameSpeed())
+    checked = workload.check_round(state, raw, None)
+    assert checked.ops and all(ok for _, ok, _ in checked.ops), checked.ops
+    assert len(checked.point_times) == len(state["points"])

@@ -72,6 +72,25 @@ def test_compare_matches_closed_form(tmp_path):
     assert report["metadata"]["seed"] == 0
 
 
+@pytest.mark.parametrize("command", ["envelope", "compare", "oracle"])
+def test_point_subcommands_print_one_line_per_point(tmp_path, capsys,
+                                                    command):
+    out = tmp_path / "run"
+    assert run([command, "--config", write_config(tmp_path, ANNULUS_CONFIG),
+                "--out", out]) == 0
+    lines = []
+    for row in read_rows(out):
+        oracle = float(row["oracle"]) if row["oracle"] else None
+        if command == "oracle":
+            lines.append(f"{row['point']}: oracle={oracle}")
+        else:
+            lines.append(f"{row['point']}: envelope="
+                         f"{float(row['envelope']):.6f} oracle={oracle} "
+                         f"feasible={row['feasible'] == '1'}")
+    assert lines[0].startswith("(0.5+0j): ")
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 def test_results_are_byte_identical_across_reruns(tmp_path):
     cfg_path = write_config(tmp_path, ANNULUS_CONFIG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -634,6 +653,39 @@ def test_points_without_families_exit_two(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("delta", 0.9, "expected a number in (0, 1/2)"),
+    ("delta", 0, "expected a number in (0, 1/2)"),
+    ("tau", 0.2, "expected a number in (0, 0.2)"),
+    ("eps_moll", 0.0, "expected a positive number"),
+])
+@pytest.mark.parametrize("command", ["cesaro", "envelope"])
+def test_counterexample_pair_out_of_range_exits_two_at_load(
+        tmp_path, capsys, command, key, value, message):
+    # cesaro builds no pair, so only the load-time rule can refuse these
+    cfg = dict(ANNULUS_CONFIG, points=C2_POINT,
+               families=[{"kind": "constant"}],
+               pair={"variant": "counterexample", key: value})
+    cfg.pop("oracle")
+    out = tmp_path / "run"
+    assert run([command, "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err \
+        == f"error: config.pair.{key}: {message}\n"
+    assert not out.exists()
+
+
+def test_oracle_subcommand_without_an_oracle_exits_two(tmp_path, capsys):
+    cfg = dict(ANNULUS_CONFIG)
+    cfg.pop("oracle")
+    out = tmp_path / "run"
+    assert run(["oracle", "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err \
+        == "error: config.oracle: required for this command\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides, command, key", [
     ({"obstacle": {"expr": "nonsense(("}}, "envelope", "obstacle.expr"),
     ({"obstacle": {"expr": "z2"}}, "envelope", "obstacle.expr"),
@@ -761,6 +813,23 @@ def test_homotopy_fault_names_its_key(tmp_path, capsys, homotopy, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"pair": {"variant": "planar_annulus"},
+      "homotopy": {"z_prime": [[0.0, 0.0]]}},
+     "config.pair: homotopy needs a hartogs pair"),
+    ({"pair": {"variant": "hartogs"}},
+     "config.homotopy: required for this command"),
+])
+def test_homotopy_without_its_pair_or_block_exits_two(tmp_path, capsys, cfg,
+                                                      message):
+    cfg = dict(cfg, experiment="hartogs-homotopy")
+    out = tmp_path / "run"
+    assert run(["homotopy", "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_homotopy_subcommand_and_plot(tmp_path):
     cfg = {
         "experiment": "hartogs-homotopy",
@@ -836,6 +905,38 @@ def test_emit_plot_malformed_report_exits_two(tmp_path, capsys, report):
     assert err.startswith(f"error: {path}: malformed report")
     assert err.count("\n") == 1
     assert not (tmp_path / "plot_profile.csv").exists()
+
+
+@pytest.mark.parametrize("text", [None, "{not json"])
+def test_config_missing_or_not_json_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "run"
+    assert run(["compare", "--config", path, "--out", out, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_emit_plot_missing_report_exits_two(tmp_path, capsys):
+    path = tmp_path / "absent" / "report.json"
+    assert run(["emit-plot", "--report", path, "--kind", "profile",
+                "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "plot_profile.csv").exists()
+
+
+def test_atomic_write_leaves_no_temporary_file_on_failure(tmp_path,
+                                                          monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "run"
+    with pytest.raises(OSError, match="replace refused"):
+        cli._atomic_write(str(out / "results.csv"), "point\n")
+    assert list(out.iterdir()) == []
 
 
 def test_seed_override_changes_metadata(tmp_path):
