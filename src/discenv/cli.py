@@ -160,11 +160,11 @@ def run_points(cfg, outdir, search=True, compare=True, quiet=False):
             t0 = time.perf_counter()
             res = minimize_envelope(req)
             runtime = time.perf_counter() - t0
-            rows.append(_row(label, res.value, oracle_val, bool(res.feasible),
-                             res.max_violation, runtime, family=res.family,
-                             start_index=res.start_index,
-                             certificate=res.certificate,
-                             trace=[float(v) for v in res.trace]))
+            rows.append(_row(
+                label, res.value, oracle_val, bool(res.feasible),
+                res.max_violation, runtime, family=res.family,
+                start_index=res.start_index, certificate=res.certificate,
+                search_m=res.search_m, trace=[float(v) for v in res.trace]))
             line = (f"envelope={res.value:.6f} oracle={oracle_val} "
                     f"feasible={res.feasible}")
         else:

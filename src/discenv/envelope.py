@@ -12,12 +12,18 @@ lockstep: each round scores the next point of every live start as one
 batch of discs, of all families.  Recorded discs rank by (not strictly
 feasible, violation, value); ties keep the first recorded, then the
 lowest (family, start) index.
+
+The full search runs first at the least power of two >= SEARCH_M nodes at
+which every family builds, if that is below M.  Its winner stands if it
+is strict at M and its value there is within AGREEMENT of the coarse one;
+else the search runs again at M.  Value, violation and certificate come
+from M; the trace, parameters and start index from the winning search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import groupby
 from operator import add
@@ -40,6 +46,8 @@ INTERIOR_ANGLES = 32
 
 BARRIER = 1e6
 FEAS_MARGIN = 1e-5  # slack inside the penalty hinge
+SEARCH_M = 64  # the fewest boundary nodes the coarse search runs at
+AGREEMENT = 1e-12  # relative bound on a coarse winner's value change at M
 
 #: Sampling scores its draws in batches of at most this many boundary
 #: nodes, which bounds the working memory of a batch (the search cuts
@@ -199,6 +207,7 @@ class EnvelopeResult:
     trace: list = field(default_factory=list)
     disc: object = None
     certificate: str = "probes"  # or "max_principle": how X was checked
+    search_m: int = None  # the boundary nodes the winner was found at
 
 
 def _hinge(margins):
@@ -359,21 +368,36 @@ def _envelope_objective(req):
 
 
 def minimize_envelope(req):
-    """Best feasible boundary average of the obstacle over the disc families.
-
-    The value is the plain quadrature average (penalties removed) along
-    the least-ranked disc recorded in the search; it is an upper bound
-    for the true envelope, which in turn dominates the largest
-    plurisubharmonic subextension.
-    """
-    best = _search(req, _envelope_objective(req))
-    (blocked, violation, value), params = best.record
-    # each row is built from itself alone, so this is the scored disc
-    samples, _ = best.family.build_many(np.array([params]), req.grid.M)
+    """Best feasible boundary average of the obstacle over the disc families:
+    the plain average (penalties removed) at the configured M along the
+    winning disc, an upper bound for the true envelope, which in turn
+    dominates the largest plurisubharmonic subextension."""
+    objective = _envelope_objective(req)
+    m = SEARCH_M
+    while any(m // 2 <= family.order for family in req.families):
+        m *= 2
+    try:
+        best = _search(replace(req, grid=QuadratureGrid(m)), objective) \
+            if m < req.grid.M else None
+    except InfeasibleEnvelope:
+        best = None
+    if best is not None:  # its disc, built and scored at M as a search row
+        (_, _, v), params = best.record
+        _, value, violation, strict, samples = _evaluate(
+            req, [(best.family, np.array([params]))], objective)
+        value, violation, blocked = value.item(), violation.item(), not strict[0]
+        if blocked or not abs(value - v) <= AGREEMENT * max(1.0, abs(v)):
+            best = None
+    if best is None:
+        m = req.grid.M
+        best = _search(req, objective)
+        (blocked, violation, value), params = best.record
+        # each row is built from itself alone, so this is the scored disc
+        samples, _ = best.family.build_many(np.array([params]), m)
     return EnvelopeResult(
         value=value, best_params=np.array(params), family=best.family.name,
         start_index=best.index, max_violation=violation, feasible=not blocked,
-        trace=best.trace, disc=AnalyticDisc(samples[0]),
+        trace=best.trace, disc=AnalyticDisc(samples[0]), search_m=m,
         certificate="max_principle" if req.pair[1].max_principle
         else "probes")
 

@@ -22,13 +22,14 @@ ZERO_CAP = 1.0 - 1e-6  # Blaschke zeros stay strictly inside the unit disc
 
 
 class DiscFamily:
-    """A parametric disc family.  A family gives ``build_many``,
-    ``initial`` and ``n_params``, and the attributes ``centre``, which the
-    search checks against its point, and ``name``, which names the family
-    in messages and results."""
+    """A parametric disc family: ``build_many``, ``initial``, ``n_params``,
+    ``order`` (``build_many`` needs m // 2 > order) and ``centre``, which
+    the search checks against its point, and ``name``, which names the
+    family in messages and results."""
 
     name = "family"
     n_params = 0
+    order = 0
 
     def build_many(self, P, m):
         """Boundary samples (B, m, n) of the rows of P, shape
@@ -61,13 +62,13 @@ class PolynomialFamily(DiscFamily):
         self.centre = np.atleast_1d(np.asarray(centre, dtype=complex))
         if degree < 1:
             raise ConfigurationError("polynomial degree must be >= 1")
-        self.degree = degree
+        self.degree = self.order = degree
         self.scale = scale
         self.n = self.centre.size
         self.n_params = 2 * degree * self.n
 
     def build_many(self, P, m):
-        if m // 2 <= self.degree:
+        if m // 2 <= self.order:
             raise ConfigurationError("sample grid too small for degree")
         flat = P.reshape(len(P), self.degree, self.n, 2)
         c = np.zeros((len(P), m, self.n), dtype=complex)
@@ -98,11 +99,11 @@ class VerticalFamily(DiscFamily):
                 f"must have last coordinate 0")
         if winding < 1:
             raise ConfigurationError("winding must be >= 1")
-        self.k = winding
+        self.k = self.order = winding
         self.s_range = s_range
 
     def build_many(self, P, m):
-        if m // 2 <= self.k:
+        if m // 2 <= self.order:
             raise ConfigurationError("sample grid too small for winding")
         s = np.exp(P[:, 0])
         samples = np.empty((len(P), m, self.centre.size), dtype=complex)
@@ -132,7 +133,7 @@ class BlaschkeFamily(DiscFamily):
         self.centre = np.atleast_1d(np.asarray(centre, dtype=complex))
         if n_zeros < 1:
             raise ConfigurationError("need at least one Blaschke zero")
-        self.k = n_zeros
+        self.k = self.order = n_zeros
         self.s_range = s_range
         self.target = complex(self.centre[-1])
         self.n_params = 2 + 2 * (n_zeros - 1)
@@ -165,7 +166,7 @@ class BlaschkeFamily(DiscFamily):
             excess
 
     def build_many(self, P, m):
-        if m // 2 <= self.k:
+        if m // 2 <= self.order:
             raise ConfigurationError("sample grid too small for zeros")
         s, theta, zeros, excess = self._zeros(P)
         zeta = roots_of_unity(m)

@@ -584,6 +584,28 @@ def test_hartogs_pair_with_vertical_family(tmp_path):
     assert report["rows"][0]["family"] == "vertical"
 
 
+@pytest.mark.parametrize("m, winding, search_m", [
+    (256, 1, 64), (64, 1, 64), (256, 40, 128), (32, 1, 32)])
+def test_report_rows_carry_the_search_m(tmp_path, m, winding, search_m):
+    """Each search row names the M its winner was found at: 64, or the
+    least power of two above it at which its families build, when that
+    is below quadrature_m, else quadrature_m."""
+    cfg = {
+        "experiment": "hartogs-search-m",
+        "pair": {"variant": "hartogs", "n": 2},
+        "obstacle": {"expr": "re(z1)"},
+        "points": [[[0.3, 0.0], [0.0, 0.0]], [[-0.2, 0.1], [0.0, 0.0]]],
+        "families": [{"kind": "vertical", "winding": winding,
+                      "s_range": [0.3, 0.7]}],
+        "quadrature_m": m, "starts": 2, "budget": 20,
+    }
+    out = tmp_path / "run"
+    assert run(["envelope", "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [row["search_m"] for row in report["rows"]] == [search_m] * 2
+
+
 @pytest.mark.parametrize("R, certificate", [
     (1.0, "max_principle"), ("1.0 - 0.25 * abs(z1)", "probes")])
 def test_report_rows_carry_the_certificate(tmp_path, R, certificate):

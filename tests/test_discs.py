@@ -13,6 +13,7 @@ from discenv.discs import (
     outer_function,
     outer_interior,
     random_smooth_loop,
+    root_powers,
     roots_of_unity,
     taylor_eval,
     winding_number,
@@ -145,6 +146,17 @@ def test_circle_eval_rows_equal_the_one_series_evaluation(shape):
 def test_cached_tables_are_read_only_and_bounded():
     with pytest.raises(ValueError):
         roots_of_unity(16)[0] = 1.0
+
+
+@pytest.mark.parametrize("m", [8, 64, 256])
+def test_coarse_roots_of_unity_are_every_kth_fine_node(m):
+    """The nodes of a search at m nodes are every (512/m)-th node at 512,
+    bit for bit, and so are the boundaries of zeta -> zeta^k."""
+    step = 512 // m
+    assert roots_of_unity(m).tobytes() == roots_of_unity(512)[::step].tobytes()
+    for k in (1, 2, 3):
+        assert root_powers(m, k).tobytes() == \
+            root_powers(512, k)[::step].tobytes()
 
 
 # ---------------------------------------------------------------------------

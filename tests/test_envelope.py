@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import discenv
+from conftest import searched_at
 from discenv import config, envelope
 from discenv.discs import AnalyticDisc, roots_of_unity
 from discenv.domains import DomainSpec, Obstacle, ball, \
@@ -746,6 +747,61 @@ def test_search_value_is_at_least_the_kiselman_psi(r, angle):
     assert res.feasible
     assert res.value >= kiselman_psi(STANDARD_HARTOGS, HARTOGS_PHI,
                                      [z1]) - 1e-3
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(pair=st.sampled_from(["annulus", "hartogs"]),
+       r=st.floats(0.0, 1.0, exclude_max=True),
+       angle=st.floats(0.0, 2 * np.pi))
+def test_a_coarse_winner_is_reported_at_the_configured_m(pair, r, angle):
+    """On the planar annulus (M = 256, |x| < 1.9) and on criterion 1's
+    Hartogs pair (M = 512, |z1| < 0.6), a winner found at 64 nodes is
+    reported by its disc at the configured M: the value is that disc's
+    boundary average there, bit for bit, the disc is strict at the
+    configured-M nodes (and at the probes on the Hartogs X), and the
+    value is at least the closed form.  A refused coarse winner gives
+    the search at M, whose disc is its recorded one."""
+    if pair == "annulus":
+        x = 1.9 * r * np.exp(1j * angle)
+        req = annulus_request(x, [
+            ConstantFamily([x]), BlaschkeFamily([x], n_zeros=1),
+            BlaschkeFamily([x], n_zeros=2)], starts=2, budget=60)
+        closed = max(np.log(abs(x)), 0.0) if x else 0.0
+    else:
+        z1 = 0.6 * r * np.exp(1j * angle)
+        families = [VerticalFamily([z1, 0.0], winding=k, s_range=(0.25, 1.0))
+                    for k in (1, 2)]
+        req = EnvelopeRequest(
+            pair=(STANDARD_HARTOGS.W, STANDARD_HARTOGS.X), phi=HARTOGS_PHI,
+            x=[z1, 0.0], families=families, grid=QuadratureGrid(512),
+            starts=2, budget=40)
+        closed = z1.real + 1.0 / 16
+    res = minimize_envelope(req)
+    assert res.disc.samples.shape[0] == req.grid.M
+    if res.search_m == req.grid.M:
+        assert_recorded_disc(res, req)
+        return
+    assert res.search_m == 64
+    w, x_spec = req.pair
+    _, violation, strict = _constraints(w, x_spec, res.disc.samples[None])
+    assert strict[0] and res.feasible and res.max_violation == 0.0
+    assert res.value == boundary_averages(res.disc.samples[None], req.phi)[0]
+    assert res.value >= closed - 1e-12
+
+
+@pytest.mark.parametrize("m", [128, 256])
+def test_a_family_unbuildable_at_64_nodes_searches_where_it_builds(
+        monkeypatch, m):
+    """A degree-40 polynomial needs M/2 > 40: the search runs at 128
+    nodes, the least power of two that builds it, which at M = 128 is
+    the one search at M."""
+    sizes = searched_at(monkeypatch)
+    req = annulus_request(1.5, [ConstantFamily([1.5]), PolynomialFamily(
+        [1.5], degree=40, scale=0.01)], grid=QuadratureGrid(m), starts=1,
+        budget=30)
+    res = minimize_envelope(req)
+    assert sizes == [128] and res.search_m == 128
+    assert res.feasible and res.disc.samples.shape[0] == m
 
 
 #: The Hartogs compare of the benchmark's seed-1 hartogs_kiselman workload

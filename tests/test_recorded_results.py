@@ -7,6 +7,11 @@ point as one batch per round, cut at ``hartogs.TRACE_BATCH_NODES``
 boundary nodes, must give the same floats, also with one row per batch:
 every result is compared through ``repr``, and a trace through a digest
 of the ``repr`` of its values.
+
+``minimize_envelope`` searches first at ``envelope.SEARCH_M`` nodes and
+falls back to the search at the configured M.  The recorded values pin
+that fine search, run with the coarse level off; ``RECORDED_TWO_LEVEL``
+pins the two-level results of the same requests.
 """
 
 import hashlib
@@ -14,6 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import searched_at
 from discenv import config, envelope, hartogs
 from discenv.domains import counterexample_pair, planar_annulus_pair, \
     shell_pair
@@ -102,8 +108,15 @@ def outcome(res):
             len(res.trace), digest(res.trace))
 
 
+def fine_only(monkeypatch):
+    """Turn the coarse search level off: every request searches at its
+    configured M alone."""
+    monkeypatch.setattr(envelope, "SEARCH_M", 2 ** 20)
+
+
 @pytest.mark.parametrize("name", sorted(RECORDED_ENVELOPES))
-def test_minimize_envelope_gives_the_recorded_result(name):
+def test_minimize_envelope_gives_the_recorded_result(monkeypatch, name):
+    fine_only(monkeypatch)
     build, expected = RECORDED_ENVELOPES[name]
     assert outcome(minimize_envelope(build())) == expected
 
@@ -122,10 +135,87 @@ def one_row_batches(monkeypatch):
 
 @pytest.mark.parametrize("name", ["annulus", "hartogs"])
 def test_one_row_batches_give_the_recorded_result(monkeypatch, name):
+    fine_only(monkeypatch)
     rows = one_row_batches(monkeypatch)
     build, expected = RECORDED_ENVELOPES[name]
     assert outcome(minimize_envelope(build())) == expected
     assert set(rows) == {1}
+
+
+# the results of the two-level search: its winner is found at M = 64 and
+# certified at the configured M (the shell request's polynomial winner
+# has the fine search's value and parameters, by another trace)
+RECORDED_TWO_LEVEL = {
+    "annulus": (
+        "1.1135219689200447e-06",
+        "[1.1135219687878883e-06, 0.003225206263363363]", "blaschke", 0,
+        "0.0", True, 60, "702cbc0f81e10bd9"),
+    "annulus_complex": (
+        "1.1135219689235142e-06",
+        "[1.1135219687878883e-06, 0.003225206263363363]", "blaschke", 0,
+        "0.0", True, 60, "cdc9d11b1b1de609"),
+    "hartogs": (
+        "0.3625004474856847", "[-1.3862907812472287]", "vertical", 0,
+        "0.0", True, 40, "ce195de9e7e13aac"),
+    "shell": (
+        "0.5619003792125719",
+        "[0.8555862433027008, 0.7690098638933636, -0.22802487951793204, "
+        "-0.4712650292609828, 0.7287043613523014, 0.11229914675905805, "
+        "1.1675550932403367, -0.8469935555909662]", "polynomial", 1,
+        "0.0", True, 50, "3ff12b19870dde86"),
+}
+
+
+@pytest.mark.parametrize("one_row", [False, True])
+@pytest.mark.parametrize("name", sorted(RECORDED_TWO_LEVEL))
+def test_two_level_search_gives_the_recorded_result(monkeypatch, name,
+                                                    one_row):
+    rows = one_row_batches(monkeypatch) if one_row else [1]
+    sizes = searched_at(monkeypatch)
+    req = RECORDED_ENVELOPES[name][0]()
+    res = minimize_envelope(req)
+    assert outcome(res) == RECORDED_TWO_LEVEL[name]
+    assert sizes == [64] and res.search_m == 64
+    assert len(res.disc.samples) == req.grid.M
+    assert set(rows) == {1}
+
+
+def no_coarse_disc(monkeypatch):
+    """Make every search at 64 nodes find no disc."""
+    search = envelope._search
+
+    def refuse(req, *args):
+        if req.grid.M == 64:
+            raise envelope.InfeasibleEnvelope("refused")
+        return search(req, *args)
+
+    monkeypatch.setattr(envelope, "_search", refuse)
+
+
+@pytest.mark.parametrize("refusal", ["agreement", "no coarse disc"])
+@pytest.mark.parametrize("name", sorted(RECORDED_ENVELOPES))
+def test_a_refused_coarse_search_gives_the_fine_result(monkeypatch, name,
+                                                       refusal):
+    """With the coarse winner refused (its values at 64 nodes and at M
+    fail the agreement check) or no coarse disc found, the search runs
+    again at the configured M and its result, disc included, is the
+    fine-only one, bit for bit.  The fine result is computed here, not
+    read from the pins, which hold at one SIMD level only."""
+    build = RECORDED_ENVELOPES[name][0]
+    with monkeypatch.context() as patch:
+        fine_only(patch)
+        fine = minimize_envelope(build())
+    if refusal == "agreement":
+        monkeypatch.setattr(envelope, "AGREEMENT", -1.0)
+    else:
+        no_coarse_disc(monkeypatch)
+    sizes = searched_at(monkeypatch)
+    req = build()
+    res = minimize_envelope(req)
+    assert outcome(res) == outcome(fine)
+    assert res.disc.samples.tobytes() == fine.disc.samples.tobytes()
+    assert sizes == [64, req.grid.M]
+    assert res.search_m == fine.search_m == req.grid.M
 
 
 RECORDED_PARTIALS = {
