@@ -96,21 +96,24 @@ def _write_outputs(outdir, cfg, rows, passed, extras=None):
 
 
 def _oracle_values(cfg, points, w, x_spec, phi, hartogs, outdir):
-    """The configured oracle's value at each point.  The grid oracle is
-    solved once for all points and its field written to grid_field.csv."""
+    """The configured oracle's value at each point, and the path of the
+    file it wrote or None.  The grid oracle is solved once for all points
+    and its field written to grid_field.csv."""
     oracle = cfg["oracle"]
     if oracle["kind"] == "closed_form":
         fn = obstacle_from_expression(oracle["expr"], x_spec.n,
                                       path="config.oracle.expr")
-        return [float(fn(p[None, :])[0]) for p in points]
+        return [float(fn(p[None, :])[0]) for p in points], None
     if oracle["kind"] == "kiselman":  # points in W are refused at load
-        return [float(kiselman_psi(hartogs, phi, p[:-1])) for p in points]
+        return [float(kiselman_psi(hartogs, phi, p[:-1]))
+                for p in points], None
     field = grid_obstacle_solver((w, x_spec), phi, **cfgmod.given(
         oracle, cfgmod.ORACLE_KINDS["grid"][1]))
     # interpolated first, so a failed run writes no field
     values = field.interpolate([p[0] for p in points])
-    field.to_csv(os.path.join(outdir, "grid_field.csv"))
-    return [float(v) for v in values]
+    path = os.path.join(outdir, "grid_field.csv")
+    field.to_csv(path)
+    return [float(v) for v in values], path
 
 
 def _row(point, envelope=None, oracle=None, feasible=True,
@@ -148,17 +151,22 @@ def run_points(cfg, outdir, search=True, compare=True, quiet=False):
                 budget=cfg["budget"], seed=cfg["seed"], grid=grid)
         except DiscenvError as exc:
             raise type(exc)(f"config.points[{i}]: {exc}") from None
-    oracle_vals = [None] * len(points)
+    oracle_vals, field_csv = [None] * len(points), None
     if compare and cfg.get("oracle") is not None:
-        oracle_vals = _oracle_values(cfg, points, w, x_spec, phi, hartogs,
-                                     outdir)
+        oracle_vals, field_csv = _oracle_values(cfg, points, w, x_spec, phi,
+                                                hartogs, outdir)
 
     rows = []
     for point, req, oracle_val in zip(points, requests, oracle_vals):
         label = _point_label(point)
         if search:
             t0 = time.perf_counter()
-            res = minimize_envelope(req)
+            try:
+                res = minimize_envelope(req)
+            except BaseException:  # a failed run leaves no field either
+                if field_csv is not None:
+                    os.remove(field_csv)
+                raise
             runtime = time.perf_counter() - t0
             rows.append(_row(
                 label, res.value, oracle_val, bool(res.feasible),

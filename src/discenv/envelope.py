@@ -11,13 +11,8 @@ initial parameters.  The starts of every family at the point run in
 lockstep: each round scores the next point of every live start as one
 batch of discs, of all families.  Recorded discs rank by (not strictly
 feasible, violation, value); ties keep the first recorded, then the
-lowest (family, start) index.
-
-The full search runs first at the least power of two >= SEARCH_M nodes at
-which every family builds, if that is below M.  Its winner stands if it
-is strict at M and its value there is within AGREEMENT of the coarse one;
-else the search runs again at M.  Value, violation and certificate come
-from M; the trace, parameters and start index from the winning search.
+lowest (family, start) index.  ``minimize_envelope`` searches at a coarse
+size, then at the configured M if need be, and scores each winner at M.
 """
 
 from __future__ import annotations
@@ -371,32 +366,34 @@ def minimize_envelope(req):
     """Best feasible boundary average of the obstacle over the disc families:
     the plain average (penalties removed) at the configured M along the
     winning disc, an upper bound for the true envelope, which in turn
-    dominates the largest plurisubharmonic subextension."""
+    dominates the largest plurisubharmonic subextension.
+
+    The levels M_c (the least power of two >= SEARCH_M where every family
+    builds; if below M) and M each search.  A winner, scored at M as one
+    row, stands at M, or if strict there within AGREEMENT of its M_c value.
+    On a small budget a coarse winner can be the looser bound (ROADMAP
+    items 18 and 24)."""
     objective = _envelope_objective(req)
-    m = SEARCH_M
-    while any(m // 2 <= family.order for family in req.families):
-        m *= 2
-    try:
-        best = _search(replace(req, grid=QuadratureGrid(m)), objective) \
-            if m < req.grid.M else None
-    except InfeasibleEnvelope:
-        best = None
-    if best is not None:  # its disc, built and scored at M as a search row
+    m_c = SEARCH_M
+    while any(m_c // 2 <= family.order for family in req.families):
+        m_c *= 2
+    for m in sorted({m_c, req.grid.M}):  # stops at M
+        try:
+            best = _search(replace(req, grid=QuadratureGrid(m)), objective)
+        except InfeasibleEnvelope:
+            if m == req.grid.M:
+                raise
+            continue
         (_, _, v), params = best.record
         _, value, violation, strict, samples = _evaluate(
             req, [(best.family, np.array([params]))], objective)
-        value, violation, blocked = value.item(), violation.item(), not strict[0]
-        if blocked or not abs(value - v) <= AGREEMENT * max(1.0, abs(v)):
-            best = None
-    if best is None:
-        m = req.grid.M
-        best = _search(req, objective)
-        (blocked, violation, value), params = best.record
-        # each row is built from itself alone, so this is the scored disc
-        samples, _ = best.family.build_many(np.array([params]), m)
+        if m == req.grid.M or strict[0] and abs(value.item() - v) <= (
+                AGREEMENT * max(1.0, abs(v))):
+            break
     return EnvelopeResult(
-        value=value, best_params=np.array(params), family=best.family.name,
-        start_index=best.index, max_violation=violation, feasible=not blocked,
+        value=value.item(), best_params=np.array(params),
+        family=best.family.name, start_index=best.index,
+        max_violation=violation.item(), feasible=bool(strict[0]),
         trace=best.trace, disc=AnalyticDisc(samples[0]), search_m=m,
         certificate="max_principle" if req.pair[1].max_principle
         else "probes")

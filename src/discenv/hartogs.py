@@ -86,6 +86,8 @@ def vertical_disc(pair, zp, s=0.5, k=1, m=256):
             f"scale {float(s)} outside radial range ({r}, {R})")
     if k < 1:
         raise ConfigurationError("winding must be >= 1 for a vertical disc")
+    if 2 * k >= m:  # k would alias on the m nodes
+        raise ConfigurationError("sample grid too small for winding")
     samples = np.empty((m, pair.n), dtype=complex)
     samples[:, :-1] = zp
     samples[:, -1] = s * root_powers(m, k)

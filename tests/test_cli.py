@@ -1176,6 +1176,20 @@ def test_non_finite_obstacle_exits_three(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_failed_search_leaves_no_grid_field(tmp_path, capsys):
+    # log|z1| is -inf along the constant disc at 0: the search raises after
+    # the grid oracle has written its field, which the failed run removes
+    cfg = dict(ANNULUS_CONFIG, points=[[[0.0, 0.0]]],
+               families=[{"kind": "constant"}], quadrature_m=64,
+               oracle={"kind": "grid", "spacing": 0.25})
+    cfg.pop("tolerances")
+    out = tmp_path / "run"
+    assert run(["compare", "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 3
+    assert "finite boundary average" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 #: Mostly valid pieces of an envelope config for the command line fuzz test
 FUZZ_FAMILY = st.one_of(
     st.sampled_from([{"kind": "constant"}, {"kind": "shell"},

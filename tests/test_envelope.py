@@ -749,18 +749,20 @@ def test_search_value_is_at_least_the_kiselman_psi(r, angle):
                                      [z1]) - 1e-3
 
 
+@pytest.mark.parametrize("level", ["coarse", "fine"])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(pair=st.sampled_from(["annulus", "hartogs"]),
        r=st.floats(0.0, 1.0, exclude_max=True),
        angle=st.floats(0.0, 2 * np.pi))
-def test_a_coarse_winner_is_reported_at_the_configured_m(pair, r, angle):
+def test_a_coarse_winner_is_reported_at_the_configured_m(level, pair, r,
+                                                         angle):
     """On the planar annulus (M = 256, |x| < 1.9) and on criterion 1's
-    Hartogs pair (M = 512, |z1| < 0.6), a winner found at 64 nodes is
-    reported by its disc at the configured M: the value is that disc's
-    boundary average there, bit for bit, the disc is strict at the
-    configured-M nodes (and at the probes on the Hartogs X), and the
-    value is at least the closed form.  A refused coarse winner gives
-    the search at M, whose disc is its recorded one."""
+    Hartogs pair (M = 512, |z1| < 0.6), the winner of either level (the
+    fine one forced by refusing every coarse winner) is reported by its
+    disc at the configured M: the value is that disc's boundary average
+    there, bit for bit, feasibility is its strictness there (at the nodes,
+    and at the probes on the Hartogs X), and a feasible value is at least
+    the closed form."""
     if pair == "annulus":
         x = 1.9 * r * np.exp(1j * angle)
         req = annulus_request(x, [
@@ -776,17 +778,22 @@ def test_a_coarse_winner_is_reported_at_the_configured_m(pair, r, angle):
             x=[z1, 0.0], families=families, grid=QuadratureGrid(512),
             starts=2, budget=40)
         closed = z1.real + 1.0 / 16
-    res = minimize_envelope(req)
+    with pytest.MonkeyPatch.context() as patch:
+        if level == "fine":
+            patch.setattr(envelope, "AGREEMENT", -1.0)
+        res = minimize_envelope(req)
     assert res.disc.samples.shape[0] == req.grid.M
-    if res.search_m == req.grid.M:
-        assert_recorded_disc(res, req)
-        return
-    assert res.search_m == 64
+    # a coarse winner can be refused at M (at numpy's baseline SIMD level,
+    # one misses strictness there by 1e-16)
+    assert res.search_m in ((64, req.grid.M) if level == "coarse"
+                            else (req.grid.M,))
     w, x_spec = req.pair
     _, violation, strict = _constraints(w, x_spec, res.disc.samples[None])
-    assert strict[0] and res.feasible and res.max_violation == 0.0
+    assert res.feasible == strict[0]
+    assert res.max_violation == violation[0]
     assert res.value == boundary_averages(res.disc.samples[None], req.phi)[0]
-    assert res.value >= closed - 1e-12
+    if res.feasible:
+        assert res.value >= closed - 1e-12
 
 
 @pytest.mark.parametrize("m", [128, 256])

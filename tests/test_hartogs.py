@@ -107,6 +107,20 @@ def test_vertical_disc_preconditions():
         vertical_disc(pair, [0.0], 0.5, k=0)
 
 
+@pytest.mark.parametrize("m", [8, 256])
+def test_vertical_disc_refuses_a_winding_that_aliases(m):
+    """A winding k needs 2k < m nodes, as VerticalFamily.build_many
+    checks: at k = m/2 and above the samples alias, at m/2 - 1 the disc
+    winds k times."""
+    pair = hartogs_pair()
+    for k in (m // 2, m - 1):
+        with pytest.raises(ConfigurationError,
+                           match="sample grid too small for winding"):
+            vertical_disc(pair, [0.0], 0.5, k=k, m=m)
+    disc = vertical_disc(pair, [0.0], 0.5, k=m // 2 - 1, m=m)
+    assert classify_component(disc) == m // 2 - 1
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_vertical_family_builds_the_tiled_discs_and_vertical_disc(k):
     """build_many writes the discs that np.tile of the centre, with the
