@@ -65,7 +65,7 @@ PAIR_VARIANTS = {
 #: Each oracle kind's solver, if it takes config keys, and the keys it
 #: reads besides ``kind``.
 ORACLE_KINDS = {"kiselman": (None, ()),
-                "grid": (grid_obstacle_solver, ("spacing", "bounds")),
+                "grid": (grid_obstacle_solver, ("spacing",)),
                 "closed_form": (None, ("expr",))}
 
 #: The largest quadrature_m: the search cuts its rounds at
@@ -180,6 +180,15 @@ def _default(block, key, builder, name=None):
         else inspect.signature(builder).parameters[name or key].default
 
 
+def _grid_nodes(spacing, path):
+    """The grid oracle's node cap, on the solver's (square) default box."""
+    lo, hi = _default({}, "bounds", grid_obstacle_solver)[:2]
+    sides = _nodes(lo, hi, spacing / 2)  # a float: inf at a tiny spacing
+    _require(sides <= MAX_GRID_NODES, path,
+             f"expected at most {MAX_GRID_NODES} nodes per side at spacing "
+             f"/ 2, got {sides:.4g} from spacing {spacing}")
+
+
 def _spanning(cfg):
     """Check the rules that span keys, or need a key, in one fixed order;
     a key left out counts at the default of the builder it goes to."""
@@ -211,19 +220,6 @@ def _spanning(cfg):
     _require(kind != "grid" or pair["variant"] == "planar_annulus",
              "config.oracle", "grid oracle needs a planar pair (one complex "
              "dimension)")
-    if kind == "grid":
-        spacing, bounds = (_default(oracle, key, grid_obstacle_solver)
-                           for key in ("spacing", "bounds"))
-        # each axis as the solver lays it out at h = spacing / 2, counted
-        # in floats, where a huge box or a tiny spacing gives inf nodes
-        h, b = spacing / 2, list(map(float, bounds))
-        axes = [(lo, hi, _nodes(lo, hi, h)) for lo, hi in (b[:2], b[2:])]
-        sides = max(n for *_, n in axes)
-        key = "spacing" if "spacing" in oracle else "bounds"
-        _require(sides <= MAX_GRID_NODES, f"config.oracle.{key}",
-                 f"expected at most {MAX_GRID_NODES} nodes per side at "
-                 f"spacing / 2, got {sides:.4g} from spacing {spacing} and "
-                 f"bounds {list(bounds)}")
     _require(kind != "closed_form" or "expr" in oracle,
              "config.oracle.expr", "closed_form oracle needs 'expr'")
     if kind == "closed_form" or cfg["points"]:  # built once, for both
@@ -234,24 +230,18 @@ def _spanning(cfg):
               for i, p in enumerate(cfg["points"])]
     for i, point in enumerate(points):
         path = f"config.points[{i}]"
-        if kind == "grid":
-            # inside the bounds and before the last node, where
-            # GridField.interpolate finds the point's cell
-            z = point[0]
-            _require(all(lo <= v < hi and (v - lo) / h < n - 1
-                         for v, (lo, hi, n) in zip((z.real, z.imag), axes)),
-                     path, f"outside the grid oracle's bounds {list(bounds)}")
         _require(x_spec.margin(point[None, :])[0] > 0, path,
                  f"centre {tuple(point.tolist())} lies outside X")
         if kind == "kiselman":
-            # in W (r < |z_n| < R) the fibre infimum is not the envelope
             with np.errstate(all="ignore"):
                 r, R = hartogs.radii(point[:-1])
-                size = abs(point[-1])
-            _require(not r < size < R, path,
+            _require(r < R, path,
+                     f"empty fiber: r = {r} >= R = {R} at the base point")
+            # in W (r < |z_n| < R) the fibre infimum is not the envelope
+            _require(not r < abs(point[-1]) < R, path,
                      f"kiselman oracle needs |z{x_spec.n}| <= r, as in W its "
                      f"value is not the envelope; got r = {r} < "
-                     f"|z{x_spec.n}| = {size} < R = {R}")
+                     f"|z{x_spec.n}| = {abs(point[-1])} < R = {R}")
     _require(homotopy is None or "z_prime" in homotopy,
              "config.homotopy.z_prime", "required")
     if cesaro is not None:
@@ -303,9 +293,7 @@ FAMILY_RULES = {
 ORACLE_RULES = {
     "kind": _named(ORACLE_KINDS, "oracle"),
     "expr": _STRING,
-    "spacing": _POSITIVE,
-    "bounds": (lambda b: _is_numbers(b, 4) and b[0] < b[1] and b[2] < b[3],
-               "expected [x_min, x_max, y_min, y_max] with min < max"),
+    "spacing": [_POSITIVE, _grid_nodes],
 }
 TOLERANCES_RULES = {"gap": [_NUMBER, (lambda value: value >= 0,
                                          "expected a number >= 0")]}

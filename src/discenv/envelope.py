@@ -371,8 +371,11 @@ def minimize_envelope(req):
     The levels M_c (the least power of two >= SEARCH_M where every family
     builds; if below M) and M each search.  A winner, scored at M as one
     row, stands at M, or if strict there within AGREEMENT of its M_c value.
-    On a small budget a coarse winner can be the looser bound (ROADMAP
-    items 18 and 24)."""
+    On a small budget a coarse winner can be the looser bound, and one
+    that misses strictness at M by a rounding error sends the search to M,
+    which can report a far looser one (on the annulus at 1.9 * 0.4357... *
+    exp(1e-12 i), at numpy's baseline SIMD level: 9.5e-16 at 64 nodes, a
+    violation of 1.1e-16 at 256, then 5.6e-6; ROADMAP items 18 and 24)."""
     objective = _envelope_objective(req)
     m_c = SEARCH_M
     while any(m_c // 2 <= family.order for family in req.families):

@@ -83,8 +83,10 @@ def _compile_node(node, n, tape):
             raise ConfigurationError(f"unsupported constant {node.value!r}")
         try:
             v = float(node.value)
-        except OverflowError as exc:
-            raise ConfigurationError(f"constant too large: {exc}") from exc
+        except OverflowError:
+            v = np.inf
+        if not np.isfinite(v):  # an int or float literal past the float range
+            raise ConfigurationError("constant too large for a float")
         return tape.slot(("const", v), value=v)
     if isinstance(node, ast.Name):
         name = node.id

@@ -161,6 +161,10 @@ def _build_grid(pair, phi, bounds, h):
     mask = np.zeros((ny, nx), dtype=np.int8)
     mask[mx > 0] = 1
     mask[mw > 0] = 2
+    # _relax holds the box's edge at its start, so the box must contain X
+    if any(e.any() for e in (mask[0], mask[-1], mask[:, 0], mask[:, -1])):
+        raise ConfigurationError(f"grid box {tuple(bounds)} cuts X: a node "
+                                 f"of X lies on its edge at spacing {h}")
     inside_w = mask == 2
     if not inside_w.any():
         raise ConfigurationError(
@@ -307,8 +311,8 @@ def grid_obstacle_solver(pair, phi,
                          bounds=(-2.0625, 2.0625, -2.0625, 2.0625),
                          spacing=1.0 / 128, tol=1e-10):
     """Largest subharmonic function on the planar X that is at most phi on
-    W (the largest subextension), on the box ``bounds`` = (x_min, x_max,
-    y_min, y_max) at spacing / 2.
+    W (the largest subextension), at spacing / 2 on the box ``bounds`` =
+    (x_min, x_max, y_min, y_max); a box with a node of X on its edge raises.
 
     The obstacle is phi on W and +inf on X \\ W; the relaxation
     u <- min(obstacle, four-neighbour mean) is iterated to a fixed point

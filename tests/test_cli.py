@@ -39,6 +39,12 @@ C2_POINT = [[[0.5, 0.0], [0.0, 0.0]]]
 W_POINT = [[0.1, 0.0], [0.5, 0.0]]
 KISELMAN_OBSTACLE = {"expr": "re(z1) + abs(z2) * abs(z2)",
                      "rotation_invariant": True}
+#: expression radii whose fibre is empty: a Kiselman oracle has no
+#: infimum at the point, which every subcommand refuses at load
+EMPTY_FIBRE = {"pair": {"variant": "hartogs", "r": "0.5 + 0 * abs(z1)",
+                        "R": "0.4 + 0 * abs(z1)"},
+               "points": [[[0.1, 0.0], [0.0, 0.0]]],
+               "obstacle": KISELMAN_OBSTACLE, "oracle": {"kind": "kiselman"}}
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -245,7 +251,7 @@ def test_validation_failure_exits_two_without_outputs(tmp_path):
      "homotopy": {"z_prime": [[0.0, 0.0]], "steps": 10 ** 30}},
     {"starts": 10 ** 12},
     {"oracle": {"kind": "grid", "spacing": 1e-300}},
-    {"oracle": {"kind": "grid", "bounds": [-1e308, 1e308, -2, 2]}},
+    {"obstacle": {"expr": "re(z1) + 1e400"}},
     {"cesaro": {"m": 2 ** 62}},
     {"cesaro": {"m": 48}},
     {"cesaro": {"m_w": 64, "j_values": [8, 16]}},
@@ -338,8 +344,7 @@ def _compare_error(tmp_path, capsys, overrides):
      "config.pair.r: expected r < R, got r = 0.25 >= R = 0.2"),
     ({"oracle": {"kind": "grid", "spacing": 2e-3}},
      "config.oracle.spacing: expected at most 4096 nodes per side at "
-     "spacing / 2, got 4126 from spacing 0.002 and bounds "
-     "[-2.0625, 2.0625, -2.0625, 2.0625]"),
+     "spacing / 2, got 4126 from spacing 0.002"),
     ({"cesaro": {"m": 8, "m_w": 2 ** 18}},
      "config.cesaro.m_w: expected m * m_w <= 1048576, got 8 * 262144"),
     ({"cesaro": {"m_w": 512}},
@@ -361,14 +366,12 @@ def _compare_error(tmp_path, capsys, overrides):
       "oracle": {"kind": "grid"}},
      "config.oracle: grid oracle needs a planar pair (one complex "
      "dimension)"),
-    ({"oracle": {"kind": "grid", "bounds": [-2, 1, -2, 2]}},
-     "config.points[1]: outside the grid oracle's bounds [-2, 1, -2, 2]"),
-    # inside the bounds, but past the grid's last node at x = 1
-    ({"points": [[[1.00000000001, 0.0]]],
-      "oracle": {"kind": "grid", "spacing": 0.5,
-                 "bounds": [-2, 1.00000000002, -2, 2]}},
-     "config.points[0]: outside the grid oracle's bounds "
-     "[-2, 1.00000000002, -2, 2]"),
+    # the grid oracle's box is the solver's, which covers X
+    ({"oracle": {"kind": "grid", "bounds": [-2, 0.5, -2, 2]}},
+     "config.oracle: unknown keys ['bounds'] for kind 'grid'"),
+    # an empty fibre at the point's base coordinates
+    (EMPTY_FIBRE, "config.points[0]: empty fiber: r = 0.5 >= R = 0.4 at the "
+     "base point"),
     # a point in W, where the fibre infimum is not the envelope
     ({"pair": {"variant": "hartogs"}, "points": [*C2_POINT, W_POINT],
       "obstacle": KISELMAN_OBSTACLE, "oracle": {"kind": "kiselman"}},
@@ -436,17 +439,31 @@ def test_non_finite_grid_obstacle_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["envelope", "oracle", "compare"])
+def test_grid_oracle_takes_no_box(tmp_path, capsys, command):
+    # a box that cuts X gives a wrong field (0.354 at the origin, where
+    # the solver's box gives 0.0099), so a config sets none
+    cfg = dict(ANNULUS_CONFIG, points=[[[0.0, 0.0]], [[0.25, 0.0]]],
+               oracle={"kind": "grid", "spacing": 1 / 16,
+                       "bounds": [-2, 0.5, -2, 2]})
+    out = tmp_path / "run"
+    assert run([command, "--config", write_config(tmp_path, cfg), "--out",
+                out, "--quiet"]) == 2
+    assert capsys.readouterr().err \
+        == "error: config.oracle: unknown keys ['bounds'] for kind 'grid'\n"
+    assert not out.exists()
+
+
 def test_grid_with_no_node_in_w_exits_two(tmp_path, capsys):
-    # every node of the +-0.5 box lies in X but inside the annulus hole
+    # at spacing 8.25 the nodes lie at +-2.0625 only, all outside X
     cfg = dict(ANNULUS_CONFIG, points=[[[0.1, 0.0]]],
-               oracle={"kind": "grid", "spacing": 0.25,
-                       "bounds": [-0.5, 0.5, -0.5, 0.5]})
+               oracle={"kind": "grid", "spacing": 8.25})
     cfg_path = write_config(tmp_path, cfg)
     out = tmp_path / "run"
     assert run(["oracle", "--config", cfg_path, "--out", out,
                 "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: no grid node lies in W at spacing 0.125")
+    assert err.startswith("error: no grid node lies in W at spacing 4.125")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 
@@ -719,6 +736,11 @@ def test_oracle_subcommand_without_an_oracle_exits_two(tmp_path, capsys):
      "pair.r"),
     ({"pair": {"variant": "hartogs", "R": "abs(z2)"}}, "homotopy",
      "pair.R"),
+    # a constant that is not a finite float
+    ({"obstacle": {"expr": "re(z1) + 1e400"}}, "compare", "obstacle.expr"),
+    ({"oracle": {"kind": "closed_form", "expr": "1e400"}}, "oracle",
+     "oracle.expr"),
+    ({"pair": {"variant": "hartogs", "R": "1e400"}}, "envelope", "pair.R"),
 ])
 def test_expression_errors_name_their_config_key(tmp_path, capsys,
                                                  overrides, command, key):
@@ -1054,50 +1076,11 @@ def test_grid_covers_its_bounds(tmp_path):
     assert max(float(r["y"]) for r in nodes) >= 2.0625
 
 
-@pytest.mark.parametrize("command", ["oracle", "compare"])
-def test_point_off_the_grid_exits_two_before_the_solve(
-        tmp_path, capsys, monkeypatch, command):
-    # the grid at spacing 0.125 ends at x = 1, left of the point 1.5
-    solves = []
-    monkeypatch.setattr(cli, "grid_obstacle_solver",
-                        lambda *args, **kwargs: solves.append(args))
-    cfg = dict(ANNULUS_CONFIG, points=[[[-1.5, 0.0]], [[1.5, 0.0]]],
-               oracle={"kind": "grid", "spacing": 0.25,
-                       "bounds": [-2, 1, -2, 2]})
-    cfg_path = write_config(tmp_path, cfg)
-    out = tmp_path / "run"
-    assert run([command, "--config", cfg_path, "--out", out,
-                "--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: config.points[1]: outside the grid oracle's " \
-                  "bounds [-2, 1, -2, 2]\n"
-    assert solves == [] and not out.exists()
-
-
-@pytest.mark.parametrize("command", ["envelope", "oracle", "compare"])
-def test_point_past_the_last_node_exits_two_before_the_solve(
-        tmp_path, capsys, monkeypatch, command):
-    # at h = 0.25 the last node on [-2, 1.00000000002] is x = 1, so
-    # 1.00000000001 lies inside the bounds but in no cell of the grid
-    solves = []
-    monkeypatch.setattr(cli, "grid_obstacle_solver",
-                        lambda *args, **kwargs: solves.append(args))
-    cfg = dict(ANNULUS_CONFIG, points=[[[1.00000000001, 0.0]]],
-               oracle={"kind": "grid", "spacing": 0.5,
-                       "bounds": [-2, 1.00000000002, -2, 2]})
-    out = tmp_path / "run"
-    assert run([command, "--config", write_config(tmp_path, cfg),
-                "--out", out, "--quiet"]) == 2
-    assert capsys.readouterr().err == "error: config.points[0]: outside the " \
-        "grid oracle's bounds [-2, 1.00000000002, -2, 2]\n"
-    assert solves == [] and not out.exists()
-
-
 @pytest.mark.parametrize("overrides, message", [
     ({"oracle": {"kind": "kiselman"}},
      "config.oracle: kiselman oracle needs a hartogs pair"),
-    ({"oracle": {"kind": "grid", "bounds": [-2, 1, -2, 2]}},
-     "config.points[1]: outside the grid oracle's bounds [-2, 1, -2, 2]"),
+    (EMPTY_FIBRE, "config.points[0]: empty fiber: r = 0.5 >= R = 0.4 at the "
+     "base point"),
     ({"oracle": {"kind": "closed_form", "expr": "foo(z1"}},
      "config.oracle.expr: '(' was never closed (<unknown>, line 1)"),
 ])
@@ -1113,23 +1096,8 @@ def test_envelope_rejects_the_oracle_faults_that_compare_rejects(
         assert not out.exists()
 
 
-def test_point_past_the_bounds_on_the_grid_overshoot_exits_two(tmp_path,
-                                                               capsys):
-    # at spacing 3 the grid reaches x = 2.5, past x_max = 1.2 and out of X
-    cfg = dict(ANNULUS_CONFIG, points=[[[1.5, 0.0]]],
-               oracle={"kind": "grid", "spacing": 3.0,
-                       "bounds": [-2, 1.2, -2, 2]})
-    out = tmp_path / "run"
-    assert run(["oracle", "--config", write_config(tmp_path, cfg),
-                "--out", out, "--quiet"]) == 2
-    assert capsys.readouterr().err == ("error: config.points[0]: outside the "
-                                       "grid oracle's bounds [-2, 1.2, -2, "
-                                       "2]\n")
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("overrides, message", [
-    # inside the grid's bounds, where the ghost ring holds the field
+    # inside the grid's box, where the ghost ring holds the field
     ({"points": [[[1.5, 0.0]], [[2.03, 0.0]]],
       "oracle": {"kind": "grid", "spacing": 0.125}},
      "config.points[1]: centre ((2.03+0j),) lies outside X"),
@@ -1320,8 +1288,8 @@ def test_homotopy_runs_exit_with_a_documented_code(cfg):
         assert all(row["winding"] == spec.get("winding", 1) for row in trace)
 
 
-#: Points of the planar annulus on and off the grids of the bounds below:
-#: 3.0 and -2.5i are off every grid, 2.05 and -1.5 + 1.5i off some
+#: Points of the planar annulus in X and outside it: 3.0, -2.5i, 2.05 and
+#: -1.5 + 1.5i lie outside X
 FUZZ_GRID_POINTS = [[[0.5, 0.0]], [[3.0, 0.0]], [[1.5, 0.0]], [[0.0, -2.5]],
                     [[-1.2, 0.3]], [[2.05, 0.0]], [[0.0, -1.9]],
                     [[-1.5, 1.5]]]
@@ -1334,10 +1302,8 @@ FUZZ_ORACLE_KINDS = {
                            max_size=2),
         "oracle": st.fixed_dictionaries({
             "kind": st.just("grid"),
-            "spacing": st.sampled_from([1 / 16, 0.125, 0.25, 0.5, 1.0, 3.0])},
-            optional={"bounds": st.sampled_from([
-                [-1, 2, -2, 1], [-2, 2, -2, 2], [-2.5, 2.5, -2, 2],
-                [-2.0625, 2.0625, -2.0625, 2.0625]])})}),
+            "spacing": st.sampled_from([1 / 16, 0.125, 0.25, 0.5, 1.0,
+                                        3.0])})}),
     "closed_form": st.sampled_from(sorted(FUZZ_PAIRS)).flatmap(
         lambda variant: st.fixed_dictionaries({
             "pair": st.just({"variant": variant}),
@@ -1358,17 +1324,14 @@ FUZZ_ORACLE_KINDS = {
                            max_size=2),
         "oracle": st.just({"kind": "kiselman"})}),
 }
-#: One oracle config, then one change in four that validation rejects
+#: One oracle config, then one change in five that validation rejects
 FUZZ_ORACLE = st.sampled_from(list(FUZZ_ORACLE_KINDS)).flatmap(
     FUZZ_ORACLE_KINDS.get).map(
     lambda cfg: {"experiment": "fuzz-oracle",
                  "obstacle": {"builtin": "log_abs"}, **cfg}).flatmap(
     lambda cfg: st.sampled_from([{}] * 20 + [
-        # over the node cap: if validation let one through, the thin box
-        # would still be a small grid
-        {"spacing": 1e-300}, {"spacing": 1e-3, "bounds": [-2.5, 2.5, 0, 0.01]},
-        {"spacing": 0},
-        {"bounds": [-1e308, 1e308, -2, 2]}, {"bounds": [1, 0, -1, 1]},
+        # over the node cap, not positive, an unknown kind and an unknown key
+        {"spacing": 1e-300}, {"spacing": 1e-3}, {"spacing": 0},
         {"kind": "nope"}, {"caps": [1.0]},
     ]).map(lambda change: {**cfg, "oracle": {**cfg["oracle"], **change}}))
 

@@ -43,6 +43,8 @@ def test_max_and_log():
 def test_unary_minus():
     fn = compile_expression("-abs(z1)", 1)
     assert abs(fn(np.array([[3.0 + 4.0j]]))[0] + 5.0) <= 1e-12
+    # unary plus is the operand itself
+    assert compile_expression("+re(z1)", 1)(np.array([[3.0 + 4.0j]])) == 3.0
 
 
 def test_each_distinct_subexpression_is_evaluated_once(monkeypatch):
@@ -105,6 +107,11 @@ def test_deepest_expression_evaluates_a_few_frames_below_the_limit():
     "-" * 3000 + "z1",              # past the parser's recursion limit
     "z1" + " + z1" * 200,           # nested past the depth limit
     "z1" + " + z1" * 1200,
+    "1e400",                        # a float literal past the float range
+    "re(z1) - 1e400",
+    "~z1",                          # no bitwise operators
+    "abs(x=z1)",                    # no keyword arguments
+    "abs(z1, z2)",                  # one argument
 ])
 def test_rejected_expressions(text):
     with pytest.raises(ConfigurationError):
@@ -205,6 +212,9 @@ def test_family_key_of_another_kind_exits_two(tmp_path, capsys, family):
      "config.oracle: unknown keys ['bounds'] for kind 'kiselman'"),
     ({"oracle": {"kind": "grid", "expr": "nonsense(("}},
      "config.oracle: unknown keys ['expr'] for kind 'grid'"),
+    # the grid oracle's box is the solver's, which covers X
+    ({"oracle": {"kind": "grid", "bounds": [-2, 0.5, -2, 2]}},
+     "config.oracle: unknown keys ['bounds'] for kind 'grid'"),
 ])
 def test_pair_and_oracle_keys_of_another_kind_rejected(overrides, message):
     with pytest.raises(ConfigurationError, match=re.escape(message)):
@@ -254,11 +264,15 @@ def test_partial_eps_range_checked():
      "oracle: unknown keys"),
     ({"oracle": {"kind": "grid", "caps": [2.0, 3.0, 5.0, 9.0]}},
      "oracle: unknown keys"),
-    ({"oracle": {"kind": "grid", "bounds": [1, 2]}}, "oracle.bounds"),
-    ({"oracle": {"kind": "grid", "bounds": [1, 0, -1, 1]}}, "oracle.bounds"),
-    ({"oracle": {"kind": "grid", "bounds": [-1, 1, 1, 1]}}, "oracle.bounds"),
-    ({"oracle": {"kind": "grid", "bounds": [-1, 1, "a", 1]}},
-     "oracle.bounds"),
+    # and no box: any bounds value is an unknown key
+    ({"oracle": {"kind": "grid", "bounds": [1, 2]}},
+     r"oracle: unknown keys \['bounds'\] for kind 'grid'"),
+    # constants that are not finite floats
+    ({"oracle": {"kind": "closed_form", "expr": "re(z1) - 1e400"}},
+     "oracle.expr"),
+    ({"oracle": {"kind": "closed_form", "expr": "1e400"}}, "oracle.expr"),
+    ({"pair": {"variant": "hartogs", "R": "1e400"},
+      "points": [[[0.1, 0.0], [0.0, 0.0]]]}, "pair.R"),
     ({"oracle": {"kind": "grid", "spacing": "x"}}, "oracle.spacing"),
     ({"oracle": {"kind": "grid", "spacing": -0.125}}, "oracle.spacing"),
     ({"oracle": {"kind": "grid", "spacing": 0}}, "oracle.spacing"),
@@ -333,14 +347,14 @@ def test_partial_eps_range_checked():
     ({"homotopy": {"steps": 2 ** 16 + 1}}, "homotopy.steps"),
     ({"homotopy": {"steps": 10 ** 30}}, "homotopy.steps"),
     ({"starts": 10 ** 12}, "starts"),
-    # more grid nodes per side at spacing / 2 than the cap, also where a
-    # key is left out and the grid solver's default counts
+    # more grid nodes per side at spacing / 2 on the solver's box than the
+    # cap: 4098 at the spacing just below 8.25 / 4095
     ({"oracle": {"kind": "grid", "spacing": 1e-300}}, "oracle.spacing"),
     ({"oracle": {"kind": "grid", "spacing": 2e-3}}, "oracle.spacing"),
-    ({"oracle": {"kind": "grid", "bounds": [-1e308, 1e308, -2, 2]}},
-     "oracle.bounds"),
-    ({"oracle": {"kind": "grid", "bounds": [-20, 20, -2, 2]}},
-     "oracle.bounds"),
+    ({"oracle": {"kind": "grid", "spacing": 0.002014}},
+     "oracle.spacing: expected at most 4096 nodes per side at spacing / 2, "
+     "got 4098"),
+    ({"oracle": {"kind": "grid", "spacing": True}}, "oracle.spacing"),
     # Cesaro sizes: powers of two a DiscLoop and its base disc take, a
     # capped sample count, and orders the w-grid resolves
     ({"cesaro": {"m": 48}}, "cesaro.m"),
@@ -364,13 +378,15 @@ def test_partial_eps_range_checked():
       "oracle": {"kind": "kiselman"}}, "config.oracle: kiselman"),
     ({"pair": {"variant": "shell"}, "oracle": {"kind": "grid"}},
      "config.oracle: grid"),
-    ({"points": [[[0.5, 0.0]], [[0.0, 2.0625]]], "oracle": {"kind": "grid"}},
-     r"points\[1\]: outside the grid oracle's bounds"),
-    # inside the bounds, but past the grid's last node at x = 1
-    ({"points": [[[1.00000000001, 0.0]]],
-      "oracle": {"kind": "grid", "spacing": 0.5,
-                 "bounds": [-2, 1.00000000002, -2, 2]}},
-     r"points\[0\]: outside the grid oracle's bounds"),
+    # an empty fibre of expression radii, where the Kiselman oracle has no
+    # infimum, and a radius constant that is not a finite float
+    ({"pair": {"variant": "hartogs", "r": "0.5 + 0 * abs(z1)",
+               "R": "0.4 + 0 * abs(z1)"},
+      "obstacle": {"expr": "abs(z2)", "rotation_invariant": True},
+      "points": [[[0.1, 0.0], [0.0, 0.0]]], "oracle": {"kind": "kiselman"}},
+     r"points\[0\]: empty fiber: r = 0\.5 >= R = 0\.4"),
+    ({"pair": {"variant": "hartogs", "r": "-1e400"},
+      "points": [[[0.1, 0.0], [0.0, 0.0]]]}, "pair.r"),
     # half of the least float spacing is 0: infinitely many nodes
     ({"oracle": {"kind": "grid", "spacing": 5e-324}}, "oracle.spacing"),
 ])
@@ -395,7 +411,7 @@ FUZZ_KEYS = {
              "base_radius", "r", "R"],
     "obstacle": ["expr", "builtin", "rotation_invariant"],
     "family": ["kind", "degree", "scale", "winding", "zeros", "s_range"],
-    "oracle": ["kind", "spacing", "bounds", "expr"],
+    "oracle": ["kind", "spacing", "expr"],
     "homotopy": ["z_prime", "s", "winding", "steps"],
     "cesaro": ["m", "m_w", "j_values", "amplitude"],
     "tolerances": ["gap"],

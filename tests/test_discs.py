@@ -58,6 +58,8 @@ def test_sample_count_must_be_power_of_two():
         AnalyticDisc(np.ones(12, dtype=complex))
     with pytest.raises(ConfigurationError):
         AnalyticDisc(np.ones(4, dtype=complex))
+    with pytest.raises(ConfigurationError, match=r"an \(M, n\) array"):
+        AnalyticDisc(np.ones((8, 2, 2), dtype=complex))
 
 
 @pytest.mark.parametrize("m", [8, 64, 512, 4096])
@@ -189,6 +191,10 @@ def test_winding_rejects_undersampled_loop():
     zeta = roots_of_unity(8)
     with pytest.raises(UndersampledError):
         winding_number(zeta ** 4)
+    # an infinite sample leaves a total phase change that is no integer
+    with pytest.raises(UndersampledError, match="is not an integer"):
+        winding_number(np.where(np.arange(16) == 3, np.inf,
+                                roots_of_unity(16)))
 
 
 def test_winding_of_a_batch_is_one_int_per_loop():
@@ -324,6 +330,13 @@ def test_cesaro_requires_enough_w_samples():
     F = DiscLoop(np.tile(h.samples[:, None, :], (1, 32, 1)))
     with pytest.raises(UndersampledError):
         cesaro_mean(F, h, 100)
+    with pytest.raises(ConfigurationError, match="must be a DiscLoop"):
+        cesaro_mean(F.samples, h, 0)
+    with pytest.raises(ConfigurationError, match="the loop's w-grid"):
+        cesaro_mean(F, AnalyticDisc(h.samples[::2]), 0)
+    for shape in [(256, 32), (6, 32, 1), (256, 12, 1)]:
+        with pytest.raises(ConfigurationError, match="DiscLoop"):
+            DiscLoop(np.ones(shape, dtype=complex))
 
 
 def test_cesaro_uniform_convergence_on_smooth_loop():

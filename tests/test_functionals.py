@@ -101,6 +101,16 @@ def test_boundary_entirely_outside_w():
     assert partial_boundary_stats(disc, LOG_ABS, w) == (0.0, 0.0)
 
 
+def test_obstacle_not_finite_on_the_arc_in_w_raises():
+    # log|z1 - 1.5| is -inf at the node 1.5, which lies in W
+    w, _ = planar_annulus_pair()
+    disc = AnalyticDisc(1.5 * roots_of_unity(64))
+    phi = obstacle_from_expression("log(abs(z1 - 1.5))", 1)
+    with np.errstate(divide="ignore"), \
+            pytest.raises(EvaluationError, match="boundary arc"):
+        partial_boundary_stats(disc, phi, w)
+
+
 def test_constant_obstacle_weighs_every_node_in_w():
     # "1" has no coordinate in it, yet gives one value per point
     w, _ = planar_annulus_pair()

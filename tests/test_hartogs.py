@@ -105,6 +105,10 @@ def test_vertical_disc_preconditions():
         vertical_disc(pair, [1.5], 0.5)
     with pytest.raises(ConfigurationError):
         vertical_disc(pair, [0.0], 0.5, k=0)
+    with pytest.raises(ConfigurationError, match="dimension mismatch"):
+        vertical_disc(pair, [0.0, 0.0], 0.5)
+    with pytest.raises(ConfigurationError, match="base must be a DomainSpec"):
+        HartogsPair("ball", pair.r_fn, pair.R_fn)
 
 
 @pytest.mark.parametrize("m", [8, 256])
@@ -224,6 +228,8 @@ def test_homotopy_parameter_validation():
     bad = AnalyticDisc(np.stack([np.zeros(64), zeta - 1.0], axis=1))
     with pytest.raises(DegenerateInputError):
         hartogs_homotopy(bad, 0.5)
+    with pytest.raises(ConfigurationError, match="dimension >= 2"):
+        homotopy_trace(hartogs_pair(), AnalyticDisc(zeta), steps=4)
 
 
 # ---------------------------------------------------------------------------

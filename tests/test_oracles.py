@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from discenv.domains import Obstacle, ball, planar_annulus_pair
 from discenv.errors import (
+    ConfigurationError,
     EvaluationError,
     PreconditionError,
     UnsupportedDimensionError,
@@ -281,6 +282,28 @@ def test_non_finite_obstacle_at_a_w_node_raises():
         grid_obstacle_solver(planar_annulus_pair(), phi, **cfg)
 
 
+@pytest.mark.parametrize("bounds, cuts", [
+    ((-2.0625, 2.0625, -2.0625, 2.0625), False),  # the default
+    ((-2.1, 2.1, -2.1, 2.1), False),
+    ((-2.0625, -2.0625 + (66 + 7e-10) / 16, -2.0625, 2.0625), False),
+    ((-2, 0.5, -2, 2), True),  # nodes of X on the edge x = 0.5
+])
+def test_solver_refuses_a_box_that_cuts_x(bounds, cuts):
+    # the relaxation holds the box's edge at its start value, so a box
+    # that cuts X gives a wrong field: 0.354 at the origin, where the
+    # solution is 0 up to the grid's error
+    phi = obstacle_from_expression("log(abs(z1))", 1)
+    solve = lambda: grid_obstacle_solver(planar_annulus_pair(), phi,
+                                         bounds=bounds, spacing=1.0 / 16)
+    if cuts:
+        with pytest.raises(ConfigurationError, match=r"grid box \(-2, 0\.5, "
+                           r"-2, 2\) cuts X: a node of X lies on its edge"):
+            solve()
+    else:
+        values = solve().interpolate(np.array([0.0, 0.25, 1.5]))
+        assert np.max(np.abs(values - [0.0, 0.0, np.log(1.5)])) <= 0.02
+
+
 def test_relaxation_at_the_sweep_cap_raises(monkeypatch):
     monkeypatch.setattr(oracles, "MAX_CYCLES", 2)
     phi = obstacle_from_expression("log(abs(z1))", 1)
@@ -429,3 +452,8 @@ def test_probe_circles_exiting_region_are_skipped():
     report = submean_check(u, margin, probes, radii=[0.5])
     assert report.checked == 0
     assert report.skipped == 1
+    # inside the region, but through a node where u is not finite
+    u_inf = lambda pts: np.where(pts[..., 0] == 0.5, np.inf,
+                                 np.real(pts[..., 0]))
+    report = submean_check(u_inf, margin, np.array([[0.0j]]), radii=[0.5])
+    assert (report.checked, report.skipped) == (0, 1)
