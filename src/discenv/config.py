@@ -214,16 +214,16 @@ def _spanning(cfg):
     kind = oracle.get("kind")
     _require(kind != "kiselman" or pair["variant"] == "hartogs",
              "config.oracle", "kiselman oracle needs a hartogs pair")
-    _require(kind != "kiselman" or obst is None
-             or obst.get("rotation_invariant"), "config.oracle",
-             "kiselman oracle needs an obstacle with rotation_invariant true")
     _require(kind != "grid" or pair["variant"] == "planar_annulus",
              "config.oracle", "grid oracle needs a planar pair (one complex "
              "dimension)")
     _require(kind != "closed_form" or "expr" in oracle,
              "config.oracle.expr", "closed_form oracle needs 'expr'")
-    if kind == "closed_form" or cfg["points"]:  # built once, for both
-        _, x_spec, _, hartogs = build_pair(cfg)
+    _, x_spec, _, hartogs = build_pair(cfg)
+    phi = build_obstacle(cfg, x_spec.n) if obst else None
+    _require(kind != "kiselman" or phi is None or phi.rotation_invariant_last,
+             "config.oracle", f"kiselman oracle needs an obstacle in which "
+             f"z{x_spec.n} enters only through abs(z{x_spec.n})")
     if kind == "closed_form":
         compile_expression(oracle["expr"], x_spec.n, "config.oracle.expr")
     points = [parse_point(p, x_spec.n, f"config.points[{i}]")
@@ -280,6 +280,7 @@ PAIR_RULES = {
 OBSTACLE_RULES = {
     "builtin": _named(BUILTIN_OBSTACLES, "builtin"),
     "expr": _STRING,
+    # accepted, read by nothing: the Kiselman rule derives it from the tape
     "rotation_invariant": (lambda value: isinstance(value, bool),
                            "expected true or false"),
 }
@@ -382,9 +383,7 @@ def build_obstacle(cfg, n):
         raise ConfigurationError("config.obstacle: required for this command")
     key = "expr" if "expr" in obst else "builtin"
     expr = obst["expr"] if key == "expr" else BUILTIN_OBSTACLES[obst[key]]
-    return obstacle_from_expression(
-        expr, n, rotation_invariant_last=obst.get("rotation_invariant", False),
-        path=f"config.obstacle.{key}")
+    return obstacle_from_expression(expr, n, f"config.obstacle.{key}")
 
 
 def parse_point(entry, n, path="config.points"):

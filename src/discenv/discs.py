@@ -147,6 +147,8 @@ def winding_number(samples):
         raise UndersampledError(
             "phase increment >= pi between adjacent samples; oversample")
     w = np.sum(dtheta, axis=-1) / (2 * np.pi)
+    if not np.isfinite(w).all():  # a NaN sample passes every guard above
+        raise DegenerateInputError("sample not finite for winding number")
     k = np.rint(w).astype(int)
     off = np.extract(np.abs(w - k) > 1e-6, w)
     if off.size:
@@ -166,6 +168,9 @@ def _analytic_log_coeffs(samples):
     m = s.size
     if np.min(np.abs(s)) <= 1e-12:
         raise DegenerateInputError("vanishing boundary sample in outer function")
+    if not np.isfinite(s).all():  # NaN passes the guard above
+        raise DegenerateInputError(
+            "boundary sample not finite in outer function")
     u = np.log(np.abs(s))
     uhat = np.fft.fft(u) / m
     a = np.zeros(m, dtype=complex)

@@ -136,10 +136,10 @@ def _compile_node(node, n, tape):
     raise ConfigurationError(f"unsupported syntax {type(node).__name__}")
 
 
-def compile_expression(text, n, path="expression"):
-    """Compile an expression string into a vectorised points -> real
-    function; an error message starts with ``path``, the expression's
-    config key.  Each distinct subexpression is evaluated once per call."""
+def _compile(text, n, path):
+    """Compile an expression string into its vectorised points -> real
+    function, its tape and its result's slot; an error message starts
+    with ``path``, the expression's config key."""
     try:
         tree = ast.parse(text, mode="eval")
         if _depth(tree) > _MAX_DEPTH:
@@ -164,10 +164,20 @@ def compile_expression(text, n, path="expression"):
         # a constant expression gives one scalar: spread it over the points
         return np.full(pts.shape[:-1], out) if np.ndim(out) == 0 else out
 
-    return evaluate
+    return evaluate, tape, result
 
 
-def obstacle_from_expression(text, n, rotation_invariant_last=False,
-                             path="obstacle expression"):
-    return Obstacle(compile_expression(text, n, path), description=text,
-                    rotation_invariant_last=rotation_invariant_last)
+def compile_expression(text, n, path="expression"):
+    """The points -> real function of an expression string (``_compile``)."""
+    return _compile(text, n, path)[0]
+
+
+def obstacle_from_expression(text, n, path="obstacle expression"):
+    """The obstacle of an expression string, invariant under rotation of
+    z_n when z_n enters only through abs(z_n): it is not the result, and
+    every step that reads it is abs (sufficient, not necessary)."""
+    evaluate, tape, result = _compile(text, n, path)
+    zn = tape.slots.get(("z", n - 1))  # None when z_n does not occur
+    invariant = zn is None or zn != result and all(
+        fn is np.abs for fn, a, b, _ in tape.steps if zn in (a, b))
+    return Obstacle(evaluate, text, rotation_invariant_last=invariant)

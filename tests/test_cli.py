@@ -359,9 +359,10 @@ def _compare_error(tmp_path, capsys, overrides):
     ({"oracle": {"kind": "kiselman"}},
      "config.oracle: kiselman oracle needs a hartogs pair"),
     ({"pair": {"variant": "hartogs"}, "points": C2_POINT,
-      "obstacle": {"expr": "re(z1)"}, "oracle": {"kind": "kiselman"}},
-     "config.oracle: kiselman oracle needs an obstacle with "
-     "rotation_invariant true"),
+      "obstacle": {"expr": "re(z1) + re(z2)", "rotation_invariant": True},
+      "oracle": {"kind": "kiselman"}},
+     "config.oracle: kiselman oracle needs an obstacle in which z2 enters "
+     "only through abs(z2)"),
     ({"pair": {"variant": "hartogs"}, "points": C2_POINT,
       "oracle": {"kind": "grid"}},
      "config.oracle: grid oracle needs a planar pair (one complex "
@@ -701,7 +702,7 @@ def test_points_without_families_exit_two(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["cesaro", "envelope"])
 def test_counterexample_pair_out_of_range_exits_two_at_load(
         tmp_path, capsys, command, key, value, message):
-    # cesaro builds no pair, so only the load-time rule can refuse these
+    # cesaro reads no pair, so only the load-time rules can refuse these
     cfg = dict(ANNULUS_CONFIG, points=C2_POINT,
                families=[{"kind": "constant"}],
                pair={"variant": "counterexample", key: value})
@@ -741,6 +742,9 @@ def test_oracle_subcommand_without_an_oracle_exits_two(tmp_path, capsys):
     ({"oracle": {"kind": "closed_form", "expr": "1e400"}}, "oracle",
      "oracle.expr"),
     ({"pair": {"variant": "hartogs", "R": "1e400"}}, "envelope", "pair.R"),
+    # homotopy and cesaro read no obstacle, but load the same document
+    ({"obstacle": {"expr": "nonsense(("}}, "homotopy", "obstacle.expr"),
+    ({"obstacle": {"expr": "nonsense(("}}, "cesaro", "obstacle.expr"),
 ])
 def test_expression_errors_name_their_config_key(tmp_path, capsys,
                                                  overrides, command, key):
@@ -1319,6 +1323,9 @@ FUZZ_ORACLE_KINDS = {
             {"expr": "abs(z2)", "rotation_invariant": True},
             {"expr": "re(z1) + abs(z2) * abs(z2)",
              "rotation_invariant": True},
+            # invariant without the key, and not invariant despite it
+            {"expr": "abs(z2)"},
+            {"expr": "re(z2)", "rotation_invariant": True},
             {"expr": "re(z2)"}]),
         "points": st.lists(st.sampled_from(FUZZ_PAIRS["hartogs"]),
                            max_size=2),

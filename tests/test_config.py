@@ -17,7 +17,7 @@ from discenv.config import build_families, build_obstacle, build_pair, \
 from discenv.envelope import EnvelopeRequest
 from discenv.errors import ConfigurationError, DiscenvError, \
     PreconditionError
-from discenv.expressions import compile_expression
+from discenv.expressions import compile_expression, obstacle_from_expression
 from discenv.families import BlaschkeFamily, ConstantFamily, \
     PolynomialFamily, VerticalFamily
 
@@ -131,6 +131,52 @@ def test_any_text_compiles_or_is_rejected(text):
         compile_expression(text, 2)
     except ConfigurationError:
         pass
+
+
+@pytest.mark.parametrize("text, invariant", [
+    ("re(z1) + abs(z2)*abs(z2)", True),
+    ("log(abs(z1))", True),                 # no z2 at all
+    ("2.5", True),
+    ("-log(abs(z2))", True),
+    ("re(z1) + re(z2)", False),
+    ("z2", False),                          # z2 is the result, read by none
+    ("abs(z2) + re(z2)", False),
+    # invariant, but the rule is sufficient, not necessary
+    ("re(z2)*re(z2) + im(z2)*im(z2)", False),
+])
+def test_rotation_invariance_is_read_off_the_tape(text, invariant):
+    assert obstacle_from_expression(text, 2).rotation_invariant_last \
+        is invariant
+
+
+#: Expressions of the grammar in z1 and z2; abs(z2) is a leaf, so that
+#: many of those that read z2 derive as invariant
+GRAMMAR_EXPRESSIONS = st.recursive(
+    st.sampled_from(["z1", "z2", "abs(z2)", "0.5", "2", "1.5"]),
+    lambda inner: st.one_of(
+        st.builds("{}({})".format,
+                  st.sampled_from(["re", "im", "abs", "log"]), inner),
+        st.builds("max({}, {})".format, inner, inner),
+        st.builds("({} {} {})".format, inner,
+                  st.sampled_from(["+", "-", "*"]), inner),
+        inner.map("-{}".format)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=GRAMMAR_EXPRESSIONS, theta=st.floats(0.0, 2 * np.pi))
+def test_a_derived_rotation_invariant_obstacle_is_invariant(text, theta):
+    """Where the pass says invariant, turning z2 by e^{i theta} leaves
+    phi as it was, up to rounding, or both values are not finite."""
+    phi = obstacle_from_expression(text, 2)
+    if not phi.rotation_invariant_last:
+        return
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.5, 1.5, (8, 2)) + 1j * rng.uniform(-1.5, 1.5, (8, 2))
+    a, b = phi(pts), phi(pts * [1.0, np.exp(1j * theta)])
+    off = ~np.isfinite(a) & ~np.isfinite(b)
+    with np.errstate(invalid="ignore"):  # inf - inf where both are off
+        assert np.all(off | (np.abs(a - b) <= 1e-12 * (1.0 + np.abs(a))))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +420,8 @@ def test_partial_eps_range_checked():
     ({"oracle": {"kind": "closed_form", "expr": 8}},
      r"oracle\.expr: expected a string"),
     ({"oracle": {"kind": "kiselman"}}, "config.oracle: kiselman"),
-    ({"pair": {"variant": "hartogs"}, "obstacle": {"expr": "re(z1)"},
+    ({"pair": {"variant": "hartogs"},
+      "obstacle": {"expr": "re(z1) + re(z2)"},
       "oracle": {"kind": "kiselman"}}, "config.oracle: kiselman"),
     ({"pair": {"variant": "shell"}, "oracle": {"kind": "grid"}},
      "config.oracle: grid"),

@@ -195,6 +195,10 @@ def test_winding_rejects_undersampled_loop():
     with pytest.raises(UndersampledError, match="is not an integer"):
         winding_number(np.where(np.arange(16) == 3, np.inf,
                                 roots_of_unity(16)))
+    # a NaN sample fails every comparison: a finiteness check refuses it
+    with pytest.raises(DegenerateInputError, match="not finite"):
+        winding_number(np.where(np.arange(16) == 3, np.nan,
+                                roots_of_unity(16)))
 
 
 def test_winding_of_a_batch_is_one_int_per_loop():
@@ -276,6 +280,8 @@ def test_outer_rejects_vanishing_boundary():
     zeta = roots_of_unity(64)
     with pytest.raises(DegenerateInputError):
         outer_function(zeta - 1.0)
+    with pytest.raises(DegenerateInputError, match="not finite"):
+        outer_function(np.where(np.arange(64) == 3, np.nan, zeta))
 
 
 def test_outer_bounds_ratio_on_interior():

@@ -726,7 +726,7 @@ def test_evaluate_rows_are_one_row_batches_bit_for_bit(partial, rows, kinds):
 STANDARD_HARTOGS = HartogsPair(ball(1.0, 1),
                               lambda zp: np.full(zp.shape[:-1], 0.25),
                               lambda zp: np.full(zp.shape[:-1], 1.0))
-HARTOGS_PHI = obstacle_from_expression("re(z1) + abs(z2)*abs(z2)", 2, True)
+HARTOGS_PHI = obstacle_from_expression("re(z1) + abs(z2)*abs(z2)", 2)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

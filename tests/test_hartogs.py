@@ -230,6 +230,11 @@ def test_homotopy_parameter_validation():
         hartogs_homotopy(bad, 0.5)
     with pytest.raises(ConfigurationError, match="dimension >= 2"):
         homotopy_trace(hartogs_pair(), AnalyticDisc(zeta), steps=4)
+    # a NaN sample of the last component, which no comparison refuses
+    last = np.where(np.arange(16) == 3, np.nan, roots_of_unity(16))
+    nan = AnalyticDisc(np.stack([np.zeros(16), last], axis=1))
+    with pytest.raises(DegenerateInputError, match="not finite"):
+        homotopy_trace(hartogs_pair(), nan, steps=4)
 
 
 # ---------------------------------------------------------------------------
