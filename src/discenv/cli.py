@@ -25,7 +25,6 @@ from . import config as cfgmod
 from .discs import cesaro_convergence
 from .envelope import EnvelopeRequest, minimize_envelope
 from .errors import ConfigurationError, DiscenvError, InfeasibleEnvelope
-from .expressions import obstacle_from_expression
 from .functionals import QuadratureGrid
 from .hartogs import homotopy_trace, vertical_disc
 from .oracles import grid_obstacle_solver, kiselman_psi
@@ -95,15 +94,14 @@ def _write_outputs(outdir, cfg, rows, passed, extras=None):
                   _results_csv_text(rows))
 
 
-def _oracle_values(cfg, points, w, x_spec, phi, hartogs, outdir):
+def _oracle_values(cfg, outdir):
     """The configured oracle's value at each point, and the path of the
     file it wrote or None.  The grid oracle is solved once for all points
     and its field written to grid_field.csv."""
     oracle = cfg["oracle"]
+    w, x_spec, phi, hartogs, points, closed_form, _ = cfg.built
     if oracle["kind"] == "closed_form":
-        fn = obstacle_from_expression(oracle["expr"], x_spec.n,
-                                      path="config.oracle.expr")
-        return [float(fn(p[None, :])[0]) for p in points], None
+        return [float(closed_form(p[None, :])[0]) for p in points], None
     if oracle["kind"] == "kiselman":  # points in W are refused at load
         return [float(kiselman_psi(hartogs, phi, p[:-1]))
                 for p in points], None
@@ -130,10 +128,9 @@ def run_points(cfg, outdir, search=True, compare=True, quiet=False):
     """Run the search, the oracle or both at each config point and write
     one row per point.  ``oracle`` compares without searching and needs
     an oracle block; ``envelope`` searches without comparing."""
-    w, x_spec, phi, hartogs = cfgmod.build_pair(cfg)
-    if cfg.get("obstacle") is not None or phi is None:
-        phi = cfgmod.build_obstacle(cfg, x_spec.n)
-    points = [cfgmod.parse_point(p, x_spec.n) for p in cfg["points"]]
+    w, x_spec, phi, hartogs, points, _, _ = cfg.built
+    if phi is None:
+        raise ConfigurationError("config.obstacle: required for this command")
     if not search and cfg.get("oracle") is None:
         raise ConfigurationError("config.oracle: required for this command")
     # every point's families and request are built, and checked, before
@@ -153,8 +150,7 @@ def run_points(cfg, outdir, search=True, compare=True, quiet=False):
             raise type(exc)(f"config.points[{i}]: {exc}") from None
     oracle_vals, field_csv = [None] * len(points), None
     if compare and cfg.get("oracle") is not None:
-        oracle_vals, field_csv = _oracle_values(cfg, points, w, x_spec, phi,
-                                                hartogs, outdir)
+        oracle_vals, field_csv = _oracle_values(cfg, outdir)
 
     rows = []
     for point, req, oracle_val in zip(points, requests, oracle_vals):
@@ -193,14 +189,12 @@ def run_points(cfg, outdir, search=True, compare=True, quiet=False):
 
 
 def run_homotopy(cfg, outdir, quiet=False):
-    _, _, _, hartogs = cfgmod.build_pair(cfg)
+    _, _, _, hartogs, _, _, zp = cfg.built
     if hartogs is None:
         raise ConfigurationError("config.pair: homotopy needs a hartogs pair")
     spec = cfg.get("homotopy")
     if spec is None:
         raise ConfigurationError("config.homotopy: required for this command")
-    zp = cfgmod.parse_point(spec["z_prime"], hartogs.n - 1,
-                            "config.homotopy.z_prime")
     try:
         disc = vertical_disc(hartogs, zp, m=cfg["quadrature_m"],
                              **cfgmod.given(spec, cfgmod.HOMOTOPY_DISC[1]))

@@ -2,6 +2,9 @@
 
 Validation is strict: unknown keys anywhere in the document are rejected
 before anything is run, so a failed run never leaves partial outputs.
+This module alone turns a document into the objects it names: load builds
+the pair, obstacle, points, closed form and homotopy z' once, and the
+runners read them from ``Config.built``.
 """
 
 from __future__ import annotations
@@ -189,9 +192,17 @@ def _grid_nodes(spacing, path):
              f"/ 2, got {sides:.4g} from spacing {spacing}")
 
 
+class Config(dict):
+    """The effective config dict (round-trippable through JSON).  ``built``
+    holds what load built from it: (W, X, phi or None, the Hartogs pair or
+    None, the points, the closed-form oracle or None, the homotopy z' or
+    None)."""
+
+
 def _spanning(cfg):
     """Check the rules that span keys, or need a key, in one fixed order;
-    a key left out counts at the default of the builder it goes to."""
+    a key left out counts at the default of the builder it goes to.
+    Returns what they built, as ``Config.built``."""
     nodes, pair = cfg["quadrature_m"], cfg["pair"]
     oracle = cfg.get("oracle") or {}
     obst, homotopy, cesaro = map(cfg.get, ("obstacle", "homotopy", "cesaro"))
@@ -219,13 +230,13 @@ def _spanning(cfg):
              "dimension)")
     _require(kind != "closed_form" or "expr" in oracle,
              "config.oracle.expr", "closed_form oracle needs 'expr'")
-    _, x_spec, _, hartogs = build_pair(cfg)
-    phi = build_obstacle(cfg, x_spec.n) if obst else None
+    w, x_spec, phi, hartogs = build_pair(cfg)
+    phi = build_obstacle(cfg, x_spec.n) if obst else phi
     _require(kind != "kiselman" or phi is None or phi.rotation_invariant_last,
              "config.oracle", f"kiselman oracle needs an obstacle in which "
              f"z{x_spec.n} enters only through abs(z{x_spec.n})")
-    if kind == "closed_form":
-        compile_expression(oracle["expr"], x_spec.n, "config.oracle.expr")
+    closed_form = None if kind != "closed_form" else obstacle_from_expression(
+        oracle["expr"], x_spec.n, "config.oracle.expr")
     points = [parse_point(p, x_spec.n, f"config.points[{i}]")
               for i, p in enumerate(cfg["points"])]
     for i, point in enumerate(points):
@@ -244,6 +255,9 @@ def _spanning(cfg):
                      f"|z{x_spec.n}| = {abs(point[-1])} < R = {R}")
     _require(homotopy is None or "z_prime" in homotopy,
              "config.homotopy.z_prime", "required")
+    z_prime = parse_point(homotopy["z_prime"], hartogs.n - 1,
+                          "config.homotopy.z_prime") \
+        if homotopy is not None and hartogs is not None else None
     if cesaro is not None:
         m, m_w, j_values = (_default(cesaro, key, cesaro_convergence)
                             for key in ("m", "m_w", "j_values"))
@@ -253,6 +267,7 @@ def _spanning(cfg):
         for i, j in enumerate(j_values):
             _require(4 * j + 4 <= m_w, f"config.cesaro.j_values[{i}]",
                      f"expected 4 j + 4 <= m_w = {m_w}, got j = {j}")
+    return w, x_spec, phi, hartogs, points, closed_form, z_prime
 
 
 _REQUIRED = object()  # the default of a key that a config must set
@@ -349,14 +364,14 @@ def load_config(path, overrides=None):
 
 def validate_config(raw):
     """Validate the raw document and fill defaults; returns the effective
-    config dict (round-trippable through JSON).  Every value is checked
-    against its own rule first, then the rules that span keys."""
-    cfg = raw if not isinstance(raw, dict) else {
+    config, a ``Config``.  Every value is checked against its own rule
+    first, then the rules that span keys."""
+    cfg = raw if not isinstance(raw, dict) else Config({
         "experiment": _REQUIRED, "pair": _REQUIRED, "points": [],
         "quadrature_m": 512, "seed": 0, "starts": 8, "budget": 400,
-        "penalty_weight": 1e3, "families": [], **raw}
+        "penalty_weight": 1e3, "families": [], **raw})
     _check(cfg, "config", TOP_RULES)
-    _spanning(cfg)
+    cfg.built = _spanning(cfg)
     return cfg
 
 

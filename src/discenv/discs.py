@@ -140,6 +140,8 @@ def winding_number(samples):
     undersampled.  Loops run along the last axis; a batch gives an int array.
     """
     s = np.asarray(samples, dtype=complex)
+    if not np.isfinite(s).all():  # NaN passes the guards below, inf the sum
+        raise DegenerateInputError("sample not finite for winding number")
     if np.min(np.abs(s)) <= 1e-12:
         raise DegenerateInputError("sample too close to 0 for winding number")
     dtheta = np.angle(np.roll(s, -1, axis=-1) / s)
@@ -147,8 +149,6 @@ def winding_number(samples):
         raise UndersampledError(
             "phase increment >= pi between adjacent samples; oversample")
     w = np.sum(dtheta, axis=-1) / (2 * np.pi)
-    if not np.isfinite(w).all():  # a NaN sample passes every guard above
-        raise DegenerateInputError("sample not finite for winding number")
     k = np.rint(w).astype(int)
     off = np.extract(np.abs(w - k) > 1e-6, w)
     if off.size:

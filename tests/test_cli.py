@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface."""
 
+import collections
 import contextlib
 import csv
 import io
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from discenv import cli
+from discenv import cli, config
 from discenv.cli import main
 
 ANNULUS_CONFIG = {
@@ -679,6 +680,59 @@ def test_every_subcommand_refuses_a_bad_point_at_load(tmp_path, capsys,
     assert run([command, "--config", write_config(tmp_path, cfg),
                 "--out", out, "--quiet"]) == 2
     assert capsys.readouterr().err == f"error: config.points[1]: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("z_prime, message", [
+    ("junk", "point must list 1 coordinates as [re, im] pairs"),
+    ([[0.1, 0.0], [0.2, 0.0]], "point must list 1 coordinates as [re, im] "
+     "pairs"),
+    ([["x", 0.0]], "coordinate must be an [re, im] pair of numbers"),
+])
+@pytest.mark.parametrize("command", list(cli.RUNNERS))
+def test_every_subcommand_refuses_a_bad_z_prime_at_load(tmp_path, capsys,
+                                                        command, z_prime,
+                                                        message):
+    # only homotopy reads z_prime, but every subcommand loads the document
+    cfg = {"experiment": "bad-z-prime", "pair": {"variant": "hartogs"},
+           "obstacle": KISELMAN_OBSTACLE, "points": C2_POINT,
+           "families": [{"kind": "vertical", "s_range": [0.3, 0.7]}],
+           "oracle": {"kind": "kiselman"},
+           "homotopy": {"z_prime": z_prime}, "cesaro": {}}
+    out = tmp_path / "run"
+    assert run([command, "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err \
+        == f"error: config.homotopy.z_prime: {message}\n"
+    assert not out.exists()
+
+
+def test_compare_builds_what_it_reads_once(tmp_path, monkeypatch):
+    """One compare run builds the pair once, parses each point once and
+    compiles the obstacle and the closed form once each: the runner
+    reads what load built."""
+    calls = collections.Counter()
+    for name in ("build_pair", "parse_point", "obstacle_from_expression"):
+        def counted(*args, _fn=getattr(config, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(config, name, counted)
+    assert run(["compare", "--config", write_config(tmp_path, ANNULUS_CONFIG),
+                "--out", tmp_path / "run", "--quiet"]) == 0
+    assert calls == {"build_pair": 1, "parse_point": 2,
+                     "obstacle_from_expression": 2}
+
+
+@pytest.mark.parametrize("command", ["envelope", "oracle", "compare"])
+def test_point_subcommands_without_an_obstacle_exit_two(tmp_path, capsys,
+                                                        command):
+    cfg = dict(ANNULUS_CONFIG)
+    cfg.pop("obstacle")
+    out = tmp_path / "run"
+    assert run([command, "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err \
+        == "error: config.obstacle: required for this command\n"
     assert not out.exists()
 
 
