@@ -65,10 +65,10 @@ PAIR_VARIANTS = {
     "hartogs": (_hartogs_pair, ("n", "base_radius", "r", "R")),
 }
 
-#: Each oracle kind's solver, if it takes config keys, and the keys it
-#: reads besides ``kind``.
-ORACLE_KINDS = {"kiselman": (None, ()),
-                "grid": (grid_obstacle_solver, ("spacing",)),
+#: Each oracle kind's pair variant (None: any pair), and the config keys
+#: it reads besides ``kind``.
+ORACLE_KINDS = {"kiselman": ("hartogs", ()),
+                "grid": ("planar_annulus", ("spacing",)),
                 "closed_form": (None, ("expr",))}
 
 #: The largest quadrature_m: the search cuts its rounds at
@@ -223,15 +223,13 @@ def _spanning(cfg):
             _require(2 * k < nodes, f"{path}.{key}",
                      f"expected < quadrature_m / 2 = {nodes // 2}")
     kind = oracle.get("kind")
-    _require(kind != "kiselman" or pair["variant"] == "hartogs",
-             "config.oracle", "kiselman oracle needs a hartogs pair")
-    _require(kind != "grid" or pair["variant"] == "planar_annulus",
-             "config.oracle", "grid oracle needs a planar pair (one complex "
-             "dimension)")
+    variant = ORACLE_KINDS[kind][0] if kind else None
+    _require(variant in (None, pair["variant"]), "config.oracle",
+             f"{kind} oracle needs a {variant} pair")
     _require(kind != "closed_form" or "expr" in oracle,
              "config.oracle.expr", "closed_form oracle needs 'expr'")
     w, x_spec, phi, hartogs = build_pair(cfg)
-    phi = build_obstacle(cfg, x_spec.n) if obst else phi
+    phi = build_obstacle(cfg, x_spec.n) or phi
     _require(kind != "kiselman" or phi is None or phi.rotation_invariant_last,
              "config.oracle", f"kiselman oracle needs an obstacle in which "
              f"z{x_spec.n} enters only through abs(z{x_spec.n})")
@@ -393,9 +391,10 @@ def build_pair(cfg):
 
 
 def build_obstacle(cfg, n):
+    """The ``obstacle`` block's obstacle, or None without the block."""
     obst = cfg.get("obstacle")
     if obst is None:
-        raise ConfigurationError("config.obstacle: required for this command")
+        return None
     key = "expr" if "expr" in obst else "builtin"
     expr = obst["expr"] if key == "expr" else BUILTIN_OBSTACLES[obst[key]]
     return obstacle_from_expression(expr, n, f"config.obstacle.{key}")

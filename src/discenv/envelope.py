@@ -85,10 +85,10 @@ def nelder_mead(x0, budget):
     from 0.0, as numpy's ``add.reduce`` sums it (a column of -0.0 gives
     0.0), and the vertices are ordered by numpy's argsort, which is not
     stable (with AVX-512, from 4 elements up), so ties fall as in scipy.
+    Without parameters (n = 0) the simplex is x0 alone, evaluated once.
     """
     x0 = np.asarray(x0, dtype=float).ravel().tolist()
     n = len(x0)
-    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
     sim = [x0] + [x0[:k] + [1.05 * x0[k] if x0[k] != 0 else 0.00025]
                   + x0[k + 1:] for k in range(n)]
     fsim = [math.inf] * (n + 1)
@@ -106,6 +106,7 @@ def nelder_mead(x0, budget):
                     for a, b in zip(v, sim[0]))
                 and all(abs(fsim[0] - f) <= 1e-12 for f in fsim[1:])):
             break
+        chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
         xbar = [reduce(add, column, 0.0) / n for column in zip(*sim[:-1])]
         xr = _along(xbar, sim[-1], 1)
         nfev += 1
@@ -244,56 +245,42 @@ def _evaluate(req, groups, objective):
     """Build and score the disc of each row of each (family, P) group as
     one batch, rows in group order.
 
-    ``objective(samples)`` maps the built discs' boundary samples to
-    their penalised objective, value, violation and strictness.  Returns
-    those four per row, and the boundary samples of all rows.  A row
-    whose disc cannot be built gets the barrier BARRIER * (1 + excess), a
-    row whose objective is not finite gets BARRIER, and both get the
-    value NaN: they record no disc.
+    ``objective(samples)`` maps the boundary samples of every row, once,
+    to their penalised objective, value, violation and strictness, each
+    row's from its own samples alone.  Returns those four per row, and
+    the boundary samples of all rows.  A row whose disc cannot be built
+    (its samples may not be finite) is barred at BARRIER * (1 + excess)
+    with violation inf, a row whose objective is not finite at BARRIER:
+    both get the value NaN and no strictness, so they record no disc.
     """
     # over a generator, so each family's part is freed at the concatenate:
     # parts kept in a list past it put a Hartogs round's page faults up
     # twelvefold (glibc's heap trimming)
     samples, excess = map(np.concatenate, zip(*(
         family.build_many(P, req.grid.M) for family, P in groups)))
+    obj, value, violation, strict = objective(samples)
     built = excess == 0
-    every = built.all()
-    rows = samples if every else samples[built]
-    if len(rows):
-        o, v, vio, st = objective(rows)
-        finite = np.isfinite(o)
-        if every and finite.all():  # nothing to bar: the objective's arrays
-            return o, v, vio, st, samples
+    ok = built & np.isfinite(obj)
+    if ok.all():  # nothing to bar: the objective's arrays
+        return obj, value, violation, strict, samples
     with np.errstate(over="ignore"):  # a huge excess: an infinite barrier
-        obj = BARRIER * (1.0 + excess)
-    value = np.full(len(excess), np.nan)
-    violation = np.full(len(excess), np.inf)
-    strict = np.zeros(len(excess), dtype=bool)
-    if len(rows):
-        violation[built], strict[built] = vio, st
-        obj[built] = np.where(finite, o, BARRIER)
-        value[built] = np.where(finite, v, np.nan)
-    return obj, value, violation, strict, samples
-
-
-def _once(x):
-    """The search of a family without parameters: its one point."""
-    yield x
+        obj = np.where(ok, obj, BARRIER * (1.0 + excess))
+    return (obj, np.where(ok, value, np.nan),
+            np.where(built, violation, np.inf), built & strict, samples)
 
 
 class _Start:
     """Start ``s_idx`` of family ``f_idx``, from the RNG key [seed, f_idx,
-    s_idx]: its family, index and search (``nelder_mead``, or ``_once``
-    without parameters), the point it waits on, its least-keyed record
-    (key, params) and the trace of its best objective so far."""
+    s_idx]: its family, index and search (``nelder_mead``, one point for a
+    family without parameters), the point it waits on, its least-keyed
+    record (key, params) and the trace of its best objective so far."""
 
     def __init__(self, req, f_idx, s_idx):
         self.family = req.families[f_idx]
         self.index = s_idx
         p0 = self.family.initial(
             np.random.default_rng([req.seed, f_idx, s_idx]), s_idx)
-        self.search = nelder_mead(p0, req.budget) \
-            if self.family.n_params > 0 else _once(p0)
+        self.search = nelder_mead(p0, req.budget)
         self.point = next(self.search)
         self.record = None
         self.trace = []

@@ -6,8 +6,8 @@ disc whose value at 0 equals the prescribed centre by construction
 maps the rows of P to boundary samples at m nodes, shape (B, m, n), and
 to each row's infeasibility excess, which is positive where a row cannot
 realise the centre (a free or solved-for Blaschke zero falls outside the
-unit disc) and 0 elsewhere.  The samples of such a row are unspecified;
-the search gives it a barrier.
+unit disc) and 0 elsewhere.  The samples of such a row are unspecified
+and may be non-finite; the search scores them and bars the row.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ class DiscFamily:
 
     def build_many(self, P, m):
         """Boundary samples (B, m, n) of the rows of P, shape
-        (B, n_params), and each row's infeasibility excess (B,)."""
+        (B, n_params), and each row's infeasibility excess (B,); a row
+        with an excess may have non-finite samples."""
         raise NotImplementedError
 
     def initial(self, rng, start_index=0):

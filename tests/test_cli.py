@@ -366,8 +366,7 @@ def _compare_error(tmp_path, capsys, overrides):
      "only through abs(z2)"),
     ({"pair": {"variant": "hartogs"}, "points": C2_POINT,
       "oracle": {"kind": "grid"}},
-     "config.oracle: grid oracle needs a planar pair (one complex "
-     "dimension)"),
+     "config.oracle: grid oracle needs a planar_annulus pair"),
     # the grid oracle's box is the solver's, which covers X
     ({"oracle": {"kind": "grid", "bounds": [-2, 0.5, -2, 2]}},
      "config.oracle: unknown keys ['bounds'] for kind 'grid'"),

@@ -618,8 +618,10 @@ def test_load_and_envelope_request_refuse_the_same_points(data):
 
 
 def test_build_pair_variants():
-    w, x, phi, hp = build_pair(validate_config(minimal_config()))
+    cfg = validate_config(minimal_config())
+    w, x, phi, hp = build_pair(cfg)
     assert w.n == 1 and x.n == 1 and phi is None and hp is None
+    assert build_obstacle(cfg, 1) is None  # no obstacle block
     cfg = validate_config(minimal_config(
         pair={"variant": "hartogs", "n": 2, "r": 0.25, "R": 1.0}))
     w, x, phi, hp = build_pair(cfg)

@@ -679,8 +679,14 @@ EVALUATE_FAMILIES = [ConstantFamily([0.5]),
 # 0.7 is built, one at 1.5 lies past ZERO_CAP
 FINITE_1, INFINITE_1 = [np.log(1.2), 0.4], [np.log(1.7), 0.4]
 BUILT_2, UNBUILT_2 = [np.log(1.2), 0.4, 0.7, 0.1], [np.log(1.2), 0.4, 1.5, 0.]
+# an extreme unbuilt row: s = 1e-300 and a free zero at 1e300 (1 + i)
+EXTREME_2 = [np.log(1e-300), 0.4, 1e300, 1e300]
+# the same X without the maximum principle: unbuilt rows reach the probes
+PROBED_PAIR = (BATCH_PAIR[0],
+               DomainSpec("probed disc", 1, BATCH_PAIR[1].margin))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("partial", [False, True])
 @pytest.mark.parametrize("rows, kinds", [
     # every row built and finite: the objective's own arrays
@@ -690,37 +696,41 @@ BUILT_2, UNBUILT_2 = [np.log(1.2), 0.4, 0.7, 0.1], [np.log(1.2), 0.4, 1.5, 0.]
     # every kind of row in one batch
     ([[[]], [INFINITE_1, FINITE_1], [UNBUILT_2, BUILT_2, UNBUILT_2]],
      "fifxfx"),
+    # an extreme unbuilt row (samples of modulus 1e-300) and a built one
+    ([[], [], [EXTREME_2, BUILT_2]], "xf"),
 ])
 def test_evaluate_rows_are_one_row_batches_bit_for_bit(partial, rows, kinds):
     """Each row of a batch that mixes built rows, rows with an excess
     ("x") and rows whose obstacle is not finite ("i") gets the bits that
-    a batch of that row alone gets."""
-    req = EnvelopeRequest(pair=BATCH_PAIR, phi=CAPPED_LOG, x=[0.5],
-                          families=EVALUATE_FAMILIES,
-                          grid=QuadratureGrid(64))
-    if partial:
-        args = (_partial_objective(req, 0.3),)
-    else:
-        args = (_envelope_objective(req),)
-    groups = [(family,
-               np.array(P, dtype=float).reshape(len(P), family.n_params))
-              for family, P in zip(EVALUATE_FAMILIES, rows) if P]
-    batch = _evaluate(req, groups, *args)
-    i = 0
-    for family, P in groups:
-        for row in P:
-            alone = _evaluate(req, [(family, row[None])], *args)
-            for got, ref in zip(batch, alone):
-                assert got[i:i + 1].tobytes() == ref.tobytes()
-            obj, value = batch[0][i], batch[1][i]
-            if kinds[i] == "x":
-                assert obj > BARRIER and np.isnan(value)
-            elif kinds[i] == "i":
-                assert obj == BARRIER and np.isnan(value)
-            else:
-                assert np.isfinite(value)
-            i += 1
-    assert i == len(kinds) == len(batch[0])
+    a batch of that row alone gets, and no row raises a warning, with or
+    without the interior probes."""
+    for pair in (BATCH_PAIR, PROBED_PAIR):
+        req = EnvelopeRequest(pair=pair, phi=CAPPED_LOG, x=[0.5],
+                              families=EVALUATE_FAMILIES,
+                              grid=QuadratureGrid(64))
+        if partial:
+            args = (_partial_objective(req, 0.3),)
+        else:
+            args = (_envelope_objective(req),)
+        groups = [(family,
+                   np.array(P, dtype=float).reshape(len(P), family.n_params))
+                  for family, P in zip(EVALUATE_FAMILIES, rows) if P]
+        batch = _evaluate(req, groups, *args)
+        i = 0
+        for family, P in groups:
+            for row in P:
+                alone = _evaluate(req, [(family, row[None])], *args)
+                for got, ref in zip(batch, alone):
+                    assert got[i:i + 1].tobytes() == ref.tobytes()
+                obj, value = batch[0][i], batch[1][i]
+                if kinds[i] == "x":
+                    assert obj > BARRIER and np.isnan(value)
+                elif kinds[i] == "i":
+                    assert obj == BARRIER and np.isnan(value)
+                else:
+                    assert np.isfinite(value)
+                i += 1
+        assert i == len(kinds) == len(batch[0])
 
 
 STANDARD_HARTOGS = HartogsPair(ball(1.0, 1),
@@ -1101,6 +1111,14 @@ def test_nelder_mead_yields_lists_and_minimize_hands_fun_copies():
     got, ref = minimize(scribbling, x0, 200), minimize(bowl, x0, 200)
     assert np.array_equal(got.x, ref.x) and got.fun == ref.fun
     assert got.nfev == ref.nfev
+
+
+@pytest.mark.parametrize("budget", [1, 400])
+def test_a_parameterless_search_is_one_evaluation(budget):
+    """Without parameters the simplex is its one point: the first
+    evaluation spends the budget or meets the stopping test."""
+    got = minimize(lambda x: 3.0, np.zeros(0), budget)
+    assert got.nfev == 1 and got.fun == 3.0 and got.x.shape == (0,)
 
 
 def test_nan_margin_gives_nan_violation():
