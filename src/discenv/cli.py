@@ -23,9 +23,8 @@ import numpy as np
 
 from . import config as cfgmod
 from .discs import cesaro_convergence
-from .envelope import EnvelopeRequest, minimize_envelope
+from .envelope import minimize_envelope
 from .errors import ConfigurationError, DiscenvError, InfeasibleEnvelope
-from .functionals import QuadratureGrid
 from .hartogs import homotopy_trace, vertical_disc
 from .oracles import grid_obstacle_solver, kiselman_psi
 
@@ -77,7 +76,9 @@ def _simd():
             if umath.__cpu_features__[name]]
 
 
-def _write_outputs(outdir, cfg, rows, passed, extras=None):
+def _write_outputs(outdir, cfg, rows, passed, extras=None, field=None):
+    if field is not None:  # the grid oracle's, written with the rest
+        field.to_csv(os.path.join(outdir, "grid_field.csv"))
     report = {
         "experiment": cfg["experiment"],
         "effective_config": cfg,
@@ -94,24 +95,19 @@ def _write_outputs(outdir, cfg, rows, passed, extras=None):
                   _results_csv_text(rows))
 
 
-def _oracle_values(cfg, outdir):
-    """The configured oracle's value at each point, and the path of the
-    file it wrote or None.  The grid oracle is solved once for all points
-    and its field written to grid_field.csv."""
-    oracle = cfg["oracle"]
-    w, x_spec, phi, hartogs, points, closed_form, _ = cfg.built
+def _oracle_values(cfg):
+    """The configured oracle's value at each point, and the grid oracle's
+    field or None; the grid oracle is solved once for all points."""
+    oracle, b = cfg["oracle"], cfg.built
     if oracle["kind"] == "closed_form":
-        return [float(closed_form(p[None, :])[0]) for p in points], None
+        return [float(b.closed_form(p[None, :])[0]) for p in b.points], None
     if oracle["kind"] == "kiselman":  # points in W are refused at load
-        return [float(kiselman_psi(hartogs, phi, p[:-1]))
-                for p in points], None
-    field = grid_obstacle_solver((w, x_spec), phi, **cfgmod.given(
+        return [float(kiselman_psi(b.hartogs, b.phi, p[:-1]))
+                for p in b.points], None
+    field = grid_obstacle_solver((b.w, b.x_spec), b.phi, **cfgmod.given(
         oracle, cfgmod.ORACLE_KINDS["grid"][1]))
-    # interpolated first, so a failed run writes no field
-    values = field.interpolate([p[0] for p in points])
-    path = os.path.join(outdir, "grid_field.csv")
-    field.to_csv(path)
-    return [float(v) for v in values], path
+    values = field.interpolate([p[0] for p in b.points])
+    return [float(v) for v in values], field
 
 
 def _row(point, envelope=None, oracle=None, feasible=True,
@@ -125,44 +121,27 @@ def _row(point, envelope=None, oracle=None, feasible=True,
 
 
 def run_points(cfg, outdir, search=True, compare=True, quiet=False):
-    """Run the search, the oracle or both at each config point and write
+    """Run the search, the oracle or both at each config point, then write
     one row per point.  ``oracle`` compares without searching and needs
     an oracle block; ``envelope`` searches without comparing."""
-    w, x_spec, phi, hartogs, points, _, _ = cfg.built
-    if phi is None:
+    built = cfg.built
+    if built.phi is None:
         raise ConfigurationError("config.obstacle: required for this command")
     if not search and cfg.get("oracle") is None:
         raise ConfigurationError("config.oracle: required for this command")
-    # every point's families and request are built, and checked, before
-    # any search; a fault names the point it was raised for
-    if search and points and not cfg["families"]:
+    if search and built.points and not cfg["families"]:
         raise ConfigurationError("config.families: at least one family needed")
-    grid = QuadratureGrid(cfg["quadrature_m"])
-    requests = [None] * len(points)
-    for i, point in enumerate(points if search else ()):
-        try:
-            requests[i] = EnvelopeRequest(
-                pair=(w, x_spec), phi=phi, x=point,
-                families=cfgmod.build_families(cfg, point, hartogs),
-                penalty_weight=cfg["penalty_weight"], starts=cfg["starts"],
-                budget=cfg["budget"], seed=cfg["seed"], grid=grid)
-        except DiscenvError as exc:
-            raise type(exc)(f"config.points[{i}]: {exc}") from None
-    oracle_vals, field_csv = [None] * len(points), None
+    oracle_vals, field = [None] * len(built.points), None
     if compare and cfg.get("oracle") is not None:
-        oracle_vals, field_csv = _oracle_values(cfg, outdir)
+        oracle_vals, field = _oracle_values(cfg)
 
     rows = []
-    for point, req, oracle_val in zip(points, requests, oracle_vals):
+    for point, req, oracle_val in zip(built.points, built.requests,
+                                      oracle_vals):
         label = _point_label(point)
         if search:
             t0 = time.perf_counter()
-            try:
-                res = minimize_envelope(req)
-            except BaseException:  # a failed run leaves no field either
-                if field_csv is not None:
-                    os.remove(field_csv)
-                raise
+            res = minimize_envelope(req)
             runtime = time.perf_counter() - t0
             rows.append(_row(
                 label, res.value, oracle_val, bool(res.feasible),
@@ -184,12 +163,13 @@ def run_points(cfg, outdir, search=True, compare=True, quiet=False):
                  or (gap_tol is not None and r["gap"] is not None
                      and not abs(r["gap"]) <= gap_tol) for r in rows)
     infeasible = not all(r["feasible"] for r in rows)
-    _write_outputs(outdir, cfg, rows, not failed and not infeasible)
+    _write_outputs(outdir, cfg, rows, not failed and not infeasible,
+                   field=field)
     return 3 if infeasible else int(failed)
 
 
 def run_homotopy(cfg, outdir, quiet=False):
-    _, _, _, hartogs, _, _, zp = cfg.built
+    hartogs, zp = cfg.built.hartogs, cfg.built.z_prime
     if hartogs is None:
         raise ConfigurationError("config.pair: homotopy needs a hartogs pair")
     spec = cfg.get("homotopy")

@@ -3,8 +3,8 @@
 Validation is strict: unknown keys anywhere in the document are rejected
 before anything is run, so a failed run never leaves partial outputs.
 This module alone turns a document into the objects it names: load builds
-the pair, obstacle, points, closed form and homotopy z' once, and the
-runners read them from ``Config.built``.
+the pair, obstacle, points, search requests, closed form and homotopy z'
+once, and the runners read them by name from ``Config.built``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from .domains import (
     planar_annulus_pair,
     shell_pair,
 )
-from .errors import ConfigurationError
+from .envelope import EnvelopeRequest
+from .errors import ConfigurationError, DiscenvError
 from .expressions import compile_expression, obstacle_from_expression
 from .families import (
     BlaschkeFamily,
@@ -33,6 +35,7 @@ from .families import (
     ShellFamily,
     VerticalFamily,
 )
+from .functionals import QuadratureGrid
 from .hartogs import HartogsPair, vertical_disc
 from .oracles import _nodes, grid_obstacle_solver
 
@@ -194,15 +197,18 @@ def _grid_nodes(spacing, path):
 
 class Config(dict):
     """The effective config dict (round-trippable through JSON).  ``built``
-    holds what load built from it: (W, X, phi or None, the Hartogs pair or
-    None, the points, the closed-form oracle or None, the homotopy z' or
-    None)."""
+    holds what load built from it, by name: ``w``, ``x_spec``, ``phi``,
+    ``hartogs``, ``points``, ``requests`` (each point's ``EnvelopeRequest``),
+    ``closed_form`` and ``z_prime``; what the document does not give (an
+    obstacle, a Hartogs pair, families, ...) is None."""
 
 
 def _spanning(cfg):
     """Check the rules that span keys, or need a key, in one fixed order;
     a key left out counts at the default of the builder it goes to.
-    Returns what they built, as ``Config.built``."""
+    Returns what they built, as ``Config.built``: w, x_spec, phi, hartogs,
+    points, closed_form, z_prime, and last each point's search request, so
+    that a family that cannot be centred at a point names the point."""
     nodes, pair = cfg["quadrature_m"], cfg["pair"]
     oracle = cfg.get("oracle") or {}
     obst, homotopy, cesaro = map(cfg.get, ("obstacle", "homotopy", "cesaro"))
@@ -265,7 +271,19 @@ def _spanning(cfg):
         for i, j in enumerate(j_values):
             _require(4 * j + 4 <= m_w, f"config.cesaro.j_values[{i}]",
                      f"expected 4 j + 4 <= m_w = {m_w}, got j = {j}")
-    return w, x_spec, phi, hartogs, points, closed_form, z_prime
+    requests, grid = [None] * len(points), QuadratureGrid(nodes)
+    for i, point in enumerate(points if cfg["families"] else ()):
+        try:
+            requests[i] = EnvelopeRequest(
+                pair=(w, x_spec), phi=phi, x=point,
+                families=build_families(cfg, point),
+                penalty_weight=cfg["penalty_weight"], starts=cfg["starts"],
+                budget=cfg["budget"], seed=cfg["seed"], grid=grid)
+        except DiscenvError as exc:
+            raise ConfigurationError(f"config.points[{i}]: {exc}") from None
+    return SimpleNamespace(w=w, x_spec=x_spec, phi=phi, hartogs=hartogs,
+                           points=points, requests=requests,
+                           closed_form=closed_form, z_prime=z_prime)
 
 
 _REQUIRED = object()  # the default of a key that a config must set
@@ -412,6 +430,10 @@ def parse_point(entry, n, path="config.points"):
 
 
 def build_families(cfg, centre, hartogs=None):
+    """The ``families`` block's families, each centred at ``centre``.
+    ``hartogs`` is read by nothing: it stays only for the call in
+    ``perfbench/workloads.py``, until the centre moves into each row
+    (ROADMAP items 10 and 26)."""
     fams = []
     for spec in cfg["families"]:
         cls, keys = FAMILY_KINDS[spec["kind"]]

@@ -216,7 +216,8 @@ def _probes(samples):
     """The values of each disc of a batch of boundary samples (B, M, n) at
     its interior probes, in ``interior_probe_points`` order: (B, P, n)."""
     b, m, n = samples.shape
-    coeffs = np.fft.fft(samples, axis=1)[:, :m // 2] / m
+    with np.errstate(invalid="ignore"):  # a disc with non-finite samples
+        coeffs = np.fft.fft(samples, axis=1)[:, :m // 2] / m
     return circle_eval(coeffs, INTERIOR_RADII,
                        INTERIOR_ANGLES).reshape(b, -1, n)
 

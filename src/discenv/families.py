@@ -106,10 +106,12 @@ class VerticalFamily(DiscFamily):
     def build_many(self, P, m):
         if m // 2 <= self.order:
             raise ConfigurationError("sample grid too small for winding")
-        s = np.exp(P[:, 0])
         samples = np.empty((len(P), m, self.centre.size), dtype=complex)
         samples[:, :, :-1] = self.centre[:-1]
-        np.multiply(s[:, None], root_powers(m, self.k), out=samples[:, :, -1])
+        # a huge log s makes s and the row's samples non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(np.exp(P[:, 0])[:, None], root_powers(m, self.k),
+                        out=samples[:, :, -1])
         return samples, np.zeros(len(P))
 
     def initial(self, rng, start_index=0):
@@ -169,14 +171,15 @@ class BlaschkeFamily(DiscFamily):
     def build_many(self, P, m):
         if m // 2 <= self.order:
             raise ConfigurationError("sample grid too small for zeros")
-        s, theta, zeros, excess = self._zeros(P)
         zeta = roots_of_unity(m)
         samples = np.empty((len(P), m, self.centre.size), dtype=complex)
         samples[:, :, :-1] = self.centre[:-1]
         fn = samples[:, :, -1]
-        fn[...] = (s * np.exp(1j * theta))[:, None]
-        # rows past ZERO_CAP are built too, and may divide by zero
+        # rows past ZERO_CAP are built too, and may divide by zero; a huge
+        # log s makes s and the row's samples non-finite
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            s, theta, zeros, excess = self._zeros(P)
+            fn[...] = (s * np.exp(1j * theta))[:, None]
             for a in zeros.T[:, :, None]:
                 fn *= (zeta - a) / (1.0 - np.conj(a) * zeta)
         return samples, excess

@@ -561,6 +561,42 @@ def test_shell_family_outside_the_ball_exits_before_any_search(
     assert not out.exists()
 
 
+#: the documents of the two tests above, with the line each exits with
+FAMILY_FAULTS = [
+    ({"experiment": "vertical", "pair": {"variant": "hartogs", "n": 2},
+      "obstacle": {"expr": "re(z1)"},
+      "points": [[[0.3, 0.0], [0.0, 0.0]], [[0.3, 0.0], [0.5, 0.0]]],
+      "families": [{"kind": "vertical"}], "quadrature_m": 64},
+     "config.points[1]: vertical family: centre ((0.3+0j), (0.5+0j)) must "
+     "have last coordinate 0"),
+    ({"experiment": "shell", "pair": {"variant": "shell", "n": 2},
+      "obstacle": {"expr": "re(z1)"},
+      "points": [[[0.5, 0.0], [0.0, 0.0]], [[3.0, 0.0], [0.0, 0.0]]],
+      "families": [{"kind": "shell"}], "quadrature_m": 128},
+     "config.points[1]: shell family: centre ((3+0j), 0j) must lie in the "
+     "ball of radius 2"),
+]
+
+
+@pytest.mark.parametrize("doc, message", FAMILY_FAULTS,
+                         ids=["vertical", "shell"])
+@pytest.mark.parametrize("command", list(cli.RUNNERS))
+def test_every_subcommand_refuses_a_family_fault_at_load(
+        tmp_path, capsys, monkeypatch, command, doc, message):
+    # oracle, homotopy and cesaro search nowhere, but load the same
+    # document as envelope and compare
+    searches = []
+    monkeypatch.setattr(cli, "minimize_envelope", searches.append)
+    cfg = dict(doc, homotopy={"z_prime": [[0.3, 0.0]]}) \
+        if command == "homotopy" else doc
+    out = tmp_path / "run"
+    assert run([command, "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert searches == []
+    assert not out.exists()
+
+
 def test_point_of_the_wrong_dimension_is_named_by_its_index(tmp_path,
                                                             capsys):
     cfg = dict(ANNULUS_CONFIG, points=[[[0.5, 0.0]], [[1.5, 0.0]],
@@ -707,19 +743,24 @@ def test_every_subcommand_refuses_a_bad_z_prime_at_load(tmp_path, capsys,
 
 
 def test_compare_builds_what_it_reads_once(tmp_path, monkeypatch):
-    """One compare run builds the pair once, parses each point once and
-    compiles the obstacle and the closed form once each: the runner
-    reads what load built."""
-    calls = collections.Counter()
-    for name in ("build_pair", "parse_point", "obstacle_from_expression"):
+    """One compare run builds the pair once, parses each point and builds
+    its families once, and compiles the obstacle and the closed form once
+    each, all at load: the runner reads what load built."""
+    calls, at_load = collections.Counter(), {}
+    for name in ("build_pair", "parse_point", "obstacle_from_expression",
+                 "build_families"):
         def counted(*args, _fn=getattr(config, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(config, name, counted)
+    validate = config.validate_config
+    monkeypatch.setattr(config, "validate_config", lambda raw: (
+        validate(raw), at_load.update(calls))[0])
     assert run(["compare", "--config", write_config(tmp_path, ANNULUS_CONFIG),
                 "--out", tmp_path / "run", "--quiet"]) == 0
     assert calls == {"build_pair": 1, "parse_point": 2,
-                     "obstacle_from_expression": 2}
+                     "obstacle_from_expression": 2, "build_families": 2}
+    assert at_load == calls  # the runner builds nothing
 
 
 @pytest.mark.parametrize("command", ["envelope", "oracle", "compare"])
@@ -1199,6 +1240,20 @@ def test_non_finite_obstacle_exits_three(tmp_path, capsys):
     assert "finite boundary average" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_grid_field_is_written_after_the_searches(tmp_path, monkeypatch):
+    written = []
+    search = cli.minimize_envelope
+    out = tmp_path / "run"
+    monkeypatch.setattr(cli, "minimize_envelope", lambda req: (
+        written.append((out / "grid_field.csv").exists()), search(req))[1])
+    cfg = dict(ANNULUS_CONFIG, oracle={"kind": "grid", "spacing": 0.25})
+    cfg.pop("tolerances")
+    assert run(["compare", "--config", write_config(tmp_path, cfg),
+                "--out", out, "--quiet"]) == 0
+    assert written == [False, False]
+    assert (out / "grid_field.csv").is_file()
 
 
 def test_a_failed_search_leaves_no_grid_field(tmp_path, capsys):

@@ -739,6 +739,44 @@ STANDARD_HARTOGS = HartogsPair(ball(1.0, 1),
 HARTOGS_PHI = obstacle_from_expression("re(z1) + abs(z2)*abs(z2)", 2)
 
 
+#: a Hartogs pair with the maximum principle (a number R), and the same
+#: pair without it, whose discs reach the interior probes
+MAX_PRINCIPLE_HARTOGS = config._hartogs_pair()[:2]
+PROBED_HARTOGS = (STANDARD_HARTOGS.W, STANDARD_HARTOGS.X)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("partial", [False, True])
+@pytest.mark.parametrize("pairs, phi, x, family, normal", [
+    ((MAX_PRINCIPLE_HARTOGS, PROBED_HARTOGS), HARTOGS_PHI, [0.3, 0.0],
+     VerticalFamily([0.3, 0.0]), [np.log(0.5)]),
+    ((BATCH_PAIR, PROBED_PAIR), CAPPED_LOG, [0.5], EVALUATE_FAMILIES[1],
+     FINITE_1),
+    ((BATCH_PAIR, PROBED_PAIR), CAPPED_LOG, [0.5], EVALUATE_FAMILIES[2],
+     BUILT_2),
+], ids=["vertical", "blaschke-1", "blaschke-2"])
+def test_a_huge_log_s_is_barred_without_a_warning(partial, pairs, phi, x,
+                                                  family, normal):
+    """A row with log s = 800 has an infinite s and non-finite samples:
+    it is barred, with value NaN and no strictness, and raises no
+    warning, with or without the interior probes; the row beside it keeps
+    the bits of its one-row batch."""
+    for pair in pairs:
+        req = EnvelopeRequest(pair=pair, phi=phi, x=x, families=[family],
+                              grid=QuadratureGrid(64))
+        objective = _partial_objective(req, 0.3) if partial \
+            else _envelope_objective(req)
+        huge = [800.0, *normal[1:]]
+        batch = _evaluate(req, [(family, np.array([huge, normal]))],
+                          objective)
+        alone = _evaluate(req, [(family, np.array([normal]))], objective)
+        obj, value, _, strict, _ = batch
+        assert obj[0] >= BARRIER and np.isnan(value[0]) and not strict[0]
+        assert np.isfinite(value[1])
+        for got, ref in zip(batch, alone):
+            assert got[1:].tobytes() == ref.tobytes()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(r=st.floats(0.0, 0.6, exclude_max=True),
        angle=st.floats(0.0, 2 * np.pi))
