@@ -191,8 +191,13 @@ def run_homotopy(cfg, outdir, quiet=False):
 
 
 def run_cesaro(cfg, outdir, quiet=False):
-    result = cesaro_convergence(seed=cfg["seed"], **cfgmod.given(
-        cfg.get("cesaro", {}), list(cfgmod.CESARO_RULES)))
+    with np.errstate(all="ignore"):  # an overflowing loop: refused below
+        result = cesaro_convergence(seed=cfg["seed"], **cfgmod.given(
+            cfg.get("cesaro", {}), list(cfgmod.CESARO_RULES)))
+    for j, err in result:
+        if not math.isfinite(err):
+            raise ConfigurationError(f"config.cesaro: sup error {err} at "
+                                     f"j = {j}: the loop's samples overflow")
     buf = io.StringIO()
     buf.write("# columns: j, sup_error\n")
     writer = csv.writer(buf)

@@ -27,7 +27,7 @@ from .domains import (
 )
 from .envelope import EnvelopeRequest
 from .errors import ConfigurationError, DiscenvError
-from .expressions import compile_expression, obstacle_from_expression
+from .expressions import obstacle_from_expression
 from .families import (
     BlaschkeFamily,
     ConstantFamily,
@@ -50,7 +50,7 @@ def _hartogs_pair(n=2, base_radius=1.0, r=0.25, R=1.0):
     returns its float, which the margins broadcast over the nodes.  With
     a number R, X is a ball times a disc, so the maximum principle holds
     on it."""
-    radii = [compile_expression(v, n - 1, f"config.pair.{key}")
+    radii = [obstacle_from_expression(v, n - 1, path=f"config.pair.{key}")
              if isinstance(v, str) else lambda zp, v=float(v): v
              for key, v in (("r", r), ("R", R))]
     hp = HartogsPair(ball(base_radius, n - 1), *radii)
@@ -240,7 +240,7 @@ def _spanning(cfg):
              "config.oracle", f"kiselman oracle needs an obstacle in which "
              f"z{x_spec.n} enters only through abs(z{x_spec.n})")
     closed_form = None if kind != "closed_form" else obstacle_from_expression(
-        oracle["expr"], x_spec.n, "config.oracle.expr")
+        oracle["expr"], x_spec.n, path="config.oracle.expr")
     points = [parse_point(p, x_spec.n, f"config.points[{i}]")
               for i, p in enumerate(cfg["points"])]
     for i, point in enumerate(points):
@@ -415,7 +415,7 @@ def build_obstacle(cfg, n):
         return None
     key = "expr" if "expr" in obst else "builtin"
     expr = obst["expr"] if key == "expr" else BUILTIN_OBSTACLES[obst[key]]
-    return obstacle_from_expression(expr, n, f"config.obstacle.{key}")
+    return obstacle_from_expression(expr, n, path=f"config.obstacle.{key}")
 
 
 def parse_point(entry, n, path="config.points"):

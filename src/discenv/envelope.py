@@ -216,8 +216,7 @@ def _probes(samples):
     """The values of each disc of a batch of boundary samples (B, M, n) at
     its interior probes, in ``interior_probe_points`` order: (B, P, n)."""
     b, m, n = samples.shape
-    with np.errstate(invalid="ignore"):  # a disc with non-finite samples
-        coeffs = np.fft.fft(samples, axis=1)[:, :m // 2] / m
+    coeffs = np.fft.fft(samples, axis=1)[:, :m // 2] / m
     return circle_eval(coeffs, INTERIOR_RADII,
                        INTERIOR_ANGLES).reshape(b, -1, n)
 
@@ -253,18 +252,19 @@ def _evaluate(req, groups, objective):
     (its samples may not be finite) is barred at BARRIER * (1 + excess)
     with violation inf, a row whose objective is not finite at BARRIER:
     both get the value NaN and no strictness, so they record no disc.
+    One ``np.errstate(all="ignore")`` covers the batch: it never warns.
     """
-    # over a generator, so each family's part is freed at the concatenate:
-    # parts kept in a list past it put a Hartogs round's page faults up
-    # twelvefold (glibc's heap trimming)
-    samples, excess = map(np.concatenate, zip(*(
-        family.build_many(P, req.grid.M) for family, P in groups)))
-    obj, value, violation, strict = objective(samples)
-    built = excess == 0
-    ok = built & np.isfinite(obj)
-    if ok.all():  # nothing to bar: the objective's arrays
-        return obj, value, violation, strict, samples
-    with np.errstate(over="ignore"):  # a huge excess: an infinite barrier
+    with np.errstate(all="ignore"):
+        # over a generator, so each family's part is freed at the
+        # concatenate: parts kept in a list past it put a Hartogs round's
+        # page faults up twelvefold (glibc's heap trimming)
+        samples, excess = map(np.concatenate, zip(*(
+            family.build_many(P, req.grid.M) for family, P in groups)))
+        obj, value, violation, strict = objective(samples)
+        built = excess == 0
+        ok = built & np.isfinite(obj)
+        if ok.all():  # nothing to bar: the objective's arrays
+            return obj, value, violation, strict, samples
         obj = np.where(ok, obj, BARRIER * (1.0 + excess))
     return (obj, np.where(ok, value, np.nan),
             np.where(built, violation, np.inf), built & strict, samples)

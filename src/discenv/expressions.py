@@ -167,12 +167,12 @@ def _compile(text, n, path):
     return evaluate, tape, result
 
 
-def compile_expression(text, n, path="expression"):
+def compile_expression(text, n, *, path="expression"):
     """The points -> real function of an expression string (``_compile``)."""
     return _compile(text, n, path)[0]
 
 
-def obstacle_from_expression(text, n, path="obstacle expression"):
+def obstacle_from_expression(text, n, *, path="obstacle expression"):
     """The obstacle of an expression string, invariant under rotation of
     z_n when z_n enters only through abs(z_n): it is not the result, and
     every step that reads it is abs (sufficient, not necessary)."""

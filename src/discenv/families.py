@@ -8,6 +8,7 @@ to each row's infeasibility excess, which is positive where a row cannot
 realise the centre (a free or solved-for Blaschke zero falls outside the
 unit disc) and 0 elsewhere.  The samples of such a row are unspecified
 and may be non-finite; the search scores them and bars the row.
+``build_many`` is numpy code and warns as numpy does; no search batch warns.
 """
 
 from __future__ import annotations
@@ -108,10 +109,8 @@ class VerticalFamily(DiscFamily):
             raise ConfigurationError("sample grid too small for winding")
         samples = np.empty((len(P), m, self.centre.size), dtype=complex)
         samples[:, :, :-1] = self.centre[:-1]
-        # a huge log s makes s and the row's samples non-finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(np.exp(P[:, 0])[:, None], root_powers(m, self.k),
-                        out=samples[:, :, -1])
+        np.multiply(np.exp(P[:, 0])[:, None], root_powers(m, self.k),
+                    out=samples[:, :, -1])
         return samples, np.zeros(len(P))
 
     def initial(self, rng, start_index=0):
@@ -160,9 +159,7 @@ class BlaschkeFamily(DiscFamily):
             rotated = np.array([-self.target * np.exp(-1j * t)
                                 for t in theta.tolist()])
             denom = s * np.prod(-zeros, axis=1) if zeros.shape[1] else s
-            with np.errstate(divide="ignore", over="ignore",
-                             invalid="ignore"):
-                solved = rotated / denom
+            solved = rotated / denom
             over = np.hypot(solved.real, solved.imag) - ZERO_CAP
             excess = np.where(excess > 0, excess, np.fmax(over, 0.0))
         return s, theta, np.concatenate([zeros, solved[:, None]], axis=1), \
@@ -175,13 +172,10 @@ class BlaschkeFamily(DiscFamily):
         samples = np.empty((len(P), m, self.centre.size), dtype=complex)
         samples[:, :, :-1] = self.centre[:-1]
         fn = samples[:, :, -1]
-        # rows past ZERO_CAP are built too, and may divide by zero; a huge
-        # log s makes s and the row's samples non-finite
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            s, theta, zeros, excess = self._zeros(P)
-            fn[...] = (s * np.exp(1j * theta))[:, None]
-            for a in zeros.T[:, :, None]:
-                fn *= (zeta - a) / (1.0 - np.conj(a) * zeta)
+        s, theta, zeros, excess = self._zeros(P)
+        fn[...] = (s * np.exp(1j * theta))[:, None]
+        for a in zeros.T[:, :, None]:
+            fn *= (zeta - a) / (1.0 - np.conj(a) * zeta)
         return samples, excess
 
     def initial(self, rng, start_index=0):

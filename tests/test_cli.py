@@ -1011,6 +1011,42 @@ def test_cesaro_subcommand(tmp_path):
     assert errs[1] < errs[0]
 
 
+#: Runs whose numbers overflow or divide by zero: each ends in its
+#: documented exit code and one error: line, with no numpy warning
+OVERFLOWS = {
+    "cesaro-1e307": ("cesaro", {"cesaro": {
+        "m": 8, "m_w": 16, "j_values": [0, 1], "amplitude": 1e307}}, 2,
+        "config.cesaro: sup error nan at j = 0: the loop's samples overflow"),
+    "cesaro-1e308": ("cesaro", {"cesaro": {
+        "m": 8, "m_w": 16, "j_values": [0, 1], "amplitude": 1e308}}, 2,
+        "config.cesaro: sup error nan at j = 0: the loop's samples overflow"),
+    "polynomial-1e200": ("envelope", {
+        "points": [[[0.5, 0.0]]], "quadrature_m": 64,
+        "families": [{"kind": "polynomial", "scale": 1e200}]}, 3,
+        "no disc centred at (0.5+0j) had a finite boundary average"),
+    # log|z1| is -inf at z1 = 0, so R is too and the point is outside X
+    "radius-log": ("envelope", {
+        "pair": {"variant": "hartogs", "R": "2 + log(abs(z1))"},
+        "points": [[[0.0, 0.0], [0.0, 0.0]]],
+        "obstacle": {"expr": "re(z1)"}, "families": [{"kind": "vertical"}]},
+        2, "config.points[0]: centre (0j, 0j) lies outside X"),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWS))
+def test_an_overflow_ends_in_one_error_line(tmp_path, capsys, case):
+    command, doc, code, message = OVERFLOWS[case]
+    cfg = {**ANNULUS_CONFIG, **doc}
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([command, "--config", write_config(tmp_path, cfg),
+                    "--out", out, "--quiet"]) == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_emit_plot_profile_and_convergence(tmp_path):
     cfg_path = write_config(tmp_path, ANNULUS_CONFIG)
     out = tmp_path / "run"
@@ -1257,8 +1293,8 @@ def test_grid_field_is_written_after_the_searches(tmp_path, monkeypatch):
 
 
 def test_a_failed_search_leaves_no_grid_field(tmp_path, capsys):
-    # log|z1| is -inf along the constant disc at 0: the search raises after
-    # the grid oracle has written its field, which the failed run removes
+    # log|z1| is -inf along the constant disc at 0: the search raises
+    # before the grid oracle's field is written, so the run writes nothing
     cfg = dict(ANNULUS_CONFIG, points=[[[0.0, 0.0]]],
                families=[{"kind": "constant"}], quadrature_m=64,
                oracle={"kind": "grid", "spacing": 0.25})

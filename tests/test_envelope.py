@@ -745,28 +745,41 @@ MAX_PRINCIPLE_HARTOGS = config._hartogs_pair()[:2]
 PROBED_HARTOGS = (STANDARD_HARTOGS.W, STANDARD_HARTOGS.X)
 
 
+#: the vertical family at a point of the Hartogs pairs, and a polynomial
+#: family of degree 1 at a point of the annulus pairs
+HARTOGS_CASE = ((MAX_PRINCIPLE_HARTOGS, PROBED_HARTOGS), HARTOGS_PHI,
+                [0.3, 0.0], VerticalFamily([0.3, 0.0]))
+ANNULUS_PAIRS = ((BATCH_PAIR, PROBED_PAIR), CAPPED_LOG, [0.5])
+POLYNOMIAL_1 = PolynomialFamily([0.5], degree=1)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("partial", [False, True])
-@pytest.mark.parametrize("pairs, phi, x, family, normal", [
-    ((MAX_PRINCIPLE_HARTOGS, PROBED_HARTOGS), HARTOGS_PHI, [0.3, 0.0],
-     VerticalFamily([0.3, 0.0]), [np.log(0.5)]),
-    ((BATCH_PAIR, PROBED_PAIR), CAPPED_LOG, [0.5], EVALUATE_FAMILIES[1],
-     FINITE_1),
-    ((BATCH_PAIR, PROBED_PAIR), CAPPED_LOG, [0.5], EVALUATE_FAMILIES[2],
-     BUILT_2),
-], ids=["vertical", "blaschke-1", "blaschke-2"])
+@pytest.mark.parametrize("pairs, phi, x, family, normal, huge", [
+    (*HARTOGS_CASE, [np.log(0.5)], [800.0]),
+    (*ANNULUS_PAIRS, EVALUATE_FAMILIES[1], FINITE_1, [800.0, 0.4]),
+    (*ANNULUS_PAIRS, EVALUATE_FAMILIES[2], BUILT_2, [800.0, *BUILT_2[1:]]),
+    (*HARTOGS_CASE, [np.log(0.5)], [400.0]),
+    (*ANNULUS_PAIRS, EVALUATE_FAMILIES[1], FINITE_1, [400.0, 0.4]),
+    (*ANNULUS_PAIRS, EVALUATE_FAMILIES[2], BUILT_2, [400.0, *BUILT_2[1:]]),
+    (*ANNULUS_PAIRS, POLYNOMIAL_1, [0.3, 0.0], [1e200, 0.0]),
+    (*ANNULUS_PAIRS, POLYNOMIAL_1, [0.3, 0.0], [1e308, 0.0]),
+], ids=["vertical", "blaschke-1", "blaschke-2", "vertical-400",
+        "blaschke-1-400", "blaschke-2-400", "polynomial-1e200",
+        "polynomial-1e308"])
 def test_a_huge_log_s_is_barred_without_a_warning(partial, pairs, phi, x,
-                                                  family, normal):
-    """A row with log s = 800 has an infinite s and non-finite samples:
-    it is barred, with value NaN and no strictness, and raises no
-    warning, with or without the interior probes; the row beside it keeps
-    the bits of its one-row batch."""
+                                                  family, normal, huge):
+    """A row with log s = 800 has an infinite s and non-finite samples, a
+    row with log s = 400 or a polynomial coefficient of 1e200 has finite
+    samples whose squares overflow, and one of 1e308 overflows as it is
+    built: each is barred, with value NaN and no strictness, and raises
+    no warning, with or without the interior probes; the row beside it
+    keeps the bits of its one-row batch."""
     for pair in pairs:
         req = EnvelopeRequest(pair=pair, phi=phi, x=x, families=[family],
                               grid=QuadratureGrid(64))
         objective = _partial_objective(req, 0.3) if partial \
             else _envelope_objective(req)
-        huge = [800.0, *normal[1:]]
         batch = _evaluate(req, [(family, np.array([huge, normal]))],
                           objective)
         alone = _evaluate(req, [(family, np.array([normal]))], objective)

@@ -56,7 +56,7 @@ def hartogs_request():
     centre = [0.3 + 0.1j, 0.0]
     return EnvelopeRequest(
         pair=(w, x_spec),
-        phi=obstacle_from_expression("re(z1) + abs(z2)*abs(z2)", 2, True),
+        phi=obstacle_from_expression("re(z1) + abs(z2)*abs(z2)", 2),
         x=centre, families=[VerticalFamily(centre, 1, (0.25, 1.0)),
                             VerticalFamily(centre, 2, (0.25, 1.0))],
         grid=QuadratureGrid(512), starts=4, budget=40)
