@@ -248,8 +248,7 @@ def _spanning(cfg):
         _require(x_spec.margin(point[None, :])[0] > 0, path,
                  f"centre {tuple(point.tolist())} lies outside X")
         if kind == "kiselman":
-            with np.errstate(all="ignore"):
-                r, R = hartogs.radii(point[:-1])
+            r, R = hartogs.radii(point[:-1])
             _require(r < R, path,
                      f"empty fiber: r = {r} >= R = {R} at the base point")
             # in W (r < |z_n| < R) the fibre infimum is not the envelope

@@ -48,7 +48,7 @@ class Obstacle:
 
     def __call__(self, points):
         points = np.asarray(points, dtype=complex)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):  # callers check for inf and NaN
             return np.asarray(self._eval_fn(points), dtype=float)
 
     def __repr__(self):

@@ -190,8 +190,7 @@ def _build_grid(pair, phi, bounds, h):
     near[:, :-1] |= inside[:, 1:]
     ghost = near & ~inside
     if np.any(ghost):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gvals = phi(zz[ghost])
+        gvals = phi(zz[ghost])
         obst[ghost] = np.where(np.isfinite(gvals), gvals, top)
     return xs, ys, mask, obst, top
 
@@ -268,16 +267,36 @@ def _prolong(e, shape):
     return fine[:shape[0], :shape[1]]
 
 
+def _scaled_correction(d, free):
+    """e = _correction(d, free) times the step that minimises the energy
+    along it, <d, e> / <e, (I - M) e> with M the four-neighbour mean, or 1
+    when either product is not positive (Graeser and Kornhuber's line
+    search): the free set settles within a few cycles, and a unit step
+    then leaves half of the change to the next cycle.  e is zero on the
+    rim, so <e, M e> is half the sum of e times its lower and right
+    neighbours; the products allocate no grid."""
+    e = _correction(d, free)
+    if not np.ndim(e):
+        return e
+    de = np.vdot(d, e)
+    eae = np.vdot(e, e) - 0.5 * (np.vdot(e[:-1], e[1:])
+                                 + np.einsum("ij,ij->", e[:, :-1], e[:, 1:]))
+    if de > 0 and eae > 0:
+        e *= de / eae
+    return e
+
+
 def _relax(u, obst, active, tol):
     """Projected multigrid V-cycles for u <- min(obst, mean of neighbours).
 
     A cycle: a projected red-black Gauss-Seidel sweep, u <- min(obst, u + e)
-    with e from _correction on the free set (active interior nodes below
-    obst), a second sweep.  Returns the cycle count once a cycle changes u
-    by at most tol, 0 with no active interior node; raises EvaluationError
-    when MAX_CYCLES cycles do not get there, or when the stopping cycle
-    leaves a fixed-point step |min(obst, mean of neighbours) - u| above
-    10 tol (a coarse correction that undoes its sweeps stalls that way).
+    with e from _scaled_correction on the free set (active interior nodes
+    below obst), a second sweep.  Returns the cycle count once a cycle
+    changes u by at most tol, 0 with no active interior node; raises
+    EvaluationError when MAX_CYCLES cycles do not get there, or when the
+    stopping cycle leaves a fixed-point step |min(obst, mean of
+    neighbours) - u| above 10 tol (a coarse correction that undoes its
+    sweeps stalls that way).
     """
     inner = np.zeros_like(active)
     inner[1:-1, 1:-1] = active[1:-1, 1:-1]
@@ -286,11 +305,14 @@ def _relax(u, obst, active, tol):
     # nodes off the interior keep their value: lo = hi = u there
     hi = np.where(inner, obst, u)
     lo = np.where(inner, -np.inf, u)
+    # one buffer: a copy per cycle alternates between two heap blocks, and
+    # the cycle count's parity then sets how often later solves page-fault
+    before = np.empty_like(u)
     for cycle in range(MAX_CYCLES):
-        before = u.copy()
+        np.copyto(before, u)
         _sweep(u, lo, hi)
         free = inner & (u < obst)
-        np.minimum(u + _correction(_defect(u), free), hi, out=u)
+        np.minimum(u + _scaled_correction(_defect(u), free), hi, out=u)
         _sweep(u, lo, hi)
         change = float(np.max(np.abs(u - before)))
         if change <= tol:

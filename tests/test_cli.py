@@ -169,6 +169,40 @@ def test_oracle_value_that_is_not_a_number_fails(tmp_path):
         == ["nan", repr(float(np.log(1.5)))]
 
 
+#: finite at every input, inf or -inf once re(z1) * 1e300 overflows
+OVERFLOWING = "re(z1) * 1e300 * 1e300"
+
+
+def test_closed_form_that_overflows_fails_without_a_warning(tmp_path,
+                                                            capsys):
+    cfg = dict(ANNULUS_CONFIG, points=[[[0.5, 0.0]]],
+               oracle={"kind": "closed_form", "expr": OVERFLOWING})
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["oracle", "--config", write_config(tmp_path, cfg),
+                    "--out", out, "--quiet"]) == 1
+    assert not caught
+    assert capsys.readouterr().err == ""
+    assert [row["oracle"] for row in read_rows(out)] == ["inf"]
+
+
+def test_grid_oracle_on_an_overflowing_obstacle_exits_two(tmp_path, capsys):
+    cfg = dict(ANNULUS_CONFIG, points=[[[1.5, 0.0]]],
+               obstacle={"expr": OVERFLOWING},
+               oracle={"kind": "grid", "spacing": 0.25})
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["oracle", "--config", write_config(tmp_path, cfg),
+                    "--out", out, "--quiet"]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("error: obstacle not finite at grid node ") \
+        and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_compare_without_tolerances_fails_an_oracle_value_not_a_number(
         tmp_path):
     # no tolerances block: the non-finite oracle value alone fails the run

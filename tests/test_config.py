@@ -17,7 +17,7 @@ from discenv.config import build_families, build_obstacle, build_pair, \
 from discenv.envelope import EnvelopeRequest
 from discenv.errors import ConfigurationError, DiscenvError, \
     PreconditionError
-from discenv.expressions import compile_expression, obstacle_from_expression
+from discenv.expressions import obstacle_from_expression
 from discenv.families import BlaschkeFamily, ConstantFamily, \
     PolynomialFamily, VerticalFamily
 
@@ -27,13 +27,13 @@ from discenv.families import BlaschkeFamily, ConstantFamily, \
 # ---------------------------------------------------------------------------
 
 def test_basic_arithmetic_and_calls():
-    fn = compile_expression("re(z1) + 2 * im(z2) - abs(z1)", 2)
+    fn = obstacle_from_expression("re(z1) + 2 * im(z2) - abs(z1)", 2)
     pts = np.array([[1.0 + 2.0j, 3.0 - 1.0j]])
     assert abs(fn(pts)[0] - (1.0 - 2.0 - np.sqrt(5.0))) <= 1e-12
 
 
 def test_max_and_log():
-    fn = compile_expression("max(log(abs(z1)), 0.0)", 1)
+    fn = obstacle_from_expression("max(log(abs(z1)), 0.0)", 1)
     pts = np.array([[0.5 + 0.0j], [2.0 + 0.0j]])
     out = fn(pts)
     assert abs(out[0]) <= 1e-12
@@ -41,10 +41,11 @@ def test_max_and_log():
 
 
 def test_unary_minus():
-    fn = compile_expression("-abs(z1)", 1)
+    fn = obstacle_from_expression("-abs(z1)", 1)
     assert abs(fn(np.array([[3.0 + 4.0j]]))[0] + 5.0) <= 1e-12
     # unary plus is the operand itself
-    assert compile_expression("+re(z1)", 1)(np.array([[3.0 + 4.0j]])) == 3.0
+    plus = obstacle_from_expression("+re(z1)", 1)
+    assert plus(np.array([[3.0 + 4.0j]])) == 3.0
 
 
 def test_each_distinct_subexpression_is_evaluated_once(monkeypatch):
@@ -55,7 +56,7 @@ def test_each_distinct_subexpression_is_evaluated_once(monkeypatch):
         return np.abs(x)
 
     monkeypatch.setitem(expressions._FUNCS, "abs", counting_abs)
-    fn = compile_expression("re(z1) + abs(z2)*abs(z2)", 2)
+    fn = obstacle_from_expression("re(z1) + abs(z2)*abs(z2)", 2)
     pts = np.array([[0.5 + 1.0j, 0.3 - 0.4j], [-2.0 + 0.0j, 1.5 + 2.0j]])
     out = fn(pts)
     assert len(calls) == 1
@@ -78,8 +79,8 @@ def test_deepest_expression_evaluates_a_few_frames_below_the_limit():
     assert expressions._depth(ast.parse(text, mode="eval")) \
         == expressions._MAX_DEPTH
     with pytest.raises(ConfigurationError, match="nested deeper than"):
-        compile_expression("-" + text, 1)
-    fn = compile_expression(text, 1)
+        obstacle_from_expression("-" + text, 1)
+    fn = obstacle_from_expression(text, 1)
     pts = np.array([[1.5 - 2.0j]])
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(frames() + 10)
@@ -115,7 +116,7 @@ def test_deepest_expression_evaluates_a_few_frames_below_the_limit():
 ])
 def test_rejected_expressions(text):
     with pytest.raises(ConfigurationError):
-        compile_expression(text, 2)
+        obstacle_from_expression(text, 2)
 
 
 EXPRESSION_TOKENS = ["z1", "z2", "z3", "re(", "abs(", "log(", "max(", "(",
@@ -128,7 +129,7 @@ EXPRESSION_TOKENS = ["z1", "z2", "z3", "re(", "abs(", "log(", "max(", "(",
     st.text(), st.lists(st.sampled_from(EXPRESSION_TOKENS)).map("".join)))
 def test_any_text_compiles_or_is_rejected(text):
     try:
-        compile_expression(text, 2)
+        obstacle_from_expression(text, 2)
     except ConfigurationError:
         pass
 

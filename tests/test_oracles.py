@@ -230,19 +230,52 @@ def test_coarse_free_set_is_the_fine_five_point_stencil(monkeypatch):
 
 
 def test_multigrid_cycles_per_level(monkeypatch):
-    # one cold solve at h/2 from top: 33 cycles on the grid of spacing
-    # 1/32 and 36 on that of 1/64, where coarse free sets eroded by their
-    # 3x3 neighbourhood take 46 and 53
+    # one cold solve at h/2 from top: 30 cycles on the grid of spacing
+    # 1/32 and 30 on that of 1/64, where coarse free sets eroded by their
+    # 3x3 neighbourhood take 34 and 36, and a unit step along each coarse
+    # correction takes 33 and 36
     pair = planar_annulus_pair()
     phi = obstacle_from_expression("log(abs(z1))", 1)
     cycles = counting_relax(monkeypatch)
     grid_obstacle_solver(pair, phi,
                          **annulus_grid_config(spacing=1.0 / 16, tol=1e-10))
     assert len(cycles) == 1
-    assert cycles[0] <= 35
+    assert cycles[0] <= 31
     grid_obstacle_solver(pair, phi, **annulus_grid_config(tol=1e-10))
     assert len(cycles) == 2
-    assert cycles[1] <= 40
+    assert cycles[1] <= 31
+
+
+#: cycle caps at spacing 1/16 and 1/32 on the default box, tol 1e-10: the
+#: step along each coarse correction takes 22 to 33 cycles, a unit step
+#: the parenthesised counts
+ENERGY_STEP_CAPS = {
+    "log(abs(z1))": (26, 26),                                    # (32, 31)
+    "-abs(z1)": (24, 26),                                        # (30, 33)
+    "abs(z1 - 1.5)": (27, 27),                                   # (33, 32)
+    "0.3 + 0.7 * re(z1) - 0.4 * im(z1) + 1.3 * log(abs(z1))":
+        (28, 27),                                                # (34, 33)
+    "(abs(z1) - 1.5) * (abs(z1) - 1.5)": (29, 35),               # (33, 41)
+    "max(log(abs(z1)), 0.5 - abs(z1) * 0.3)": (31, 27),          # (34, 32)
+    "abs(z1) * abs(z1) - 3 * log(abs(z1))": (33, 31),            # (35, 35)
+}
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("expr", sorted(ENERGY_STEP_CAPS))
+def test_energy_step_cuts_the_cycle_count(monkeypatch, expr, level):
+    # the four obstacles of the test below, a quadratic well around
+    # |z1| = 1.5, a max whose kink lies inside W, and |z1|^2 - 3 log|z1|,
+    # subharmonic on W with its pole in the hole; the field must be the
+    # one that a tighter tolerance gives
+    pair = planar_annulus_pair()
+    phi = obstacle_from_expression(expr, 1)
+    spacing = (1.0 / 16, 1.0 / 32)[level]
+    cycles = counting_relax(monkeypatch)
+    field = grid_obstacle_solver(pair, phi, spacing=spacing, tol=1e-10)
+    assert cycles[-1] <= ENERGY_STEP_CAPS[expr][level]
+    ref = grid_obstacle_solver(pair, phi, spacing=spacing, tol=1e-13)
+    assert np.max(np.abs(field.values - ref.values)) <= 1e-9
 
 
 @pytest.mark.parametrize("expr", [
